@@ -16,7 +16,6 @@ toward the clients, and with eta = 1 the cumulative gradient telescopes to
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -33,6 +32,10 @@ class EmptyFederationError(ValueError):
 
 class LengthMismatchError(ValueError):
     """Parameter vectors of different lengths cannot be aggregated."""
+
+
+class DivergenceError(ValueError):
+    """A gradient, a local parameter vector or an aggregate is not finite."""
 
 
 @dataclass(frozen=True)
@@ -91,27 +94,30 @@ class RoundStats:
     steps_total: int
     mean_eta: float
     max_eta: float
-    wall_ms: float
 
 
 def local_iteration(state: ClientState, batch: Sequence[Sample], strategy: StrategyConfig) -> ClientState:
     """One local training step on `batch`; returns the updated client state.
 
     The optimizer update uses the plain mean Dice-loss gradient regardless of
-    strategy. Under fedgs the decrement added to the cumulative gradient is
-    scaled by the batch's eta; under fedavg eta is 1.
+    strategy, from one backward call over the stacked batch. Under fedgs the
+    decrement added to the cumulative gradient is scaled by the batch's eta;
+    under fedavg eta is 1. A non-finite gradient or updated parameter vector
+    raises DivergenceError naming the client and the step.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     if len(batch) > strategy.batch_size:
         raise ValueError(f"batch of {len(batch)} exceeds configured size {strategy.batch_size}")
 
-    grad = np.zeros_like(state.params)
-    for sample in batch:
-        grad += backward(state.params, sample.image, sample.mask)
-    grad /= len(batch)
-
+    images = np.stack([sample.image for sample in batch])
+    masks = np.stack([sample.mask for sample in batch])
+    grad = backward(state.params, images, masks)
     new_params, new_opt = optimizer_step(state.optimizer, state.params, grad)
+    for what, vector in (("gradient", grad), ("local parameters", new_params)):
+        if not np.isfinite(vector).all():
+            step = state.steps_this_round + 1
+            raise DivergenceError(f"client {state.client_id}: non-finite {what} at local step {step}")
 
     if strategy.kind == "fedgs":
         deltas = [difficulty_factor(sample.mask, strategy.difficulty).delta for sample in batch]
@@ -234,7 +240,6 @@ def run_round(
     if len(rng_streams) != len(client_datasets):
         raise ValueError("need one rng stream per client")
 
-    start = time.perf_counter()
     results = [
         run_client_round(global_params, dataset, strategy, optimizer_cfg, rng, client_id=i)
         for i, (dataset, rng) in enumerate(zip(client_datasets, rng_streams))
@@ -244,7 +249,8 @@ def run_round(
         new_global = apply_global_update(global_params, aggregate)
     else:
         new_global = aggregate_fedavg([(r.final_params, float(r.n_samples)) for r in results])
-    wall_ms = (time.perf_counter() - start) * 1000.0
+    if not np.isfinite(new_global).all():
+        raise DivergenceError("non-finite aggregate of all clients")
 
     all_etas = [eta for r in results for eta in r.etas]
     stats = RoundStats(
@@ -252,6 +258,5 @@ def run_round(
         steps_total=sum(r.report.steps for r in results),
         mean_eta=float(np.mean(all_etas)),
         max_eta=float(np.max(all_etas)),
-        wall_ms=wall_ms,
     )
     return new_global, stats

@@ -12,6 +12,7 @@ time is measurement, not simulation state.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import build_federation
-from .fl import StrategyConfig, run_round
+from .fl import DivergenceError, StrategyConfig, run_round
 from .masks import delta_from_inverse_area, raw_difficulty
 from .metrics import evaluate
 from .model import ArchDescriptor, init_params
@@ -72,7 +73,10 @@ def _run_one(cfg: ExperimentConfig, seed: int, strategy_kind: str) -> list[Resul
             for client_index in range(len(federation.clients))
         ]
         start = time.perf_counter()
-        params, stats = run_round(params, federation.clients, strategy, cfg.optimizer, streams)
+        try:
+            params, stats = run_round(params, federation.clients, strategy, cfg.optimizer, streams)
+        except DivergenceError as exc:
+            raise DivergenceError(f"seed {seed}, strategy {strategy_kind}, round {round_index}: {exc}") from exc
         report = evaluate(params, federation.test_set, cfg.difficulty)
         wall_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
@@ -111,14 +115,29 @@ def _cell(value: object) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _write_csv(path: str | Path, header: list[str], records: Iterable[list[str]]) -> None:
+    """Write a versioned CSV atomically: a temporary file beside `path`, then a rename.
+
+    A write that fails partway leaves any existing file at `path` untouched
+    and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(CSV_VERSION_LINE + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(records)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_results_csv(rows: Iterable[ResultRow], path: str | Path) -> None:
     names = [f.name for f in fields(ResultRow)]
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_VERSION_LINE + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([_cell(getattr(row, name)) for name in names])
+    _write_csv(path, names, ([_cell(getattr(row, name)) for name in names] for row in rows))
 
 
 def fedgs_overhead(rows: Sequence[ResultRow]) -> float | None:
@@ -158,9 +177,5 @@ def emit_difficulty_curve(
 
 
 def write_curve_csv(points: Iterable[CurvePoint], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_VERSION_LINE + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["inverse_area", "raw", "delta"])
-        for p in points:
-            writer.writerow([_cell(p.inverse_area), _cell(p.raw), _cell(p.delta)])
+    records = ([_cell(p.inverse_area), _cell(p.raw), _cell(p.delta)] for p in points)
+    _write_csv(path, ["inverse_area", "raw", "delta"], records)

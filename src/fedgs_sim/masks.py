@@ -111,7 +111,7 @@ def validate_mask(mask: np.ndarray) -> np.ndarray:
         raise ValueError(f"mask must be a non-empty 2D grid, got shape {arr.shape}")
     if arr.dtype == bool:
         return arr.astype(np.uint8)
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("mask cells must all be 0 or 1")
     return arr.astype(np.uint8)
 

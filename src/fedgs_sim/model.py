@@ -3,12 +3,16 @@
 Two 3x3 convolutions with same-padding (ReLU between, sigmoid head), trained
 with smoothed Dice loss. Parameters live in a single flat float64 vector so the
 federated layer can treat models as plain vectors. The backward pass is written
-out by hand and checked against finite differences in the test suite.
+out by hand and checked against finite differences in the test suite. forward
+and backward take one image or an (N, H, W) stack; backward returns the mean
+of the samples' gradients.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal
@@ -73,40 +77,157 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
     return params
 
 
-def _conv3x3(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Same-padded 3x3 cross-correlation.
+class _Workspace:
+    """Work memory that forward and backward reuse across calls.
 
-    x: (C_in, H, W); kernels: (C_out, C_in, 3, 3) -> (C_out, H, W).
+    One kernel call over four 64x64 images needs a few megabytes of
+    temporaries. Allocated afresh on every call, they come back from the
+    operating system as new pages each time, and the page faults cost more
+    than the arithmetic on them. backward lists which role holds what.
     """
-    c_in, height, width = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((kernels.shape[0], height, width))
-    for di in range(3):
-        for dj in range(3):
-            window = xp[:, di : di + height, dj : dj + width]
-            out += np.einsum("oc,chw->ohw", kernels[:, :, di, dj], window)
-    return out
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, role: str, *shape: int) -> np.ndarray:
+        """An uninitialised float64 array of `shape`, in the memory kept for `role`.
+
+        A role's memory grows to the largest shape asked of it, and every
+        array taken from a role overlaps the previous one.
+        """
+        size = math.prod(shape)
+        if role not in self._buffers or self._buffers[role].size < size:
+            self._buffers.pop(role, None)  # free the smaller buffer before allocating its successor
+            self._buffers[role] = np.empty(size)
+        return self._buffers[role][:size].reshape(shape)
 
 
-def _forward_full(params: np.ndarray, image: np.ndarray, arch: ArchDescriptor):
-    x = np.asarray(image, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 3:
-        raise ValueError(f"image must be 2D and at least 3x3, got shape {x.shape}")
+_local = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """The calling thread's workspace. Kernel calls never nest, so one per thread serves them all."""
+    if not hasattr(_local, "workspace"):
+        _local.workspace = _Workspace()
+    return _local.workspace
+
+
+def _windows(padded: np.ndarray) -> list[np.ndarray]:
+    """The nine 3x3 shifts of a zero-padded (..., H+2, W+2) array, as (..., H, W) views.
+
+    Shift s = 3*di + dj starts at row di, column dj. All four 3x3 products
+    are built on these views. Reading them stacks a single-channel input for
+    a matmul (the first convolution and both kernel gradients, and the
+    hidden-layer gradient, which reads the output gradient's shifts in
+    reverse). Adding into them, in reverse, scatters channel-mixed planes
+    into a padded output (the second convolution).
+    """
+    height, width = padded.shape[-2] - 2, padded.shape[-1] - 2
+    return [padded[..., di : di + height, dj : dj + width] for di in range(3) for dj in range(3)]
+
+
+def _shift_stack(x: np.ndarray, ws: _Workspace, flip: bool = False) -> np.ndarray:
+    """The nine shifts of a zero-padded (N, H, W) stack as one (9, N*H*W) array.
+
+    Row s holds shift s; with flip, row s holds shift 8 - s, i.e. (2-di, 2-dj),
+    the order in which the transposed convolution reads its input. The stack
+    lives in the workspace's "nine" role.
+    """
+    n, height, width = x.shape
+    padded = ws.array("padded", n, height + 2, width + 2)
+    padded[:, 0, :] = padded[:, -1, :] = 0.0
+    padded[:, :, 0] = padded[:, :, -1] = 0.0
+    padded[:, 1:-1, 1:-1] = x
+    windows = _windows(padded)
+    out = ws.array("nine", 9, *x.shape)
+    np.stack(windows[::-1] if flip else windows, out=out)
+    return out.reshape(9, -1)
+
+
+def _as_stack(images: np.ndarray) -> np.ndarray:
+    """A 2-D image or an (N, H, W) stack as a validated float64 (N, H, W) stack."""
+    x = np.asarray(images, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.size == 0 or x.shape[-2] < 3 or x.shape[-1] < 3:
+        raise ValueError(f"image must be 2D or an (N, H, W) stack, at least 3x3, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("image contains non-finite values")
-    k1, b1, k2, b2 = arch.unpack(params)
-    z1 = _conv3x3(x[None], k1[:, None]) + b1[:, None, None]
+    return x.reshape(-1, *x.shape[-2:])
+
+
+def _conv1(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor, ws: _Workspace) -> np.ndarray:
+    """Hidden pre-activations z1 (C, N, H, W) of an (N, H, W) stack, in the workspace's "hidden" role.
+
+    The hidden layer is channel-major so that each channel is one contiguous
+    row of the matmuls.
+    """
+    c = arch.hidden_channels
+    k1, b1, _, _ = arch.unpack(params)
+    z1 = ws.array("hidden", c, *x.shape)
+    np.matmul(k1.reshape(c, 9), _shift_stack(x, ws), out=z1.reshape(c, -1))
+    z1 += b1[:, None, None, None]
+    return z1
+
+
+def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor, ws: _Workspace) -> np.ndarray:
+    """Output logits z2 (N, H, W) from hidden activations a1 (C, N, H, W), in the "out" role.
+
+    z2 at (h, w) sums k2[:, s] . a1 at (h + di - 1, w + dj - 1) over the
+    shifts s = (di, dj). Mixing the channels first gives one plane per shift;
+    plane s, added into window 8 - s of a padded accumulator, lands on those
+    positions, and what falls on the border is dropped.
+    """
+    c = arch.hidden_channels
+    _, _, k2, b2 = arch.unpack(params)
+    mixed = ws.array("nine", 9, *a1.shape[1:])
+    np.matmul(k2.reshape(c, 9).T, a1.reshape(c, -1), out=mixed.reshape(9, -1))
+    n, height, width = a1.shape[1:]
+    z2 = ws.array("out", n, height + 2, width + 2)
+    z2.fill(b2)
+    for plane, window in zip(mixed, _windows(z2)[::-1]):
+        window += plane
+    return z2[:, 1:-1, 1:-1]
+
+
+def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor, ws: _Workspace):
+    """Output logits z2 (N, H, W) and hidden activations a1 (C, N, H, W) of a stack.
+
+    Both live in the workspace; a1 in the "hidden" role, where the ReLU
+    overwrote z1: backward needs only a1 and where it is positive.
+    """
+    a1 = _conv1(params, x, arch, ws)
+    np.maximum(a1, 0.0, out=a1)
+    return _conv2(params, a1, arch, ws), a1
+
+
+def _forward_full(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor):
+    """prob and (x, z1, a1, z2) for a 2-D image, or for an (N, H, W) stack.
+
+    For a stack, x, prob and z2 are (N, H, W) and z1, a1 are channel-major
+    (C, N, H, W); for a 2-D image the N axis is dropped.
+    """
+    x = _as_stack(images)
+    ws = _workspace()
+    z1 = _conv1(params, x, arch, ws).copy()
     a1 = np.maximum(z1, 0.0)
-    z2 = _conv3x3(a1, k2[None])[0] + b2
+    z2 = _conv2(params, a1, arch, ws).copy()
     prob = expit(z2)
+    if np.ndim(images) == 2:
+        return prob[0], (x[0], z1[:, 0], a1[:, 0], z2[0])
     return prob, (x, z1, a1, z2)
 
 
-def forward(params: np.ndarray, image: np.ndarray, arch: ArchDescriptor | None = None) -> np.ndarray:
-    """Per-pixel foreground probabilities, same H x W as the input image."""
+def forward(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor | None = None) -> np.ndarray:
+    """Per-pixel foreground probabilities, shaped like the input (H x W, or N x H x W).
+
+    Rejects non-finite parameters: a diverged model would otherwise score as
+    an all-background prediction, since NaN never clears a threshold.
+    """
     arch = arch or infer_arch(params)
-    prob, _ = _forward_full(params, image, arch)
-    return prob
+    if not np.isfinite(params).all():
+        raise ValueError("params contain non-finite values")
+    x = _as_stack(images)
+    z2, _ = _forward_stack(params, x, arch, _workspace())
+    return expit(z2).reshape(np.shape(images))
 
 
 def dice_loss(pred: np.ndarray, mask: np.ndarray) -> float:
@@ -124,49 +245,64 @@ def dice_loss(pred: np.ndarray, mask: np.ndarray) -> float:
     return 1.0 - (2.0 * intersection + DICE_SMOOTHING) / (total + DICE_SMOOTHING)
 
 
-def backward(params: np.ndarray, image: np.ndarray, mask: np.ndarray, arch: ArchDescriptor | None = None) -> np.ndarray:
-    """Analytic gradient of dice_loss(forward(params, image), mask) w.r.t. params."""
+def backward(
+    params: np.ndarray, images: np.ndarray, masks: np.ndarray, arch: ArchDescriptor | None = None
+) -> np.ndarray:
+    """Analytic gradient of dice_loss(forward(params, image), mask) w.r.t. params.
+
+    Takes one image and mask, or (N, H, W) stacks of them, and returns the
+    mean over the stack of each sample's own Dice-loss gradient. The masks of
+    the whole stack are validated in one call.
+
+    Work memory is the thread's workspace, whose four roles are each
+    overwritten in place as the pass goes on; a role is taken again only
+    once nothing reads what it held:
+      "padded"  the zero-padded stack being shifted: x, then g2, then x again
+      "nine"    a nine-plane stack: x's shifts (conv1), then the channel-mixed
+                planes (conv2), then g2's flipped shifts (gk2 and dz1), then
+                x's shifts again (gk1)
+      "hidden"  z1, overwritten by a1 = relu(z1), then by dz1
+      "out"     the padded accumulator of z2
+    prob, m (later g2) and the gradient are arrays of their own.
+    """
     arch = arch or infer_arch(params)
-    prob, (x, z1, a1, _) = _forward_full(params, image, arch)
-    m = validate_mask(mask).astype(np.float64)
-    if prob.shape != m.shape:
-        raise ShapeMismatchError(f"image shape {prob.shape} != mask shape {m.shape}")
-    height, width = prob.shape
+    ws = _workspace()
+    x = _as_stack(images)
+    masks = np.asarray(masks)
+    if masks.shape != np.shape(images):
+        raise ShapeMismatchError(f"image shape {np.shape(images)} != mask shape {masks.shape}")
+    n, height, width = x.shape
+    m = validate_mask(masks.reshape(-1, width)).reshape(x.shape).astype(np.float64)
+    z2, a1 = _forward_stack(params, x, arch, ws)
+    prob = expit(z2)
+
+    intersection = (prob * m).sum(axis=(1, 2))[:, None, None]
+    denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + DICE_SMOOTHING)[:, None, None]
+    # d(dice_loss)/dp per sample: quotient rule on (2I + eps)/(sums + eps),
+    # then through the sigmoid; built in place in m's memory
+    g2 = m
+    g2 *= -2.0 / denom
+    g2 += (2.0 * intersection + DICE_SMOOTHING) / denom**2
+    g2 *= prob
+    g2 *= 1.0 - prob
+
     c = arch.hidden_channels
-
-    intersection = float((prob * m).sum())
-    total = float(prob.sum() + m.sum())
-    denom = total + DICE_SMOOTHING
-    # d(dice_loss)/dp: quotient rule on (2I + eps)/(sums + eps)
-    dl_dp = (2.0 * intersection + DICE_SMOOTHING) / denom**2 - 2.0 * m / denom
-    g2 = dl_dp * prob * (1.0 - prob)
-
     _, _, k2, _ = arch.unpack(params)
-    a1p = np.pad(a1, ((0, 0), (1, 1), (1, 1)))
-    gk2 = np.zeros((c, 3, 3))
-    da1p = np.zeros_like(a1p)
-    for di in range(3):
-        for dj in range(3):
-            window = a1p[:, di : di + height, dj : dj + width]
-            gk2[:, di, dj] = np.einsum("chw,hw->c", window, g2)
-            da1p[:, di : di + height, dj : dj + width] += k2[:, di, dj, None, None] * g2
-    gb2 = float(g2.sum())
-
-    dz1 = da1p[:, 1 : height + 1, 1 : width + 1] * (z1 > 0.0)
-    gb1 = dz1.sum(axis=(1, 2))
-    xp = np.pad(x, 1)
-    gk1 = np.zeros((c, 3, 3))
-    for di in range(3):
-        for dj in range(3):
-            window = xp[di : di + height, dj : dj + width]
-            gk1[:, di, dj] = np.einsum("chw,hw->c", dz1, window)
+    a1 = a1.reshape(c, -1)
+    # both the second kernel's gradient and the hidden gradient read g2 at
+    # shift (2-di, 2-dj): the flipped shift stack
+    g2_shifts = _shift_stack(g2, ws, flip=True)
+    gk2 = a1 @ g2_shifts.T
+    active = a1 > 0.0
+    dz1 = np.matmul(k2.reshape(c, 9), g2_shifts, out=a1)  # a1 is not read again
+    dz1 *= active
 
     grad = np.empty_like(params)
-    grad[: 9 * c] = gk1.ravel()
-    grad[9 * c : 10 * c] = gb1
+    grad[: 9 * c] = (dz1 @ _shift_stack(x, ws).T).ravel()
+    grad[9 * c : 10 * c] = dz1.sum(axis=1)
     grad[10 * c : 19 * c] = gk2.ravel()
-    grad[19 * c] = gb2
-    return grad
+    grad[19 * c] = g2.sum()
+    return grad / n
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import numpy as np
 
+from fedgs_sim import harness
 from fedgs_sim.cli import main
 from fedgs_sim.config import default_config_text
 from fedgs_sim.pgm import read_mask_pgm
@@ -56,3 +57,14 @@ def test_unknown_key_exits_1(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_diverged_run_exits_1_with_context(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY_CONFIG)
+    real_init = harness.init_params
+    monkeypatch.setattr(harness, "init_params", lambda arch, seed: real_init(arch, seed) * np.nan)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "seed 1, strategy fedgs, round 0: client 0: non-finite gradient" in err
+    assert not (tmp_path / "out" / "results.csv").exists()

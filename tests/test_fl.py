@@ -5,6 +5,7 @@ from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.fl import (
     ClientRoundReport,
     ClientState,
+    DivergenceError,
     EmptyFederationError,
     LengthMismatchError,
     StrategyConfig,
@@ -288,6 +289,31 @@ class TestRunRound:
             )
             new_global, _ = run_round(params, [dataset], strategy, frozen, [substream(0, SHUFFLE_STREAM, 0, 0)])
             assert np.allclose(new_global, params, rtol=0, atol=1e-15)
+
+    def test_nan_global_params_raise_naming_the_client(self):
+        params = init_params(ArchDescriptor(), 14)
+        params[5] = np.nan
+        datasets = [make_dataset(n=4, offset=o) for o in (1, 2)]
+        with pytest.raises(DivergenceError, match=r"client 0: non-finite gradient at local step 1"):
+            run_round(
+                params,
+                datasets,
+                StrategyConfig(kind="fedavg", batch_size=4),
+                SGD,
+                [substream(0, SHUFFLE_STREAM, 0, c) for c in range(2)],
+            )
+
+    def test_non_finite_local_parameters_raise(self, monkeypatch):
+        monkeypatch.setattr("fedgs_sim.fl.optimizer_step", lambda state, params, grad: (params * np.nan, state))
+        params = init_params(ArchDescriptor(), 15)
+        with pytest.raises(DivergenceError, match=r"client 0: non-finite local parameters at local step 1"):
+            run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
+
+    def test_non_finite_aggregate_raises(self, monkeypatch):
+        monkeypatch.setattr("fedgs_sim.fl.aggregate_fedavg", lambda client_params: client_params[0][0] * np.inf)
+        params = init_params(ArchDescriptor(), 16)
+        with pytest.raises(DivergenceError, match="non-finite aggregate"):
+            run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
 
     def test_requires_matching_stream_count(self):
         params = init_params(ArchDescriptor(), 0)

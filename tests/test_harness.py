@@ -113,6 +113,23 @@ class TestRunExperiment:
         assert lines[1] == "seed,strategy,round,dice,dice_s,dice_l,mean_eta,max_eta,steps_total,wall_ms"
         assert len(lines) == 2 + 12
 
+    def test_failed_write_leaves_existing_csv_and_no_temporary(self, tiny_cfg, tmp_path):
+        rows = run_experiment(tiny_cfg)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        path = out_dir / "results.csv"
+        write_results_csv(rows, path)
+        before = path.read_bytes()
+
+        def failing_rows():
+            yield from rows[:5]
+            raise RuntimeError("disk went away")
+
+        with pytest.raises(RuntimeError, match="disk went away"):
+            write_results_csv(failing_rows(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in out_dir.iterdir()] == ["results.csv"]
+
     def test_overhead_report(self, tiny_cfg):
         rows = run_experiment(tiny_cfg)
         overhead = fedgs_overhead(rows)

@@ -1,8 +1,12 @@
+import math
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+from fedgs_sim import fl, model
+from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.masks import ShapeMismatchError
 from fedgs_sim.model import (
     ArchDescriptor,
@@ -154,6 +158,110 @@ class TestBackward:
         params[-1] = -12.0
         grad = backward(params, np.ones((8, 8)), np.zeros((8, 8), dtype=np.uint8))
         assert np.isfinite(grad).all()
+
+
+def stack_fixture(n, seed=0, size=(12, 12)):
+    """(params, images, masks) with biases moved off zero and sample 0's mask empty."""
+    rng = np.random.default_rng(seed)
+    arch = ArchDescriptor()
+    params = init_params(arch, seed)
+    _, b1, _, _ = arch.unpack(params)
+    b1[:] = rng.normal(0.0, 0.1, b1.size)
+    params[-1] = 0.2
+    images = rng.normal(0.0, 1.0, (n, *size))
+    masks = (rng.random((n, *size)) > 0.7).astype(np.uint8)
+    masks[0] = 0
+    return params, images, masks
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_backward_is_mean_of_per_image_gradients(self, n):
+        params, images, masks = stack_fixture(n, seed=n)
+        per_image = [backward(params, image, mask) for image, mask in zip(images, masks)]
+        assert np.abs(backward(params, images, masks) - np.mean(per_image, axis=0)).max() <= 1e-15
+
+    def test_forward_stack_equals_per_image(self):
+        params, images, _ = stack_fixture(4)
+        stacked = forward(params, images)
+        assert stacked.shape == images.shape
+        for image, prob in zip(images, stacked):
+            assert np.array_equal(forward(params, image), prob)
+
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    def test_bad_mask_cell_in_any_sample_raises(self, index):
+        params, images, masks = stack_fixture(4)
+        masks[index, 5, 7] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            backward(params, images, masks)
+
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    def test_non_finite_pixel_in_any_sample_raises(self, index):
+        params, images, masks = stack_fixture(4)
+        images[index, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            backward(params, images, masks)
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(params, images)
+
+    @pytest.mark.parametrize("shape", [(3, 12, 12), (4, 12, 13), (12, 12)])
+    def test_mask_stack_shape_mismatch(self, shape):
+        params, images, _ = stack_fixture(4)
+        with pytest.raises(ShapeMismatchError):
+            backward(params, images, np.zeros(shape, dtype=np.uint8))
+
+    def test_reused_work_memory_gives_the_same_results(self):
+        # shapes that grow, shrink and return, with the kept work memory
+        # poisoned before each call: stale values must never leak in
+        cases = [stack_fixture(n, seed=n, size=size) for n, size in [(4, (12, 12)), (2, (16, 9)), (1, (5, 5)), (4, (12, 12))]]
+
+        def kernel_results():
+            results = []
+            for params, images, masks in cases:
+                for buffer in model._workspace()._buffers.values():
+                    buffer.fill(np.nan)
+                results.append((backward(params, images, masks), forward(params, images)))
+            return results
+
+        # a new thread starts with empty work memory of its own
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.extend((backward(*case), forward(*case[:2])) for case in cases))
+        thread.start()
+        thread.join()
+        assert len(fresh) == len(cases)
+        for (grad, prob), (fresh_grad, fresh_prob) in zip(kernel_results(), fresh):
+            assert np.array_equal(grad, fresh_grad)
+            assert np.array_equal(prob, fresh_prob)
+
+    def test_forward_rejects_non_finite_params(self):
+        params, images, _ = stack_fixture(2)
+        params[3] = np.nan
+        with pytest.raises(ValueError, match="params"):
+            forward(params, images)
+
+    def test_short_final_batch_keeps_step_count(self, monkeypatch):
+        # 7 samples in batches of 3: two full batches and one of 1 per epoch
+        dataset = generate_client_dataset(
+            ClientDataSpec(n_samples=7, image_size=(16, 16), small_radius_range=(1.5, 2.0), large_radius_range=(4.0, 5.0)),
+            0,
+        )
+        seen = []
+
+        def recording_backward(params, images, masks):
+            seen.append(len(images))
+            return backward(params, images, masks)
+
+        monkeypatch.setattr(fl, "backward", recording_backward)
+        epochs, batch = 2, 3
+        result = fl.run_client_round(
+            init_params(ArchDescriptor(), 0),
+            dataset,
+            fl.StrategyConfig(kind="fedavg", batch_size=batch, local_epochs=epochs),
+            OptimizerConfig(kind="sgd", learning_rate=0.01),
+            np.random.default_rng(0),
+        )
+        assert result.report.steps == math.ceil(len(dataset) / batch) * epochs == 6
+        assert seen == [3, 3, 1] * epochs
 
 
 class TestOptimizer:
