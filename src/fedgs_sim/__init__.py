@@ -10,6 +10,7 @@ from .fl import (
     apply_global_update,
     run_client_round,
     run_round,
+    sample_deltas,
 )
 from .harness import ResultRow, emit_difficulty_curve, run_experiment
 from .masks import (
@@ -23,7 +24,7 @@ from .masks import (
     label_components,
     smallest_lesion_inverse_area,
 )
-from .metrics import EvalReport, dice_score, evaluate
+from .metrics import EvalReport, dice_score, evaluate, sample_groups
 from .model import (
     ArchDescriptor,
     OptimizerConfig,
@@ -73,5 +74,7 @@ __all__ = [
     "run_client_round",
     "run_experiment",
     "run_round",
+    "sample_deltas",
+    "sample_groups",
     "smallest_lesion_inverse_area",
 ]

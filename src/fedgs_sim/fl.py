@@ -96,14 +96,33 @@ class RoundStats:
     max_eta: float
 
 
-def local_iteration(state: ClientState, batch: Sequence[Sample], strategy: StrategyConfig) -> ClientState:
+def sample_deltas(dataset: Sequence[Sample], strategy: StrategyConfig) -> list[float] | None:
+    """Each sample's difficulty factor delta under fedgs, in dataset order.
+
+    Masks never change during a run, so a run scores each client's dataset
+    once and every batch reads its deltas from this list. Under fedavg eta is
+    1 whatever the masks, and the result is None.
+    """
+    if strategy.kind != "fedgs":
+        return None
+    return [difficulty_factor(sample.mask, strategy.difficulty).delta for sample in dataset]
+
+
+def local_iteration(
+    state: ClientState,
+    batch: Sequence[Sample],
+    strategy: StrategyConfig,
+    deltas: Sequence[float] | None = None,
+) -> ClientState:
     """One local training step on `batch`; returns the updated client state.
 
     The optimizer update uses the plain mean Dice-loss gradient regardless of
     strategy, from one backward call over the stacked batch. Under fedgs the
-    decrement added to the cumulative gradient is scaled by the batch's eta;
-    under fedavg eta is 1. A non-finite gradient or updated parameter vector
-    raises DivergenceError naming the client and the step.
+    decrement added to the cumulative gradient is scaled by the batch's eta,
+    computed from `deltas` (the batch's sample_deltas, in batch order; scored
+    here when omitted); under fedavg eta is 1. A non-finite gradient or
+    updated parameter vector raises DivergenceError naming the client and the
+    step.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -120,7 +139,8 @@ def local_iteration(state: ClientState, batch: Sequence[Sample], strategy: Strat
             raise DivergenceError(f"client {state.client_id}: non-finite {what} at local step {step}")
 
     if strategy.kind == "fedgs":
-        deltas = [difficulty_factor(sample.mask, strategy.difficulty).delta for sample in batch]
+        if deltas is None:
+            deltas = sample_deltas(batch, strategy)
         # short final batches use their true length as N
         eta = batch_scaling_factor(deltas, len(batch))
     else:
@@ -143,6 +163,7 @@ def run_client_round(
     rng: np.random.Generator,
     client_id: int = 0,
     record_trajectory: bool = False,
+    deltas: Sequence[float] | None = None,
 ) -> ClientRoundResult:
     """Run local_epochs epochs of batched training from the global snapshot.
 
@@ -150,9 +171,15 @@ def run_client_round(
     model, cumulative gradient zeroed, optimizer moments reinitialized. Epoch
     order is shuffled from the caller-supplied stream, which must not depend
     on the strategy so that fedgs/fedavg trajectories stay comparable.
+    `deltas` is sample_deltas(dataset, strategy), built here when omitted;
+    each batch takes its deltas in the epoch's shuffled order.
     """
     if not dataset:
         raise ValueError("client dataset must be non-empty")
+    if deltas is None:
+        deltas = sample_deltas(dataset, strategy)
+    elif len(deltas) != len(dataset):
+        raise ValueError(f"{len(deltas)} deltas for a client of {len(dataset)} samples")
     state = ClientState(
         client_id=client_id,
         params=np.array(global_params, dtype=np.float64, copy=True),
@@ -164,8 +191,10 @@ def run_client_round(
     for _ in range(strategy.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, strategy.batch_size):
-            batch = [dataset[i] for i in order[start : start + strategy.batch_size]]
-            state = local_iteration(state, batch, strategy)
+            indices = order[start : start + strategy.batch_size]
+            batch = [dataset[i] for i in indices]
+            batch_deltas = None if deltas is None else [deltas[i] for i in indices]
+            state = local_iteration(state, batch, strategy, batch_deltas)
             if trajectory is not None:
                 trajectory.append(state.params.copy())
     report = ClientRoundReport(
@@ -228,21 +257,28 @@ def run_round(
     strategy: StrategyConfig,
     optimizer_cfg: OptimizerConfig,
     rng_streams: Sequence[np.random.Generator],
+    client_deltas: Sequence[Sequence[float] | None] | None = None,
 ) -> tuple[np.ndarray, RoundStats]:
     """One full federated round: local training on every client, then aggregation.
 
     All clients start from the same global snapshot. fedgs subtracts the
     step-weighted cumulative-gradient average; fedavg averages final client
-    parameters weighted by sample counts.
+    parameters weighted by sample counts. `client_deltas` holds each client's
+    sample_deltas; a run builds it once and passes it to every round, and it
+    is built here when omitted.
     """
     if not client_datasets:
         raise EmptyFederationError("need at least one client")
     if len(rng_streams) != len(client_datasets):
         raise ValueError("need one rng stream per client")
+    if client_deltas is None:
+        client_deltas = [sample_deltas(dataset, strategy) for dataset in client_datasets]
+    elif len(client_deltas) != len(client_datasets):
+        raise ValueError("need one delta list per client")
 
     results = [
-        run_client_round(global_params, dataset, strategy, optimizer_cfg, rng, client_id=i)
-        for i, (dataset, rng) in enumerate(zip(client_datasets, rng_streams))
+        run_client_round(global_params, dataset, strategy, optimizer_cfg, rng, client_id=i, deltas=deltas)
+        for i, (dataset, rng, deltas) in enumerate(zip(client_datasets, rng_streams, client_deltas))
     ]
     if strategy.kind == "fedgs":
         aggregate = aggregate_fedgs([r.report for r in results])

@@ -23,9 +23,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import build_federation
-from .fl import DivergenceError, StrategyConfig, run_round
+from .fl import DivergenceError, StrategyConfig, run_round, sample_deltas
 from .masks import delta_from_inverse_area, raw_difficulty
-from .metrics import evaluate
+from .metrics import evaluate, sample_groups
 from .model import ArchDescriptor, init_params
 from .rng import SHUFFLE_STREAM, substream
 
@@ -66,6 +66,9 @@ def _run_one(cfg: ExperimentConfig, seed: int, strategy_kind: str) -> list[Resul
         local_epochs=cfg.local_epochs,
         difficulty=cfg.difficulty if strategy_kind == "fedgs" else None,
     )
+    # Masks never change during a run: score each sample's difficulty once.
+    client_deltas = [sample_deltas(dataset, strategy) for dataset in federation.clients]
+    groups = sample_groups(federation.test_set, cfg.difficulty)
     rows = []
     for round_index in range(cfg.rounds):
         streams = [
@@ -74,10 +77,10 @@ def _run_one(cfg: ExperimentConfig, seed: int, strategy_kind: str) -> list[Resul
         ]
         start = time.perf_counter()
         try:
-            params, stats = run_round(params, federation.clients, strategy, cfg.optimizer, streams)
+            params, stats = run_round(params, federation.clients, strategy, cfg.optimizer, streams, client_deltas)
         except DivergenceError as exc:
             raise DivergenceError(f"seed {seed}, strategy {strategy_kind}, round {round_index}: {exc}") from exc
-        report = evaluate(params, federation.test_set, cfg.difficulty)
+        report = evaluate(params, federation.test_set, groups)
         wall_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             ResultRow(
@@ -152,10 +155,6 @@ def fedgs_overhead(rows: Sequence[ResultRow]) -> float | None:
     return float(np.mean(fedgs) / np.mean(fedavg) - 1.0)
 
 
-def geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    return np.geomspace(lo, hi, points)
-
-
 def emit_difficulty_curve(
     log_base: float, threshold: float, grid: Sequence[float] | None = None
 ) -> list[CurvePoint]:
@@ -165,7 +164,7 @@ def emit_difficulty_curve(
     factor, for plotting the shape of the curve alongside where the gate sits.
     """
     if grid is None:
-        grid = geometric_grid(CURVE_GRID_MIN, CURVE_GRID_MAX, 141)
+        grid = np.geomspace(CURVE_GRID_MIN, CURVE_GRID_MAX, 141)
     points = []
     for a_inv in grid:
         a_inv = float(a_inv)

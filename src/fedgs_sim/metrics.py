@@ -46,22 +46,41 @@ def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
     return 2.0 * int((p & g).sum()) / total
 
 
+def sample_groups(test_set: Sequence[Sample], difficulty: DifficultyConfig) -> list[str]:
+    """Tag each sample "empty", "small" or "large" by its ground-truth mask.
+
+    Masks never change during a run, so a run tags its test set once and
+    passes the tags to every evaluate call.
+    """
+    groups = []
+    for sample in test_set:
+        if sample.mask.sum() == 0:
+            groups.append("empty")
+        elif difficulty_factor(sample.mask, difficulty).is_small:
+            groups.append("small")
+        else:
+            groups.append("large")
+    return groups
+
+
 def evaluate(
     params: np.ndarray,
     test_set: Sequence[Sample],
-    difficulty: DifficultyConfig,
+    groups: Sequence[str],
     threshold: float = 0.5,
 ) -> EvalReport:
     """Binarize model predictions at `threshold` and score against ground truth.
 
-    The test set is forwarded EVAL_CHUNK images at a time; each chunk is
-    scored and its probabilities dropped before the next one.
+    `groups` is sample_groups(test_set, difficulty). The test set is
+    forwarded EVAL_CHUNK images at a time; each chunk is scored and its
+    probabilities dropped before the next one.
     """
     if not test_set:
         raise ValueError("test set must be non-empty")
+    if len(groups) != len(test_set):
+        raise ValueError(f"{len(groups)} group tags for {len(test_set)} test samples")
 
     scores: list[float] = []
-    groups: list[str] = []
     for start in range(0, len(test_set), EVAL_CHUNK):
         chunk = test_set[start : start + EVAL_CHUNK]
         prob = forward(params, np.stack([sample.image for sample in chunk]))
@@ -69,12 +88,6 @@ def evaluate(
         del prob
         for sample, pred in zip(chunk, preds):
             scores.append(dice_score(pred, sample.mask))
-            if sample.mask.sum() == 0:
-                groups.append("empty")
-            elif difficulty_factor(sample.mask, difficulty).is_small:
-                groups.append("small")
-            else:
-                groups.append("large")
 
     values = np.asarray(scores)
     tags = np.asarray(groups)

@@ -18,7 +18,7 @@ from fedgs_sim.data import ClientDataSpec, Sample, generate_client_dataset
 from fedgs_sim.fl import StrategyConfig, run_client_round, run_round
 from fedgs_sim.harness import emit_difficulty_curve, fedgs_overhead, run_experiment
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
-from fedgs_sim.metrics import dice_score, evaluate
+from fedgs_sim.metrics import dice_score, evaluate, sample_groups
 from fedgs_sim.model import ArchDescriptor, OptimizerConfig, backward, dice_loss, forward, init_params
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 from oracles import rasterize_disk
@@ -360,7 +360,7 @@ def test_criterion_9_metric_properties():
     )
     samples = samples + [empty, empty]
     cfg = DifficultyConfig(log_base=50.0, threshold=7.0, regime="whole_mask")
-    rep = evaluate(init_params(ArchDescriptor(), 1), samples, cfg)
+    rep = evaluate(init_params(ArchDescriptor(), 1), samples, sample_groups(samples, cfg))
     partition_ok = rep.n_total == rep.n_small + rep.n_large + rep.n_empty == len(samples)
     assert partition_ok
     assert rep.n_empty == 2

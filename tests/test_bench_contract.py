@@ -1,16 +1,20 @@
 """The benchmark's traced mode wraps package functions by name; keep them there.
 
 perfbench/tracer.py lists every (module, attribute) it wraps in SITES and
-fails the traced benchmark run when one is missing. This test reads that
-list without importing or changing the benchmark, so that renaming or moving
-a wrapped function fails here first.
+fails the traced benchmark run when one is missing or records no calls. These
+tests read that list without importing or changing the benchmark, so that
+renaming, moving or bypassing a wrapped function fails here first.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from fedgs_sim.cli import main
+from test_harness import TINY_CONFIG
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,3 +34,25 @@ def test_tracer_lists_sites():
 @pytest.mark.parametrize("module, attr, layer", traced_sites())
 def test_traced_site_resolves_to_a_callable(module, attr, layer):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr} ({layer})"
+
+
+def test_every_traced_site_runs_in_a_two_strategy_sweep(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counting(site, fn):
+        def wrapper(*args, **kwargs):
+            calls[site] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, attr, _ in traced_sites():
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counting(f"{module_name}.{attr}", getattr(module, attr)))
+    config = TINY_CONFIG.replace("seeds = 1 2\nrounds = 3", "seeds = 1\nrounds = 1")
+    config = config.replace("regime = whole_mask", "regime = blob_split")
+    assert "blob_split" in config and "rounds = 1" in config
+    (tmp_path / "tiny.ini").write_text(config)
+    assert main(["run", "--config", str(tmp_path / "tiny.ini"), "--out", str(tmp_path / "out")]) == 0
+    idle = [f"{m}.{a}" for m, a, _ in traced_sites() if calls[f"{m}.{a}"] == 0]
+    assert not idle, f"traced sites with no calls: {idle}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.fl import (
@@ -15,8 +17,9 @@ from fedgs_sim.fl import (
     local_iteration,
     run_client_round,
     run_round,
+    sample_deltas,
 )
-from fedgs_sim.masks import DifficultyConfig
+from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from fedgs_sim.model import OptimizerConfig, backward, init_optimizer_state, init_params, ArchDescriptor
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 
@@ -181,6 +184,40 @@ class TestRunClientRound:
         assert len(result.trajectory) == result.report.steps
         assert np.array_equal(result.trajectory[-1], result.final_params)
 
+    def test_etas_read_each_batch_deltas_in_shuffled_order(self):
+        # 7 samples, batches of 3: the last batch of each epoch holds one sample
+        params = init_params(ArchDescriptor(), 10)
+        dataset = make_dataset(n=7, small_fraction=0.5, offset=4)
+        assert any(sample.is_small for sample in dataset)
+        strategy = StrategyConfig(kind="fedgs", batch_size=3, local_epochs=2, difficulty=DIFFICULTY)
+        result = run_client_round(params, dataset, strategy, ADAMW, substream(4, SHUFFLE_STREAM, 0, 0))
+
+        rng = substream(4, SHUFFLE_STREAM, 0, 0)
+        expected = []
+        for _ in range(2):
+            order = rng.permutation(7)
+            for start in range(0, 7, 3):
+                batch = [dataset[i] for i in order[start : start + 3]]
+                deltas = [difficulty_factor(sample.mask, DIFFICULTY).delta for sample in batch]
+                expected.append(batch_scaling_factor(deltas, len(batch)))
+        assert len(expected) == 6 and any(eta > 1.0 for eta in expected)
+        assert result.etas == expected
+
+    def test_rejects_deltas_of_another_length(self):
+        params = init_params(ArchDescriptor(), 0)
+        dataset = make_dataset(n=4)
+        strategy = StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
+        with pytest.raises(ValueError, match="3 deltas for a client of 4 samples"):
+            run_client_round(params, dataset, strategy, SGD, substream(0, SHUFFLE_STREAM, 0, 0), deltas=[0.0] * 3)
+        with pytest.raises(ValueError, match="one delta list per client"):
+            run_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], client_deltas=[])
+
+    def test_sample_deltas_score_fedgs_only(self):
+        dataset = make_dataset(n=5, small_fraction=0.5)
+        fedgs = StrategyConfig(kind="fedgs", difficulty=DIFFICULTY)
+        assert sample_deltas(dataset, fedgs) == [difficulty_factor(s.mask, DIFFICULTY).delta for s in dataset]
+        assert sample_deltas(dataset, StrategyConfig(kind="fedavg")) is None
+
 
 class TestAggregation:
     def test_single_client_weight_one(self):
@@ -314,6 +351,39 @@ class TestRunRound:
         params = init_params(ArchDescriptor(), 16)
         with pytest.raises(DivergenceError, match="non-finite aggregate"):
             run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+        batch_size=st.integers(1, 4),
+        epochs=st.integers(1, 2),
+        seed=st.integers(0, 1000),
+    )
+    @example(sizes=[5, 8], batch_size=4, epochs=1, seed=0)  # 2 steps each: FedGS weighs them 1:1
+    def test_unit_eta_fedgs_is_the_step_weighted_mean(self, sizes, batch_size, epochs, seed):
+        # FedGS weighs clients by local steps, FedAvg by samples; with eta = 1
+        # they agree only when steps are proportional to sample counts
+        params = init_params(ArchDescriptor(), seed)
+        datasets = [make_dataset(n=n, offset=c + 1, seed=seed) for c, n in enumerate(sizes)]
+        streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(sizes))]
+        fedgs = StrategyConfig(kind="fedgs", batch_size=batch_size, local_epochs=epochs, difficulty=DIFFICULTY)
+        fedavg = StrategyConfig(kind="fedavg", batch_size=batch_size, local_epochs=epochs)
+        fedgs_global, stats = run_round(params, datasets, fedgs, ADAMW, streams())
+        fedavg_global, _ = run_round(params, datasets, fedavg, ADAMW, streams())
+        assert stats.max_eta == 1.0
+
+        clients = [
+            run_client_round(params, dataset, fedavg, ADAMW, rng, client_id=c)
+            for c, (dataset, rng) in enumerate(zip(datasets, streams()))
+        ]
+        steps = [client.report.steps for client in clients]
+        step_weighted = sum((s / sum(steps)) * client.final_params for s, client in zip(steps, clients))
+        assert np.abs(fedgs_global - step_weighted).max() < 1e-12
+        gap = np.abs(fedgs_global - fedavg_global).max()
+        if all(s * sizes[0] == steps[0] * n for s, n in zip(steps, sizes)):
+            assert gap < 1e-12
+        else:
+            assert gap > 1e-9
 
     def test_requires_matching_stream_count(self):
         params = init_params(ArchDescriptor(), 0)

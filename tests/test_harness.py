@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fedgs_sim.config import parse_config
@@ -7,7 +8,6 @@ from fedgs_sim.harness import (
     CSV_VERSION_LINE,
     emit_difficulty_curve,
     fedgs_overhead,
-    geometric_grid,
     run_experiment,
     write_curve_csv,
     write_results_csv,
@@ -130,6 +130,31 @@ class TestRunExperiment:
         assert path.read_bytes() == before
         assert [p.name for p in out_dir.iterdir()] == ["results.csv"]
 
+    @pytest.mark.parametrize("rounds, epochs", [(1, 1), (3, 2)])
+    def test_difficulty_is_scored_once_per_sample_per_run(self, tiny_cfg, monkeypatch, rounds, epochs):
+        import dataclasses
+
+        from fedgs_sim import fl, metrics
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        for module in (fl, metrics):
+            monkeypatch.setattr(module, "difficulty_factor", counted(module.difficulty_factor))
+        n_train = sum(spec.n_samples for spec in tiny_cfg.training_specs)
+        n_test = tiny_cfg.test_spec.n_samples
+        for strategy, expected in (("fedgs", n_train + n_test), ("fedavg", n_test)):
+            calls.clear()
+            cfg = dataclasses.replace(tiny_cfg, seeds=(1,), strategies=(strategy,), rounds=rounds, local_epochs=epochs)
+            run_experiment(cfg)
+            assert len(calls) == expected, strategy
+
     def test_overhead_report(self, tiny_cfg):
         rows = run_experiment(tiny_cfg)
         overhead = fedgs_overhead(rows)
@@ -150,7 +175,7 @@ class TestDifficultyCurve:
         assert all(p.delta == p.raw > 0.0 for p in above)
 
     def test_raw_strictly_increasing(self):
-        points = emit_difficulty_curve(100.0, 150.0, grid=geometric_grid(1.5, 1e7, 60))
+        points = emit_difficulty_curve(100.0, 150.0, grid=np.geomspace(1.5, 1e7, 60))
         raws = [p.raw for p in points]
         assert all(b > a for a, b in zip(raws, raws[1:]))
 

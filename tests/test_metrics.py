@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from fedgs_sim.data import Sample
 from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError
-from fedgs_sim.metrics import dice_score, evaluate
+from fedgs_sim.metrics import dice_score, evaluate, sample_groups
 from fedgs_sim.model import ArchDescriptor, forward
 
 DIFFICULTY = DifficultyConfig(log_base=100.0, threshold=13.0, regime="whole_mask")
@@ -88,14 +88,16 @@ class TestEvaluate:
         params = passthrough_params()
         small = disk_mask(2.5)  # inverse area ~ 49 >= 13
         large = disk_mask(9.0)  # inverse area ~ 4 < 13
-        report = evaluate(params, [self.sample_for(small), self.sample_for(large)], DIFFICULTY)
+        samples = [self.sample_for(small), self.sample_for(large)]
+        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.dice == report.dice_s == report.dice_l == 1.0
         assert (report.n_small, report.n_large, report.n_empty) == (1, 1, 0)
 
     def test_all_empty_masks_leave_groups_absent(self):
         params = passthrough_params()
         empty = np.zeros((16, 16), dtype=np.uint8)
-        report = evaluate(params, [self.sample_for(empty), self.sample_for(empty)], DIFFICULTY)
+        samples = [self.sample_for(empty), self.sample_for(empty)]
+        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.dice_s is None and report.dice_l is None
         assert report.dice == 1.0  # both-empty convention per sample
         assert report.n_empty == 2
@@ -110,7 +112,7 @@ class TestEvaluate:
             self.sample_for(small),
             self.sample_for(large, image=np.zeros_like(large, dtype=np.float64)),
         ]
-        report = evaluate(params, samples, DIFFICULTY)
+        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.dice_s == 1.0
         assert report.dice_l == 0.0
         assert report.dice == 0.5
@@ -121,16 +123,17 @@ class TestEvaluate:
         small = disk_mask(2.5)
         # image shows a large disk, ground truth is small: must count as small
         sample = self.sample_for(small, image=disk_mask(9.0).astype(np.float64))
-        report = evaluate(params, [sample], DIFFICULTY)
+        report = evaluate(params, [sample], sample_groups([sample], DIFFICULTY))
         assert report.n_small == 1 and report.n_large == 0
 
     def test_threshold_binarization(self):
         # all-zero params predict 0.5 everywhere; threshold 0.5 includes ties
         params = np.zeros(77)
         mask = np.ones((8, 8), dtype=np.uint8)
-        report = evaluate(params, [self.sample_for(mask)], DIFFICULTY, threshold=0.5)
+        samples = [self.sample_for(mask)]
+        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY), threshold=0.5)
         assert report.dice == 1.0
-        report = evaluate(params, [self.sample_for(mask)], DIFFICULTY, threshold=0.6)
+        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY), threshold=0.6)
         assert report.dice == 0.0
 
     def test_counts_sum(self):
@@ -140,12 +143,22 @@ class TestEvaluate:
             self.sample_for(disk_mask(9.0)),
             self.sample_for(np.zeros((32, 32), dtype=np.uint8)),
         ]
-        report = evaluate(params, samples, DIFFICULTY)
+        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.n_total == report.n_small + report.n_large + report.n_empty == 3
 
     def test_rejects_empty_test_set(self):
         with pytest.raises(ValueError):
-            evaluate(np.zeros(77), [], DIFFICULTY)
+            evaluate(np.zeros(77), [], [])
+
+    def test_rejects_groups_of_another_length(self):
+        samples = [self.sample_for(disk_mask(2.5))]
+        with pytest.raises(ValueError, match="2 group tags for 1 test samples"):
+            evaluate(passthrough_params(), samples, ["small", "small"])
+
+    def test_sample_groups(self):
+        masks = [disk_mask(2.5), np.zeros((32, 32), dtype=np.uint8), disk_mask(9.0)]
+        samples = [self.sample_for(mask) for mask in masks]
+        assert sample_groups(samples, DIFFICULTY) == ["small", "empty", "large"]
 
 
 def test_passthrough_params_really_reproduce_masks():
