@@ -27,7 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a multi-seed strategy sweep")
     run.add_argument("--config", required=True, help="experiment config file")
     run.add_argument("--out", default=None, help="output directory (default: config's out_dir)")
-    run.add_argument("--threads", type=int, default=1, help="parallel (seed, strategy) workers")
 
     curve = sub.add_parser("curve", help="export difficulty-factor curve data")
     curve.add_argument("--l", type=float, required=True, help="log base of the transform")
@@ -45,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
-    rows = run_experiment(cfg, threads=args.threads)
+    rows = run_experiment(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "results.csv"
     write_results_csv(rows, out_path)

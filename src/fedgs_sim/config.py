@@ -62,6 +62,10 @@ class ExperimentConfig:
             raise ValidationError("local_epochs must be >= 1")
         if len(self.client_specs) < 2:
             raise ValidationError("need at least one training client and a test center")
+        offsets = [spec.seed_offset for spec in self.client_specs]
+        shared = sorted({offset for offset in offsets if offsets.count(offset) > 1})
+        if shared:
+            raise ValidationError(f"seed_offset {shared[0]} is used by two clients, which would draw the same data")
 
     @property
     def training_specs(self) -> tuple[ClientDataSpec, ...]:
@@ -272,13 +276,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     if client_sections:
         client_sections.sort()
+        # [client n] takes the first default client's values, and seed_offset n
         train_specs = tuple(
             _spec_from_section(
                 base.training_specs[0],
-                _typed_section(parser[name], _CLIENT_SCHEMA, name),
+                {"seed_offset": number, **_typed_section(parser[name], _CLIENT_SCHEMA, name)},
                 name,
             )
-            for _, name in client_sections
+            for number, name in client_sections
         )
     else:
         train_specs = base.training_specs

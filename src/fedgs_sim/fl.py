@@ -12,18 +12,30 @@ The per-iteration decrement is defined as (params before) - (params after),
 making the aggregate a pseudo-gradient: subtracting it moves the global model
 toward the clients, and with eta = 1 the cumulative gradient telescopes to
 (global params) - (final local params).
+
+The clients of a round train in lockstep: local step i advances every client
+that still has an i-th batch, with their batches stacked into shared kernel
+calls. Each client's numbers are bitwise those it would compute alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .data import Sample
 from .masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
-from .model import OptimizerConfig, OptimizerState, backward, init_optimizer_state, optimizer_step
+from .model import (
+    KERNEL_PIXELS,
+    OptimizerConfig,
+    OptimizerState,
+    backward,
+    init_optimizer_state,
+    optimizer_step,
+)
 
 
 class EmptyFederationError(ValueError):
@@ -58,14 +70,34 @@ class StrategyConfig:
 
 @dataclass
 class ClientState:
-    """Local training state within one round; reset at every round start."""
+    """Local training state of a cohort of K clients within one round.
 
-    client_id: int
-    params: np.ndarray
-    cumulative_gradient: np.ndarray
-    optimizer: OptimizerState
-    steps_this_round: int = 0
-    etas: list[float] = field(default_factory=list)
+    Row k of params, cumulative_gradient and the AdamW moments belongs to
+    client k. The clients advance in lockstep, so the optimizer's step count
+    is shared: every client still training is on the same local step. The
+    state is built afresh at every round start.
+    """
+
+    params: np.ndarray  # (K, P)
+    cumulative_gradient: np.ndarray  # (K, P)
+    optimizer: OptimizerState  # moments (K, P)
+    steps_this_round: np.ndarray  # (K,) local steps taken by each client
+    etas: list[list[float]]  # each client's eta per local step
+
+    @classmethod
+    def start(cls, global_params: np.ndarray, n_clients: int, optimizer_cfg: OptimizerConfig) -> "ClientState":
+        """K clients at the global snapshot: zero cumulative gradients, fresh optimizer moments."""
+        params = np.tile(np.asarray(global_params, dtype=np.float64), (n_clients, 1))
+        optimizer = init_optimizer_state(optimizer_cfg, params.size)
+        if optimizer.m is not None:
+            optimizer = replace(optimizer, m=optimizer.m.reshape(params.shape), v=optimizer.v.reshape(params.shape))
+        return cls(
+            params=params,
+            cumulative_gradient=np.zeros_like(params),
+            optimizer=optimizer,
+            steps_this_round=np.zeros(n_clients, dtype=np.int64),
+            etas=[[] for _ in range(n_clients)],
+        )
 
 
 @dataclass(frozen=True)
@@ -108,107 +140,181 @@ def sample_deltas(dataset: Sequence[Sample], strategy: StrategyConfig) -> list[f
     return [difficulty_factor(sample.mask, strategy.difficulty).delta for sample in dataset]
 
 
+def _kernel_calls(batches: Sequence[Sequence[Sample]]) -> list[list[int]]:
+    """The positions of `batches`, split into the lists that share one backward call.
+
+    Batches of the same (B, H, W) shape share calls of at most
+    KERNEL_PIXELS pixels, in order; a batch larger than that gets a call of
+    its own.
+    """
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for j, batch in enumerate(batches):
+        by_shape.setdefault((len(batch), *batch[0].image.shape), []).append(j)
+    calls = []
+    for shape, positions in by_shape.items():
+        per_call = max(1, KERNEL_PIXELS // math.prod(shape))
+        calls.extend(positions[start : start + per_call] for start in range(0, len(positions), per_call))
+    return calls
+
+
+def _blame(exc: ValueError, clients: Sequence[int], batches, params: np.ndarray, step: int) -> ValueError:
+    """A shared backward call's error, attributed to the first of its clients whose batch fails alone."""
+    for k, row in zip(clients, params):
+        try:
+            backward(row, np.stack([s.image for s in batches[k]]), np.stack([s.mask for s in batches[k]]))
+        except ValueError as solo:
+            return type(solo)(f"client {k}: {solo} at local step {step}")
+    return exc
+
+
 def local_iteration(
     state: ClientState,
-    batch: Sequence[Sample],
+    batches: Sequence[Sequence[Sample] | None],
     strategy: StrategyConfig,
-    deltas: Sequence[float] | None = None,
+    deltas: Sequence[Sequence[float] | None] | None = None,
 ) -> ClientState:
-    """One local training step on `batch`; returns the updated client state.
+    """One lockstep local step: client k trains on batches[k]; returns the updated state.
 
-    The optimizer update uses the plain mean Dice-loss gradient regardless of
-    strategy, from one backward call over the stacked batch. Under fedgs the
-    decrement added to the cumulative gradient is scaled by the batch's eta,
-    computed from `deltas` (the batch's sample_deltas, in batch order; scored
-    here when omitted); under fedavg eta is 1. A non-finite gradient or
-    updated parameter vector raises DivergenceError naming the client and the
-    step.
+    Clients whose batch is None sit the step out; the others must all be on
+    the same local step. Each client's optimizer update uses the plain mean
+    Dice-loss gradient of its batch regardless of strategy. Batches of one
+    shape are stacked into shared backward calls, and one optimizer step
+    updates every training client's row. Under fedgs the decrement added to
+    a client's cumulative gradient is scaled by its batch's eta, computed
+    from deltas[k] (the batch's sample_deltas, in batch order; scored here
+    when omitted); under fedavg eta is 1. A non-finite gradient or updated
+    parameter vector raises DivergenceError naming the client and the step.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    if len(batch) > strategy.batch_size:
-        raise ValueError(f"batch of {len(batch)} exceeds configured size {strategy.batch_size}")
+    if len(batches) != len(state.params):
+        raise ValueError(f"{len(batches)} batches for a cohort of {len(state.params)} clients")
+    active = [k for k, batch in enumerate(batches) if batch is not None]
+    if not active:
+        raise ValueError("no client has a batch")
+    for k in active:
+        if not batches[k]:
+            raise ValueError("batch must be non-empty")
+        if len(batches[k]) > strategy.batch_size:
+            raise ValueError(f"batch of {len(batches[k])} exceeds configured size {strategy.batch_size}")
+    taken = set(state.steps_this_round[active].tolist())
+    if len(taken) > 1:
+        raise ValueError(f"clients on different local steps {sorted(taken)} cannot advance in lockstep")
+    step = taken.pop() + 1
 
-    images = np.stack([sample.image for sample in batch])
-    masks = np.stack([sample.mask for sample in batch])
-    grad = backward(state.params, images, masks)
-    new_params, new_opt = optimizer_step(state.optimizer, state.params, grad)
-    for what, vector in (("gradient", grad), ("local parameters", new_params)):
-        if not np.isfinite(vector).all():
-            step = state.steps_this_round + 1
-            raise DivergenceError(f"client {state.client_id}: non-finite {what} at local step {step}")
+    rows = np.asarray(active)
+    params = state.params[rows]
+    grad = np.empty_like(params)
+    for at in _kernel_calls([batches[k] for k in active]):
+        clients = [active[j] for j in at]
+        samples = [sample for k in clients for sample in batches[k]]
+        images = np.stack([sample.image for sample in samples])
+        masks = np.stack([sample.mask for sample in samples])
+        try:
+            grad[at] = backward(params[at], images, masks)
+        except ValueError as exc:
+            raise _blame(exc, clients, batches, params[at], step) from exc
+    optimizer = state.optimizer
+    if optimizer.m is not None:
+        optimizer = replace(optimizer, m=optimizer.m[rows], v=optimizer.v[rows])
+    new_params, new_opt = optimizer_step(optimizer, params, grad)
+    for what, vectors in (("gradient", grad), ("local parameters", new_params)):
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            client = active[int(np.argmin(finite))]
+            raise DivergenceError(f"client {client}: non-finite {what} at local step {step}")
 
-    if strategy.kind == "fedgs":
-        if deltas is None:
-            deltas = sample_deltas(batch, strategy)
-        # short final batches use their true length as N
-        eta = batch_scaling_factor(deltas, len(batch))
-    else:
-        eta = 1.0
+    etas = []
+    for k in active:
+        if strategy.kind == "fedgs":
+            batch_deltas = None if deltas is None else deltas[k]
+            if batch_deltas is None:
+                batch_deltas = sample_deltas(batches[k], strategy)
+            # short final batches use their true length as N
+            etas.append(batch_scaling_factor(batch_deltas, len(batches[k])))
+        else:
+            etas.append(1.0)
+        state.etas[k].append(etas[-1])
 
-    decrement = state.params - new_params
-    state.cumulative_gradient = state.cumulative_gradient + eta * decrement
-    state.params = new_params
-    state.optimizer = new_opt
-    state.steps_this_round += 1
-    state.etas.append(eta)
+    decrement = params - new_params
+    state.cumulative_gradient[rows] = state.cumulative_gradient[rows] + np.asarray(etas)[:, None] * decrement
+    state.params[rows] = new_params
+    if new_opt.m is not None:
+        state.optimizer.m[rows] = new_opt.m
+        state.optimizer.v[rows] = new_opt.v
+    state.optimizer = replace(state.optimizer, step=new_opt.step)
+    state.steps_this_round[rows] += 1
     return state
 
 
 def run_client_round(
     global_params: np.ndarray,
-    dataset: Sequence[Sample],
+    datasets: Sequence[Sequence[Sample]],
     strategy: StrategyConfig,
     optimizer_cfg: OptimizerConfig,
-    rng: np.random.Generator,
-    client_id: int = 0,
+    rngs: Sequence[np.random.Generator],
+    client_deltas: Sequence[Sequence[float] | None] | None = None,
     record_trajectory: bool = False,
-    deltas: Sequence[float] | None = None,
-) -> ClientRoundResult:
-    """Run local_epochs epochs of batched training from the global snapshot.
+) -> list[ClientRoundResult]:
+    """Run local_epochs epochs of batched training on every client, in lockstep.
 
-    The client starts every round fresh: parameters copied from the global
-    model, cumulative gradient zeroed, optimizer moments reinitialized. Epoch
-    order is shuffled from the caller-supplied stream, which must not depend
-    on the strategy so that fedgs/fedavg trajectories stay comparable.
-    `deltas` is sample_deltas(dataset, strategy), built here when omitted;
-    each batch takes its deltas in the epoch's shuffled order.
+    Every client starts fresh from the global snapshot: parameters copied,
+    cumulative gradient zeroed, optimizer moments reinitialized. Client k
+    shuffles each epoch from rngs[k], which must not depend on the strategy
+    so that fedgs/fedavg trajectories stay comparable. Local step i advances
+    every client that still has an i-th batch, so clients of unequal sizes
+    drop out as their batches run out. client_deltas[k] is
+    sample_deltas(datasets[k], strategy), built here when omitted; each
+    batch takes its deltas in the epoch's shuffled order. Returns one result
+    per client, in order, each bitwise what the client computes alone.
     """
-    if not dataset:
-        raise ValueError("client dataset must be non-empty")
-    if deltas is None:
-        deltas = sample_deltas(dataset, strategy)
-    elif len(deltas) != len(dataset):
-        raise ValueError(f"{len(deltas)} deltas for a client of {len(dataset)} samples")
-    state = ClientState(
-        client_id=client_id,
-        params=np.array(global_params, dtype=np.float64, copy=True),
-        cumulative_gradient=np.zeros_like(global_params),
-        optimizer=init_optimizer_state(optimizer_cfg, global_params.size),
-    )
-    trajectory: list[np.ndarray] | None = [] if record_trajectory else None
-    n = len(dataset)
-    for _ in range(strategy.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, strategy.batch_size):
-            indices = order[start : start + strategy.batch_size]
-            batch = [dataset[i] for i in indices]
-            batch_deltas = None if deltas is None else [deltas[i] for i in indices]
-            state = local_iteration(state, batch, strategy, batch_deltas)
-            if trajectory is not None:
-                trajectory.append(state.params.copy())
-    report = ClientRoundReport(
-        client_id=client_id,
-        cumulative_gradient=state.cumulative_gradient,
-        steps=state.steps_this_round,
-    )
-    return ClientRoundResult(
-        report=report,
-        final_params=state.params,
-        n_samples=n,
-        etas=state.etas,
-        trajectory=trajectory,
-    )
+    if not datasets:
+        raise EmptyFederationError("need at least one client")
+    if len(rngs) != len(datasets):
+        raise ValueError("need one rng stream per client")
+    if client_deltas is None:
+        client_deltas = [sample_deltas(dataset, strategy) for dataset in datasets]
+    elif len(client_deltas) != len(datasets):
+        raise ValueError("need one delta list per client")
+    for dataset, deltas in zip(datasets, client_deltas):
+        if not dataset:
+            raise ValueError("client dataset must be non-empty")
+        if deltas is not None and len(deltas) != len(dataset):
+            raise ValueError(f"{len(deltas)} deltas for a client of {len(dataset)} samples")
+
+    # each client's batches over all its epochs, as sample indices
+    size = strategy.batch_size
+    schedules = []
+    for dataset, rng in zip(datasets, rngs):
+        orders = [rng.permutation(len(dataset)) for _ in range(strategy.local_epochs)]
+        schedules.append([order[i : i + size] for order in orders for i in range(0, len(order), size)])
+
+    state = ClientState.start(global_params, len(datasets), optimizer_cfg)
+    trajectories: list[list[np.ndarray]] | None = [[] for _ in datasets] if record_trajectory else None
+    for step in range(max(len(schedule) for schedule in schedules)):
+        picks = [schedule[step] if step < len(schedule) else None for schedule in schedules]
+        batches = [None if idx is None else [dataset[i] for i in idx] for idx, dataset in zip(picks, datasets)]
+        step_deltas = [
+            None if idx is None or deltas is None else [deltas[i] for i in idx]
+            for idx, deltas in zip(picks, client_deltas)
+        ]
+        state = local_iteration(state, batches, strategy, step_deltas)
+        if trajectories is not None:
+            for k, idx in enumerate(picks):
+                if idx is not None:
+                    trajectories[k].append(state.params[k].copy())
+    return [
+        ClientRoundResult(
+            report=ClientRoundReport(
+                client_id=k,
+                cumulative_gradient=state.cumulative_gradient[k],
+                steps=int(state.steps_this_round[k]),
+            ),
+            final_params=state.params[k],
+            n_samples=len(dataset),
+            etas=state.etas[k],
+            trajectory=None if trajectories is None else trajectories[k],
+        )
+        for k, dataset in enumerate(datasets)
+    ]
 
 
 def _check_lengths(vectors: Sequence[np.ndarray]) -> None:
@@ -267,19 +373,7 @@ def run_round(
     sample_deltas; a run builds it once and passes it to every round, and it
     is built here when omitted.
     """
-    if not client_datasets:
-        raise EmptyFederationError("need at least one client")
-    if len(rng_streams) != len(client_datasets):
-        raise ValueError("need one rng stream per client")
-    if client_deltas is None:
-        client_deltas = [sample_deltas(dataset, strategy) for dataset in client_datasets]
-    elif len(client_deltas) != len(client_datasets):
-        raise ValueError("need one delta list per client")
-
-    results = [
-        run_client_round(global_params, dataset, strategy, optimizer_cfg, rng, client_id=i, deltas=deltas)
-        for i, (dataset, rng, deltas) in enumerate(zip(client_datasets, rng_streams, client_deltas))
-    ]
+    results = run_client_round(global_params, client_datasets, strategy, optimizer_cfg, rng_streams, client_deltas)
     if strategy.kind == "fedgs":
         aggregate = aggregate_fedgs([r.report for r in results])
         new_global = apply_global_update(global_params, aggregate)

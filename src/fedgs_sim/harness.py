@@ -1,12 +1,12 @@
 """Experiment orchestration: multi-seed strategy sweeps, CSV output, curve export.
 
-One experiment loops over (seed, strategy) pairs; each pair builds its own
-federation, initializes global parameters from the seed, runs the configured
-number of rounds, and evaluates the global model on the held-out test center
-after every round. Rows are sorted by (seed, strategy, round) before writing,
-so output order never depends on scheduling. All columns except wall_ms are
-byte-stable across reruns of the same config on the same build; wall clock
-time is measurement, not simulation state.
+One experiment loops over seeds; each seed builds its federation and tags
+its test set once, and every strategy runs on them: it initializes global
+parameters from the seed, runs the configured number of rounds, and
+evaluates the global model on the held-out test center after every round.
+Rows are sorted by (seed, strategy, round) before writing. All columns
+except wall_ms are byte-stable across reruns of the same config on the same
+build; wall clock time is measurement, not simulation state.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import build_federation
+from .data import Federation, build_federation
 from .fl import DivergenceError, StrategyConfig, run_round, sample_deltas
 from .masks import delta_from_inverse_area, raw_difficulty
 from .metrics import evaluate, sample_groups
@@ -56,8 +55,10 @@ class CurvePoint:
     delta: float  # gated difficulty factor
 
 
-def _run_one(cfg: ExperimentConfig, seed: int, strategy_kind: str) -> list[ResultRow]:
-    federation = build_federation(list(cfg.client_specs), seed)
+def _run_one(
+    cfg: ExperimentConfig, seed: int, strategy_kind: str, federation: Federation, groups: Sequence[str]
+) -> list[ResultRow]:
+    """One strategy's rounds on a seed's federation; `groups` tags its test set (sample_groups)."""
     arch = ArchDescriptor(hidden_channels=cfg.hidden_channels)
     params = init_params(arch, seed)
     strategy = StrategyConfig(
@@ -68,7 +69,6 @@ def _run_one(cfg: ExperimentConfig, seed: int, strategy_kind: str) -> list[Resul
     )
     # Masks never change during a run: score each sample's difficulty once.
     client_deltas = [sample_deltas(dataset, strategy) for dataset in federation.clients]
-    groups = sample_groups(federation.test_set, cfg.difficulty)
     rows = []
     for round_index in range(cfg.rounds):
         streams = [
@@ -99,15 +99,18 @@ def _run_one(cfg: ExperimentConfig, seed: int, strategy_kind: str) -> list[Resul
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
-    """Run every (seed, strategy) pair; deterministic up to the wall_ms column."""
-    tasks = [(seed, strategy) for seed in cfg.seeds for strategy in cfg.strategies]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: _run_one(cfg, *t), tasks))
-    else:
-        chunks = [_run_one(cfg, seed, strategy) for seed, strategy in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Run every (seed, strategy) pair; deterministic up to the wall_ms column.
+
+    A seed's federation and test-set tags are built once and shared by its
+    strategies, which never change them.
+    """
+    rows = []
+    for seed in cfg.seeds:
+        federation = build_federation(list(cfg.client_specs), seed)
+        groups = sample_groups(federation.test_set, cfg.difficulty)
+        for strategy in cfg.strategies:
+            rows.extend(_run_one(cfg, seed, strategy, federation, groups))
     rows.sort(key=lambda r: (r.seed, r.strategy, r.round))
     return rows
 

@@ -15,12 +15,7 @@ import numpy as np
 
 from .data import Sample
 from .masks import DifficultyConfig, ShapeMismatchError, difficulty_factor, validate_mask
-from .model import forward
-
-# Test images per forward call. The kernel's work arrays hold about 20 image
-# planes per image in the stack: a whole 240-image 64x64 test set in one stack
-# would take over 100 MB. 4 matches the default training batch.
-EVAL_CHUNK = 4
+from .model import KERNEL_PIXELS, forward
 
 
 @dataclass(frozen=True)
@@ -72,17 +67,19 @@ def evaluate(
     """Binarize model predictions at `threshold` and score against ground truth.
 
     `groups` is sample_groups(test_set, difficulty). The test set is
-    forwarded EVAL_CHUNK images at a time; each chunk is scored and its
-    probabilities dropped before the next one.
+    forwarded KERNEL_PIXELS // (H*W) images at a time (at least one), so a
+    call's work memory is no larger than a training step's; each chunk is
+    scored and its probabilities dropped before the next one.
     """
     if not test_set:
         raise ValueError("test set must be non-empty")
     if len(groups) != len(test_set):
         raise ValueError(f"{len(groups)} group tags for {len(test_set)} test samples")
 
+    chunk_size = max(1, KERNEL_PIXELS // test_set[0].image.size)
     scores: list[float] = []
-    for start in range(0, len(test_set), EVAL_CHUNK):
-        chunk = test_set[start : start + EVAL_CHUNK]
+    for start in range(0, len(test_set), chunk_size):
+        chunk = test_set[start : start + chunk_size]
         prob = forward(params, np.stack([sample.image for sample in chunk]))
         preds = (prob >= threshold).astype(np.uint8)
         del prob

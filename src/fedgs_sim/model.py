@@ -5,16 +5,14 @@ with smoothed Dice loss. Parameters live in a single flat float64 vector so the
 federated layer can treat models as plain vectors. The backward pass is written
 out by hand and checked against finite differences in the test suite. forward
 and backward take one image or an (N, H, W) stack; backward returns the mean
-of the samples' gradients.
+of the samples' gradients, and also takes (K, P) parameter rows, one per
+client, to train K clients' batches in one call.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-import threading
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Literal
 
 import numpy as np
@@ -44,21 +42,29 @@ class ArchDescriptor:
         c = self.hidden_channels
         return (9 * c + c) + (9 * c + 1)
 
-    def unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Split a flat vector into (k1 (C,3,3), b1 (C,), k2 (C,3,3), b2)."""
+    def unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Split a flat vector into views (k1 (C,3,3), b1 (C,), k2 (C,3,3), b2 ()).
+
+        (K, P) parameter rows split the same way, with a leading K axis on
+        each part.
+        """
         c = self.hidden_channels
-        if params.shape != (self.param_count,):
-            raise ValueError(f"expected {self.param_count} parameters, got shape {params.shape}")
-        k1 = params[: 9 * c].reshape(c, 3, 3)
-        b1 = params[9 * c : 10 * c]
-        k2 = params[10 * c : 19 * c].reshape(c, 3, 3)
-        b2 = float(params[19 * c])
+        if params.ndim not in (1, 2) or params.shape[-1] != self.param_count:
+            raise ValueError(f"expected {self.param_count} parameters per row, got shape {params.shape}")
+        lead = params.shape[:-1]
+        k1 = params[..., : 9 * c].reshape(*lead, c, 3, 3)
+        b1 = params[..., 9 * c : 10 * c]
+        k2 = params[..., 10 * c : 19 * c].reshape(*lead, c, 3, 3)
+        b2 = params[..., 19 * c]
         return k1, b1, k2, b2
 
 
 def infer_arch(params: np.ndarray) -> ArchDescriptor:
-    """Recover the architecture from a flat vector's length (19*C + 1 entries)."""
-    n = params.size
+    """Recover the architecture from a parameter vector's length (19*C + 1 entries).
+
+    For (K, P) parameter rows, the length of a row.
+    """
+    n = params.shape[-1]
     c = (n - 1) // 19
     if c < 1 or 19 * c + 1 != n:
         raise ValueError(f"no architecture has {n} parameters")
@@ -75,6 +81,12 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
     params[: 9 * c] = rng.uniform(-bound1, bound1, size=9 * c)
     params[10 * c : 19 * c] = rng.uniform(-bound2, bound2, size=9 * c)
     return params
+
+
+# Pixels per kernel call that callers fill their stacks up to: four 64x64
+# images. The kernel's work memory holds about 20 image planes per stacked
+# image, so a call of this size keeps about 2.6 MB of it.
+KERNEL_PIXELS = 16384
 
 
 class _Workspace:
@@ -102,14 +114,8 @@ class _Workspace:
         return self._buffers[role][:size].reshape(shape)
 
 
-_local = threading.local()
-
-
-def _workspace() -> _Workspace:
-    """The calling thread's workspace. Kernel calls never nest, so one per thread serves them all."""
-    if not hasattr(_local, "workspace"):
-        _local.workspace = _Workspace()
-    return _local.workspace
+# Kernel calls never nest, so one workspace serves them all.
+_WORKSPACE = _Workspace()
 
 
 def _windows(padded: np.ndarray) -> list[np.ndarray]:
@@ -126,22 +132,23 @@ def _windows(padded: np.ndarray) -> list[np.ndarray]:
     return [padded[..., di : di + height, dj : dj + width] for di in range(3) for dj in range(3)]
 
 
-def _shift_stack(x: np.ndarray, ws: _Workspace, flip: bool = False) -> np.ndarray:
-    """The nine shifts of a zero-padded (N, H, W) stack as one (9, N*H*W) array.
+def _shift_stack(x: np.ndarray, groups: int, flip: bool = False) -> np.ndarray:
+    """The nine shifts of a zero-padded (N, H, W) stack of K groups, as one (K, 9, N/K*H*W) array.
 
-    Row s holds shift s; with flip, row s holds shift 8 - s, i.e. (2-di, 2-dj),
-    the order in which the transposed convolution reads its input. The stack
-    lives in the workspace's "nine" role.
+    A group is N/K consecutive images. Row s of group k holds shift s of
+    that group's images; with flip, row s holds shift 8 - s, i.e.
+    (2-di, 2-dj), the order in which the transposed convolution reads its
+    input. The stack lives in the workspace's "nine" role.
     """
     n, height, width = x.shape
-    padded = ws.array("padded", n, height + 2, width + 2)
-    padded[:, 0, :] = padded[:, -1, :] = 0.0
-    padded[:, :, 0] = padded[:, :, -1] = 0.0
-    padded[:, 1:-1, 1:-1] = x
+    padded = _WORKSPACE.array("padded", groups, n // groups, height + 2, width + 2)
+    padded[..., 0, :] = padded[..., -1, :] = 0.0
+    padded[..., :, 0] = padded[..., :, -1] = 0.0
+    padded[..., 1:-1, 1:-1] = x.reshape(padded.shape[:2] + x.shape[1:])
     windows = _windows(padded)
-    out = ws.array("nine", 9, *x.shape)
-    np.stack(windows[::-1] if flip else windows, out=out)
-    return out.reshape(9, -1)
+    out = _WORKSPACE.array("nine", groups, 9, n // groups, height, width)
+    np.stack(windows[::-1] if flip else windows, axis=1, out=out)
+    return out.reshape(groups, 9, -1)
 
 
 def _as_stack(images: np.ndarray) -> np.ndarray:
@@ -154,49 +161,50 @@ def _as_stack(images: np.ndarray) -> np.ndarray:
     return x.reshape(-1, *x.shape[-2:])
 
 
-def _conv1(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor, ws: _Workspace) -> np.ndarray:
-    """Hidden pre-activations z1 (C, N, H, W) of an (N, H, W) stack, in the workspace's "hidden" role.
+def _conv1(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor) -> np.ndarray:
+    """Hidden pre-activations z1 (K, C, N/K, H, W) of an (N, H, W) stack, in the "hidden" role.
 
-    The hidden layer is channel-major so that each channel is one contiguous
-    row of the matmuls.
+    Group k of the stack goes through row k of the (K, P) parameters. The
+    hidden layer is group-major, then channel-major, so that each group's
+    channel is one contiguous row of the matmuls.
     """
-    c = arch.hidden_channels
+    groups, c = len(params), arch.hidden_channels
     k1, b1, _, _ = arch.unpack(params)
-    z1 = ws.array("hidden", c, *x.shape)
-    np.matmul(k1.reshape(c, 9), _shift_stack(x, ws), out=z1.reshape(c, -1))
-    z1 += b1[:, None, None, None]
+    n, height, width = x.shape
+    z1 = _WORKSPACE.array("hidden", groups, c, n // groups, height, width)
+    np.matmul(k1.reshape(groups, c, 9), _shift_stack(x, groups), out=z1.reshape(groups, c, -1))
+    z1 += b1[:, :, None, None, None]
     return z1
 
 
-def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor, ws: _Workspace) -> np.ndarray:
-    """Output logits z2 (N, H, W) from hidden activations a1 (C, N, H, W), in the "out" role.
+def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor) -> np.ndarray:
+    """Output logits z2 (N, H, W) from hidden activations a1 (K, C, N/K, H, W), in the "out" role.
 
     z2 at (h, w) sums k2[:, s] . a1 at (h + di - 1, w + dj - 1) over the
     shifts s = (di, dj). Mixing the channels first gives one plane per shift;
     plane s, added into window 8 - s of a padded accumulator, lands on those
     positions, and what falls on the border is dropped.
     """
-    c = arch.hidden_channels
+    groups, c, per_group, height, width = a1.shape
     _, _, k2, b2 = arch.unpack(params)
-    mixed = ws.array("nine", 9, *a1.shape[1:])
-    np.matmul(k2.reshape(c, 9).T, a1.reshape(c, -1), out=mixed.reshape(9, -1))
-    n, height, width = a1.shape[1:]
-    z2 = ws.array("out", n, height + 2, width + 2)
-    z2.fill(b2)
-    for plane, window in zip(mixed, _windows(z2)[::-1]):
-        window += plane
-    return z2[:, 1:-1, 1:-1]
+    mixed = _WORKSPACE.array("nine", groups, 9, per_group, height, width)
+    np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=mixed.reshape(groups, 9, -1))
+    z2 = _WORKSPACE.array("out", groups, per_group, height + 2, width + 2)
+    z2[...] = b2[:, None, None, None]
+    for s, window in enumerate(_windows(z2)[::-1]):
+        window += mixed[:, s]
+    return z2[..., 1:-1, 1:-1].reshape(-1, height, width)
 
 
-def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor, ws: _Workspace):
-    """Output logits z2 (N, H, W) and hidden activations a1 (C, N, H, W) of a stack.
+def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor):
+    """Output logits z2 (N, H, W) and hidden activations a1 (K, C, N/K, H, W) of a stack.
 
     Both live in the workspace; a1 in the "hidden" role, where the ReLU
     overwrote z1: backward needs only a1 and where it is positive.
     """
-    a1 = _conv1(params, x, arch, ws)
+    a1 = _conv1(params, x, arch)
     np.maximum(a1, 0.0, out=a1)
-    return _conv2(params, a1, arch, ws), a1
+    return _conv2(params, a1, arch), a1
 
 
 def _forward_full(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor):
@@ -206,11 +214,12 @@ def _forward_full(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor):
     (C, N, H, W); for a 2-D image the N axis is dropped.
     """
     x = _as_stack(images)
-    ws = _workspace()
-    z1 = _conv1(params, x, arch, ws).copy()
+    rows = params.reshape(1, -1)
+    z1 = _conv1(rows, x, arch).copy()
     a1 = np.maximum(z1, 0.0)
-    z2 = _conv2(params, a1, arch, ws).copy()
+    z2 = _conv2(rows, a1, arch).copy()
     prob = expit(z2)
+    z1, a1 = z1[0], a1[0]
     if np.ndim(images) == 2:
         return prob[0], (x[0], z1[:, 0], a1[:, 0], z2[0])
     return prob, (x, z1, a1, z2)
@@ -226,7 +235,7 @@ def forward(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor | None 
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
-    z2, _ = _forward_stack(params, x, arch, _workspace())
+    z2, _ = _forward_stack(params.reshape(1, -1), x, arch)
     return expit(z2).reshape(np.shape(images))
 
 
@@ -251,29 +260,36 @@ def backward(
     """Analytic gradient of dice_loss(forward(params, image), mask) w.r.t. params.
 
     Takes one image and mask, or (N, H, W) stacks of them, and returns the
-    mean over the stack of each sample's own Dice-loss gradient. The masks of
-    the whole stack are validated in one call.
+    mean over the stack of each sample's own Dice-loss gradient. Parameters
+    may also be K rows, (K, P), for K clients at once: the stack is then K
+    equal groups of consecutive images, group k is client k's batch, and row
+    k of the (K, P) result is bitwise what a call on row k and group k alone
+    returns. Flat (P,) parameters are the K = 1 case. The masks of the whole
+    stack are validated in one call.
 
-    Work memory is the thread's workspace, whose four roles are each
+    Work memory is the module's workspace, whose four roles are each
     overwritten in place as the pass goes on; a role is taken again only
     once nothing reads what it held:
       "padded"  the zero-padded stack being shifted: x, then g2, then x again
-      "nine"    a nine-plane stack: x's shifts (conv1), then the channel-mixed
-                planes (conv2), then g2's flipped shifts (gk2 and dz1), then
-                x's shifts again (gk1)
+      "nine"    a nine-plane stack per group: x's shifts (conv1), then the
+                channel-mixed planes (conv2), then g2's flipped shifts (gk2
+                and dz1), then x's shifts again (gk1)
       "hidden"  z1, overwritten by a1 = relu(z1), then by dz1
       "out"     the padded accumulator of z2
     prob, m (later g2) and the gradient are arrays of their own.
     """
     arch = arch or infer_arch(params)
-    ws = _workspace()
+    rows = params.reshape(-1, params.shape[-1])
+    groups = len(rows)
     x = _as_stack(images)
     masks = np.asarray(masks)
     if masks.shape != np.shape(images):
         raise ShapeMismatchError(f"image shape {np.shape(images)} != mask shape {masks.shape}")
     n, height, width = x.shape
+    if n % groups:
+        raise ShapeMismatchError(f"a stack of {n} images does not split into {groups} equal groups")
     m = validate_mask(masks.reshape(-1, width)).reshape(x.shape).astype(np.float64)
-    z2, a1 = _forward_stack(params, x, arch, ws)
+    z2, a1 = _forward_stack(rows, x, arch)
     prob = expit(z2)
 
     intersection = (prob * m).sum(axis=(1, 2))[:, None, None]
@@ -287,22 +303,23 @@ def backward(
     g2 *= 1.0 - prob
 
     c = arch.hidden_channels
-    _, _, k2, _ = arch.unpack(params)
-    a1 = a1.reshape(c, -1)
+    _, _, k2, _ = arch.unpack(rows)
+    a1 = a1.reshape(groups, c, -1)
     # both the second kernel's gradient and the hidden gradient read g2 at
     # shift (2-di, 2-dj): the flipped shift stack
-    g2_shifts = _shift_stack(g2, ws, flip=True)
-    gk2 = a1 @ g2_shifts.T
+    g2_shifts = _shift_stack(g2, groups, flip=True)
+    gk2 = a1 @ g2_shifts.transpose(0, 2, 1)
     active = a1 > 0.0
-    dz1 = np.matmul(k2.reshape(c, 9), g2_shifts, out=a1)  # a1 is not read again
+    dz1 = np.matmul(k2.reshape(groups, c, 9), g2_shifts, out=a1)  # a1 is not read again
     dz1 *= active
 
-    grad = np.empty_like(params)
-    grad[: 9 * c] = (dz1 @ _shift_stack(x, ws).T).ravel()
-    grad[9 * c : 10 * c] = dz1.sum(axis=1)
-    grad[10 * c : 19 * c] = gk2.ravel()
-    grad[19 * c] = g2.sum()
-    return grad / n
+    grad = np.empty((groups, arch.param_count))
+    grad[:, : 9 * c] = (dz1 @ _shift_stack(x, groups).transpose(0, 2, 1)).reshape(groups, -1)
+    grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
+    grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
+    grad[:, 19 * c] = g2.reshape(groups, -1).sum(axis=1)
+    grad /= n // groups
+    return grad.reshape(params.shape)
 
 
 @dataclass(frozen=True)
@@ -361,22 +378,3 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray) 
     new_params = params - cfg.learning_rate * update
     return new_params, replace(state, step=t, m=m, v=v)
 
-
-def save_params(path: str | Path, params: np.ndarray) -> None:
-    """Dump a flat float64 vector: uint64 little-endian length, then LE values."""
-    vec = np.ascontiguousarray(params, dtype="<f8")
-    if vec.ndim != 1:
-        raise ValueError("params must be a flat vector")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", vec.size))
-        fh.write(vec.tobytes())
-
-
-def load_params(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise ValueError("truncated checkpoint: missing length header")
-    (n,) = struct.unpack("<Q", data[:8])
-    if len(data) != 8 + 8 * n:
-        raise ValueError(f"checkpoint length mismatch: header says {n} values")
-    return np.frombuffer(data[8:], dtype="<f8").astype(np.float64)

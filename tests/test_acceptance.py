@@ -126,13 +126,12 @@ def test_criterion_2_local_trajectory_invariance():
                         local_epochs=2,
                         difficulty=DESK_DIFFICULTY if kind == "fedgs" else None,
                     )
-                    results[kind] = run_client_round(
+                    (results[kind],) = run_client_round(
                         global_params,
-                        dataset,
+                        [dataset],
                         strategy,
                         ADAMW,
-                        substream(seed, SHUFFLE_STREAM, round_index, client_index),
-                        client_id=client_index,
+                        [substream(seed, SHUFFLE_STREAM, round_index, client_index)],
                         record_trajectory=True,
                     )
                 for a, b in zip(results["fedgs"].trajectory, results["fedavg"].trajectory):

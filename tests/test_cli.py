@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fedgs_sim import harness
 from fedgs_sim.cli import main
@@ -68,3 +69,12 @@ def test_diverged_run_exits_1_with_context(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "seed 1, strategy fedgs, round 0: client 0: non-finite gradient" in err
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY_CONFIG)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err

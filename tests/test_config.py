@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fedgs_sim.config import (
@@ -103,6 +104,36 @@ n_samples = 5
 """
     cfg = parse_config(write(tmp_path, text))
     assert [s.n_samples for s in cfg.training_specs] == [5, 7]
+
+
+def test_client_sections_default_their_seed_offset_to_their_number(tmp_path):
+    # sharing client 1's offset, both clients would train on the same images
+    from fedgs_sim.data import build_federation
+
+    text = """
+[client 1]
+n_samples = 5
+
+[client 2]
+n_samples = 5
+"""
+    cfg = parse_config(write(tmp_path, text))
+    assert [s.seed_offset for s in cfg.training_specs] == [1, 2]
+    first, second = build_federation(list(cfg.client_specs), 1).clients
+    assert not any(np.array_equal(a.image, b.image) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[client 1]\nseed_offset = 3\n\n[client 2]\nseed_offset = 3\n",
+        "[client 1]\n\n[client 2]\nseed_offset = 1\n",
+        "[client 1]\n\n[test]\nseed_offset = 1\n",
+    ],
+)
+def test_shared_seed_offset_is_validation_error(tmp_path, text):
+    with pytest.raises(ValidationError, match="seed_offset 1|seed_offset 3"):
+        parse_config(write(tmp_path, text))
 
 
 def test_unknown_strategy_is_validation_error(tmp_path):

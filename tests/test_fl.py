@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from fedgs_sim.fl import (
     sample_deltas,
 )
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
-from fedgs_sim.model import OptimizerConfig, backward, init_optimizer_state, init_params, ArchDescriptor
+from fedgs_sim.model import OptimizerConfig, backward, init_params, ArchDescriptor
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 
 SGD = OptimizerConfig(kind="sgd", learning_rate=0.01)
@@ -48,12 +50,18 @@ def make_dataset(n=8, small_fraction=0.0, offset=1, seed=0):
     return generate_client_dataset(small_spec(n_samples=n, small_fraction=small_fraction, seed_offset=offset), seed)
 
 
-def fresh_state(params, optimizer_cfg=SGD, client_id=0):
-    return ClientState(
-        client_id=client_id,
-        params=params.copy(),
-        cumulative_gradient=np.zeros_like(params),
-        optimizer=init_optimizer_state(optimizer_cfg, params.size),
+def fresh_state(params, optimizer_cfg=SGD):
+    return ClientState.start(params, 1, optimizer_cfg)
+
+
+def solo_step(state, batch, strategy):
+    """local_iteration on a one-client cohort, seen as that client's row."""
+    state = local_iteration(state, [batch], strategy)
+    return SimpleNamespace(
+        params=state.params[0],
+        cumulative_gradient=state.cumulative_gradient[0],
+        steps_this_round=int(state.steps_this_round[0]),
+        etas=state.etas[0],
     )
 
 
@@ -62,7 +70,7 @@ class TestLocalIteration:
         params = init_params(ArchDescriptor(), 3)
         batch = make_dataset(n=4)[:4]
         state = fresh_state(params)
-        state = local_iteration(state, batch, StrategyConfig(kind="fedavg", batch_size=4))
+        state = solo_step(state, batch, StrategyConfig(kind="fedavg", batch_size=4))
         assert np.array_equal(state.cumulative_gradient, params - state.params)
         assert state.steps_this_round == 1
         assert state.etas == [1.0]
@@ -70,12 +78,12 @@ class TestLocalIteration:
     def test_fedgs_scales_only_the_cumulative_gradient(self):
         params = init_params(ArchDescriptor(), 4)
         batch = make_dataset(n=4, small_fraction=1.0)[:4]
-        fedgs = local_iteration(
+        fedgs = solo_step(
             fresh_state(params),
             batch,
             StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY),
         )
-        fedavg = local_iteration(fresh_state(params), batch, StrategyConfig(kind="fedavg", batch_size=4))
+        fedavg = solo_step(fresh_state(params), batch, StrategyConfig(kind="fedavg", batch_size=4))
         # local params bitwise identical; only the accumulated gradient differs
         assert np.array_equal(fedgs.params, fedavg.params)
         eta = fedgs.etas[0]
@@ -87,10 +95,10 @@ class TestLocalIteration:
         # (eta - 1) * decrement
         params = init_params(ArchDescriptor(), 5)
         batch = make_dataset(n=4, small_fraction=1.0)[:4]
-        fedgs = local_iteration(
+        fedgs = solo_step(
             fresh_state(params), batch, StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         )
-        fedavg = local_iteration(fresh_state(params), batch, StrategyConfig(kind="fedavg", batch_size=4))
+        fedavg = solo_step(fresh_state(params), batch, StrategyConfig(kind="fedavg", batch_size=4))
         eta = fedgs.etas[0]
         decrement = params - fedavg.params
         assert np.allclose(
@@ -103,7 +111,7 @@ class TestLocalIteration:
     def test_large_only_batch_has_eta_one(self):
         params = init_params(ArchDescriptor(), 6)
         batch = make_dataset(n=4, small_fraction=0.0)[:4]
-        state = local_iteration(
+        state = solo_step(
             fresh_state(params), batch, StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         )
         assert state.etas == [1.0]
@@ -112,7 +120,7 @@ class TestLocalIteration:
         params = init_params(ArchDescriptor(), 0)
         batch = make_dataset(n=6)
         with pytest.raises(ValueError):
-            local_iteration(fresh_state(params), batch, StrategyConfig(kind="fedavg", batch_size=4))
+            local_iteration(fresh_state(params), [batch], StrategyConfig(kind="fedavg", batch_size=4))
 
 
 class TestRunClientRound:
@@ -120,12 +128,12 @@ class TestRunClientRound:
         # 10 samples, batches of 4 -> 3 batches per epoch, 5 epochs -> 15
         params = init_params(ArchDescriptor(), 1)
         dataset = make_dataset(n=10)
-        result = run_client_round(
+        (result,) = run_client_round(
             params,
-            dataset,
+            [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=5),
             SGD,
-            substream(0, SHUFFLE_STREAM, 0, 0),
+            [substream(0, SHUFFLE_STREAM, 0, 0)],
         )
         assert result.report.steps == 15
         assert len(result.etas) == 15
@@ -134,8 +142,8 @@ class TestRunClientRound:
         params = init_params(ArchDescriptor(), 2)
         dataset = make_dataset(n=10)
         strategy = StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2)
-        a = run_client_round(params, dataset, strategy, ADAMW, substream(5, SHUFFLE_STREAM, 0, 0))
-        b = run_client_round(params, dataset, strategy, ADAMW, substream(5, SHUFFLE_STREAM, 0, 0))
+        (a,) = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
+        (b,) = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
         assert np.array_equal(a.report.cumulative_gradient, b.report.cumulative_gradient)
         assert np.array_equal(a.final_params, b.final_params)
 
@@ -143,12 +151,12 @@ class TestRunClientRound:
         # one step: cumulative gradient is exactly lr * mean-gradient
         params = init_params(ArchDescriptor(), 7)
         dataset = make_dataset(n=1)
-        result = run_client_round(
+        (result,) = run_client_round(
             params,
-            dataset,
+            [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=1),
             SGD,
-            substream(0, SHUFFLE_STREAM, 0, 0),
+            [substream(0, SHUFFLE_STREAM, 0, 0)],
         )
         grad = backward(params, dataset[0].image, dataset[0].mask)
         # the round-trip through params - (params - lr*g) rounds at ulp(params)
@@ -159,12 +167,12 @@ class TestRunClientRound:
         params = init_params(ArchDescriptor(), 8)
         dataset = make_dataset(n=10)
         for opt in (SGD, ADAMW):
-            result = run_client_round(
+            (result,) = run_client_round(
                 params,
-                dataset,
+                [dataset],
                 StrategyConfig(kind="fedavg", batch_size=4, local_epochs=3),
                 opt,
-                substream(1, SHUFFLE_STREAM, 0, 0),
+                [substream(1, SHUFFLE_STREAM, 0, 0)],
             )
             assert np.allclose(
                 result.report.cumulative_gradient, params - result.final_params, rtol=0, atol=1e-13
@@ -173,12 +181,12 @@ class TestRunClientRound:
     def test_trajectory_recording(self):
         params = init_params(ArchDescriptor(), 9)
         dataset = make_dataset(n=8)
-        result = run_client_round(
+        (result,) = run_client_round(
             params,
-            dataset,
+            [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
             SGD,
-            substream(2, SHUFFLE_STREAM, 0, 0),
+            [substream(2, SHUFFLE_STREAM, 0, 0)],
             record_trajectory=True,
         )
         assert len(result.trajectory) == result.report.steps
@@ -190,7 +198,7 @@ class TestRunClientRound:
         dataset = make_dataset(n=7, small_fraction=0.5, offset=4)
         assert any(sample.is_small for sample in dataset)
         strategy = StrategyConfig(kind="fedgs", batch_size=3, local_epochs=2, difficulty=DIFFICULTY)
-        result = run_client_round(params, dataset, strategy, ADAMW, substream(4, SHUFFLE_STREAM, 0, 0))
+        (result,) = run_client_round(params, [dataset], strategy, ADAMW, [substream(4, SHUFFLE_STREAM, 0, 0)])
 
         rng = substream(4, SHUFFLE_STREAM, 0, 0)
         expected = []
@@ -208,7 +216,7 @@ class TestRunClientRound:
         dataset = make_dataset(n=4)
         strategy = StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         with pytest.raises(ValueError, match="3 deltas for a client of 4 samples"):
-            run_client_round(params, dataset, strategy, SGD, substream(0, SHUFFLE_STREAM, 0, 0), deltas=[0.0] * 3)
+            run_client_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [[0.0] * 3])
         with pytest.raises(ValueError, match="one delta list per client"):
             run_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], client_deltas=[])
 
@@ -217,6 +225,93 @@ class TestRunClientRound:
         fedgs = StrategyConfig(kind="fedgs", difficulty=DIFFICULTY)
         assert sample_deltas(dataset, fedgs) == [difficulty_factor(s.mask, DIFFICULTY).delta for s in dataset]
         assert sample_deltas(dataset, StrategyConfig(kind="fedavg")) is None
+
+
+class TestLockstep:
+    """A cohort's clients advance together; each must compute what it computes alone."""
+
+    @staticmethod
+    def solo_and_cohort(datasets, strategy, optimizer_cfg, seed):
+        params = init_params(ArchDescriptor(), seed)
+        streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
+        cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams(), record_trajectory=True)
+        solo = [
+            run_client_round(params, [dataset], strategy, optimizer_cfg, [rng], record_trajectory=True)[0]
+            for dataset, rng in zip(datasets, streams())
+        ]
+        return cohort, solo
+
+    @staticmethod
+    def assert_bitwise_equal(cohort, solo):
+        assert len(cohort) == len(solo)
+        for k, (a, b) in enumerate(zip(cohort, solo)):
+            assert a.report.client_id == k
+            assert a.report.steps == b.report.steps == len(b.etas)
+            assert np.array_equal(a.final_params, b.final_params)
+            assert np.array_equal(a.report.cumulative_gradient, b.report.cumulative_gradient)
+            assert a.etas == b.etas
+            assert len(a.trajectory) == len(b.trajectory)
+            assert all(np.array_equal(x, y) for x, y in zip(a.trajectory, b.trajectory))
+
+    def test_64_clients_match_their_solo_runs(self):
+        # 64 x 2 images of 32x32 per step fill two kernel calls
+        datasets = [make_dataset(n=4, small_fraction=0.5, offset=c + 1) for c in range(64)]
+        strategy = StrategyConfig(kind="fedgs", batch_size=2, local_epochs=2, difficulty=DIFFICULTY)
+        cohort, solo = self.solo_and_cohort(datasets, strategy, ADAMW, seed=3)
+        self.assert_bitwise_equal(cohort, solo)
+        assert any(eta > 1.0 for result in cohort for eta in result.etas)
+
+    def test_unequal_clients_with_short_and_missing_batches(self, monkeypatch):
+        # batches per epoch: 7 -> 3, 3, 1; 4 -> 3, 1; 9 -> 3, 3, 3
+        datasets = [make_dataset(n=n, small_fraction=0.5, offset=c + 1) for c, n in enumerate((7, 4, 9))]
+        strategy = StrategyConfig(kind="fedgs", batch_size=3, local_epochs=2, difficulty=DIFFICULTY)
+        calls = []
+
+        def recording_backward(params, images, masks):
+            calls.append((np.shape(params), len(images)))
+            return backward(params, images, masks)
+
+        monkeypatch.setattr("fedgs_sim.fl.backward", recording_backward)
+        cohort, solo = self.solo_and_cohort(datasets, strategy, ADAMW, seed=5)
+        self.assert_bitwise_equal(cohort, solo)
+        assert [r.report.steps for r in cohort] == [6, 4, 6]
+        # the cohort's calls, (clients, images) per call: clients whose batches
+        # share a shape share a call, and a client with no batch left sits out
+        per_step = [[(3, 9)], [(2, 6), (1, 1)], [(1, 1), (2, 6)], [(2, 6), (1, 1)], [(2, 6)], [(1, 1), (1, 3)]]
+        cohort_calls = [(shape[0], n) for shape, n in calls[: sum(map(len, per_step))]]
+        assert cohort_calls == [call for step in per_step for call in step]
+
+    def test_sgd_cohort_matches_solo_runs(self):
+        datasets = [make_dataset(n=n, offset=c + 1) for c, n in enumerate((5, 8))]
+        strategy = StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2)
+        self.assert_bitwise_equal(*self.solo_and_cohort(datasets, strategy, SGD, seed=6))
+
+    def test_nan_in_a_client_dataset_names_the_client(self):
+        datasets = [make_dataset(n=4, offset=c + 1) for c in range(3)]
+        datasets[2][1].image[5, 5] = np.nan
+        streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(3)]
+        with pytest.raises(ValueError, match=r"client 2: image contains non-finite values at local step 1"):
+            run_client_round(init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams)
+
+    def test_divergence_names_the_diverging_client(self, monkeypatch):
+        def poisoned_step(state, params, grad):
+            params = params.copy()
+            params[1] = np.nan
+            return params, state
+
+        monkeypatch.setattr("fedgs_sim.fl.optimizer_step", poisoned_step)
+        datasets = [make_dataset(n=4, offset=c + 1) for c in range(3)]
+        streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(3)]
+        with pytest.raises(DivergenceError, match=r"^client 1: non-finite local parameters at local step 1$"):
+            run_client_round(init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams)
+
+    def test_clients_on_different_steps_cannot_share_a_step(self):
+        params = init_params(ArchDescriptor(), 0)
+        batch = make_dataset(n=4)
+        strategy = StrategyConfig(kind="fedavg", batch_size=4)
+        state = local_iteration(ClientState.start(params, 2, SGD), [batch, None], strategy)
+        with pytest.raises(ValueError, match="different local steps"):
+            local_iteration(state, [batch, batch], strategy)
 
 
 class TestAggregation:
@@ -282,8 +377,8 @@ class TestRunRound:
             )
             stream = substream(3, SHUFFLE_STREAM, 0, 0)
             new_global, stats = run_round(params, [dataset], strategy, SGD, [stream])
-            reference = run_client_round(
-                params, dataset, strategy, SGD, substream(3, SHUFFLE_STREAM, 0, 0)
+            (reference,) = run_client_round(
+                params, [dataset], strategy, SGD, [substream(3, SHUFFLE_STREAM, 0, 0)]
             )
             atol = 0.0 if kind == "fedavg" else 1e-15
             assert np.allclose(new_global, reference.final_params, rtol=0, atol=atol)
@@ -373,8 +468,8 @@ class TestRunRound:
         assert stats.max_eta == 1.0
 
         clients = [
-            run_client_round(params, dataset, fedavg, ADAMW, rng, client_id=c)
-            for c, (dataset, rng) in enumerate(zip(datasets, streams()))
+            run_client_round(params, [dataset], fedavg, ADAMW, [rng])[0]
+            for dataset, rng in zip(datasets, streams())
         ]
         steps = [client.report.steps for client in clients]
         step_weighted = sum((s / sum(steps)) * client.final_params for s, client in zip(steps, clients))
@@ -396,20 +491,20 @@ def test_local_trajectory_invariance_microcase():
     # bitwise equal between the two accumulation modes
     params = init_params(ArchDescriptor(), 21)
     dataset = make_dataset(n=10, small_fraction=0.5, offset=4)
-    fedgs = run_client_round(
+    (fedgs,) = run_client_round(
         params,
-        dataset,
+        [dataset],
         StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DIFFICULTY),
         ADAMW,
-        substream(8, SHUFFLE_STREAM, 0, 0),
+        [substream(8, SHUFFLE_STREAM, 0, 0)],
         record_trajectory=True,
     )
-    fedavg = run_client_round(
+    (fedavg,) = run_client_round(
         params,
-        dataset,
+        [dataset],
         StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
         ADAMW,
-        substream(8, SHUFFLE_STREAM, 0, 0),
+        [substream(8, SHUFFLE_STREAM, 0, 0)],
         record_trajectory=True,
     )
     assert len(fedgs.trajectory) == len(fedavg.trajectory)

@@ -83,13 +83,6 @@ class TestRunExperiment:
         write_results_csv(run_experiment(tiny_cfg), b_path)
         assert strip_wall_ms(a_path.read_text()) == strip_wall_ms(b_path.read_text())
 
-    def test_threads_do_not_change_results(self, tiny_cfg, tmp_path):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        write_results_csv(run_experiment(tiny_cfg, threads=1), serial)
-        write_results_csv(run_experiment(tiny_cfg, threads=4), threaded)
-        assert strip_wall_ms(serial.read_text()) == strip_wall_ms(threaded.read_text())
-
     def test_fedavg_only_leaves_eta_at_sentinel_one(self, tiny_cfg, tmp_path):
         import dataclasses
 
@@ -154,6 +147,57 @@ class TestRunExperiment:
             cfg = dataclasses.replace(tiny_cfg, seeds=(1,), strategies=(strategy,), rounds=rounds, local_epochs=epochs)
             run_experiment(cfg)
             assert len(calls) == expected, strategy
+
+    def test_federation_is_built_once_per_seed(self, tiny_cfg, monkeypatch):
+        from fedgs_sim import harness
+
+        seeds = []
+        real = harness.build_federation
+        monkeypatch.setattr(harness, "build_federation", lambda specs, seed: seeds.append(seed) or real(specs, seed))
+        rows = run_experiment(tiny_cfg)
+        assert seeds == [1, 2]  # 2 seeds x 2 strategies share 2 federations
+        assert {(r.seed, r.strategy) for r in rows} == {(s, k) for s in (1, 2) for k in ("fedgs", "fedavg")}
+
+    def test_lockstep_round_fills_the_kernel_pixel_budget(self, tiny_cfg, monkeypatch):
+        # 16 clients x 4 images x 16x16 = 16384 pixels: one backward call and
+        # one optimizer step per local step
+        import dataclasses
+
+        from fedgs_sim import fl
+        from fedgs_sim.data import ClientDataSpec
+        from fedgs_sim.model import KERNEL_PIXELS
+
+        counts = {"backward": 0, "optimizer_step": 0, "local_iteration": 0}
+
+        def counted(name):
+            fn = getattr(fl, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(fl, name, counted(name))
+        spec = ClientDataSpec(
+            n_samples=8, image_size=(16, 16), small_radius_range=(1.5, 2.0), large_radius_range=(4.0, 5.0)
+        )
+        clients = tuple(dataclasses.replace(spec, seed_offset=k) for k in range(1, 17))
+        cfg = dataclasses.replace(
+            tiny_cfg,
+            seeds=(1,),
+            rounds=1,
+            strategies=("fedgs",),
+            batch_size=4,
+            local_epochs=1,
+            client_specs=clients + (dataclasses.replace(spec, seed_offset=50),),
+        )
+        run_experiment(cfg)
+        steps = 2  # ceil(8 / 4) batches, one epoch
+        assert counts["local_iteration"] == steps
+        assert counts["backward"] == steps * math.ceil(16 * 4 * 16 * 16 / KERNEL_PIXELS) == steps
+        assert counts["optimizer_step"] == steps
 
     def test_overhead_report(self, tiny_cfg):
         rows = run_experiment(tiny_cfg)

@@ -146,6 +146,22 @@ class TestEvaluate:
         report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.n_total == report.n_small + report.n_large + report.n_empty == 3
 
+    @pytest.mark.parametrize("size, calls", [(32, [16, 4]), (64, [4, 4, 4, 4, 4]), (200, [1] * 20)])
+    def test_forward_calls_fill_the_kernel_pixel_budget(self, monkeypatch, size, calls):
+        from fedgs_sim import metrics
+
+        seen = []
+
+        def recording_forward(params, images):
+            seen.append(len(images))
+            return forward(params, images)
+
+        monkeypatch.setattr(metrics, "forward", recording_forward)
+        samples = [self.sample_for(disk_mask(4.0, size), index=i) for i in range(20)]
+        report = evaluate(passthrough_params(), samples, sample_groups(samples, DIFFICULTY))
+        assert seen == calls  # KERNEL_PIXELS // (H * W) images per call, at least one
+        assert report.dice == 1.0
+
     def test_rejects_empty_test_set(self):
         with pytest.raises(ValueError):
             evaluate(np.zeros(77), [], [])

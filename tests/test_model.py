@@ -1,6 +1,4 @@
 import math
-import struct
-import threading
 
 import numpy as np
 import pytest
@@ -18,9 +16,7 @@ from fedgs_sim.model import (
     infer_arch,
     init_optimizer_state,
     init_params,
-    load_params,
     optimizer_step,
-    save_params,
 )
 
 
@@ -181,6 +177,23 @@ class TestStackedKernel:
         per_image = [backward(params, image, mask) for image, mask in zip(images, masks)]
         assert np.abs(backward(params, images, masks) - np.mean(per_image, axis=0)).max() <= 1e-15
 
+    @pytest.mark.parametrize("clients", [1, 3, 4, 5])
+    def test_backward_of_parameter_rows_equals_per_row_calls(self, clients):
+        # client k's batch is group k of the stack and trains row k
+        batch = 2
+        params, images, masks = stack_fixture(clients * batch, seed=clients)
+        rows = np.stack([params + 0.01 * k for k in range(clients)])
+        grad = backward(rows, images, masks)
+        assert grad.shape == rows.shape
+        for k in range(clients):
+            group = slice(k * batch, (k + 1) * batch)
+            assert np.array_equal(grad[k], backward(rows[k], images[group], masks[group]))
+
+    def test_stack_must_split_into_equal_groups(self):
+        params, images, masks = stack_fixture(5)
+        with pytest.raises(ShapeMismatchError, match="5 images"):
+            backward(np.stack([params, params]), images, masks)
+
     def test_forward_stack_equals_per_image(self):
         params, images, _ = stack_fixture(4)
         stacked = forward(params, images)
@@ -210,7 +223,7 @@ class TestStackedKernel:
         with pytest.raises(ShapeMismatchError):
             backward(params, images, np.zeros(shape, dtype=np.uint8))
 
-    def test_reused_work_memory_gives_the_same_results(self):
+    def test_reused_work_memory_gives_the_same_results(self, monkeypatch):
         # shapes that grow, shrink and return, with the kept work memory
         # poisoned before each call: stale values must never leak in
         cases = [stack_fixture(n, seed=n, size=size) for n, size in [(4, (12, 12)), (2, (16, 9)), (1, (5, 5)), (4, (12, 12))]]
@@ -218,16 +231,15 @@ class TestStackedKernel:
         def kernel_results():
             results = []
             for params, images, masks in cases:
-                for buffer in model._workspace()._buffers.values():
+                for buffer in model._WORKSPACE._buffers.values():
                     buffer.fill(np.nan)
                 results.append((backward(params, images, masks), forward(params, images)))
             return results
 
-        # a new thread starts with empty work memory of its own
-        fresh = []
-        thread = threading.Thread(target=lambda: fresh.extend((backward(*case), forward(*case[:2])) for case in cases))
-        thread.start()
-        thread.join()
+        # a new workspace starts with empty work memory
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_WORKSPACE", model._Workspace())
+            fresh = [(backward(*case), forward(*case[:2])) for case in cases]
         assert len(fresh) == len(cases)
         for (grad, prob), (fresh_grad, fresh_prob) in zip(kernel_results(), fresh):
             assert np.array_equal(grad, fresh_grad)
@@ -253,12 +265,12 @@ class TestStackedKernel:
 
         monkeypatch.setattr(fl, "backward", recording_backward)
         epochs, batch = 2, 3
-        result = fl.run_client_round(
+        (result,) = fl.run_client_round(
             init_params(ArchDescriptor(), 0),
-            dataset,
+            [dataset],
             fl.StrategyConfig(kind="fedavg", batch_size=batch, local_epochs=epochs),
             OptimizerConfig(kind="sgd", learning_rate=0.01),
-            np.random.default_rng(0),
+            [np.random.default_rng(0)],
         )
         assert result.report.steps == math.ceil(len(dataset) / batch) * epochs == 6
         assert seen == [3, 3, 1] * epochs
@@ -323,23 +335,3 @@ def test_one_sgd_step_decreases_loss():
         decreased.append(after < before)
     assert any(decreased)
 
-
-class TestCheckpointFormat:
-    def test_roundtrip(self, tmp_path):
-        params = init_params(ArchDescriptor(), 31)
-        path = tmp_path / "ckpt.bin"
-        save_params(path, params)
-        assert np.array_equal(load_params(path), params)
-
-    def test_layout_is_length_header_plus_le_doubles(self, tmp_path):
-        path = tmp_path / "ckpt.bin"
-        save_params(path, np.array([1.0, -2.5]))
-        data = path.read_bytes()
-        assert data[:8] == struct.pack("<Q", 2)
-        assert data[8:] == struct.pack("<d", 1.0) + struct.pack("<d", -2.5)
-
-    def test_truncated_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.bin"
-        path.write_bytes(struct.pack("<Q", 3) + b"\x00" * 8)
-        with pytest.raises(ValueError):
-            load_params(path)
