@@ -84,8 +84,9 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
 
 
 # Pixels per kernel call that callers fill their stacks up to: four 64x64
-# images. The kernel's work memory holds about 20 image planes per stacked
-# image, so a call of this size keeps about 2.6 MB of it.
+# images. The kernel's work memory holds 15 planes per stacked image at the
+# default 4 hidden channels, and no pad cells, so a call of this size keeps
+# at most 1.97 MB of it.
 KERNEL_PIXELS = 16384
 
 
@@ -118,37 +119,49 @@ class _Workspace:
 _WORKSPACE = _Workspace()
 
 
-def _windows(padded: np.ndarray) -> list[np.ndarray]:
-    """The nine 3x3 shifts of a zero-padded (..., H+2, W+2) array, as (..., H, W) views.
+def _guarded(role: str, n: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """A flat buffer for an (N, H, W) stack, its interior, and the nine shift starts.
 
-    Shift s = 3*di + dj starts at row di, column dj. All four 3x3 products
-    are built on these views. Reading them stacks a single-channel input for
-    a matmul (the first convolution and both kernel gradients, and the
-    hidden-layer gradient, which reads the output gradient's shifts in
-    reverse). Adding into them, in reverse, scatters channel-mixed planes
-    into a padded output (the second convolution).
+    The interior has W + 1 zeros on each side. Shift s = (di, dj), i.e.
+    (h + di - 1, w + dj - 1) of every pixel, is the contiguous slice at start
+    s, offset (di - 1) * W + (dj - 1) from the interior. It reads true
+    neighbours except on one edge row and/or column of each image, where it
+    wraps onto the next row or image.
     """
-    height, width = padded.shape[-2] - 2, padded.shape[-1] - 2
-    return [padded[..., di : di + height, dj : dj + width] for di in range(3) for dj in range(3)]
+    guard = width + 1
+    buffer = _WORKSPACE.array(role, n * height * width + 2 * guard)
+    buffer[:guard] = buffer[-guard:] = 0.0
+    return buffer, buffer[guard:-guard], [guard + (di - 1) * width + (dj - 1) for di in range(3) for dj in range(3)]
+
+
+def _zero_edges(planes: np.ndarray, first: int, last: int) -> None:
+    """Zero, in place, the cells of a (K, 9, N/K, H, W) shift stack that wrap across a row or image.
+
+    Plane s = 3*di + dj loses row `first` if di = 0, row `last` if di = 2,
+    column `first` if dj = 0 and column `last` if dj = 2.
+    """
+    planes[:, :3, :, first, :] = planes[:, 6:, :, last, :] = 0.0
+    planes[:, ::3, :, :, first] = planes[:, 2::3, :, :, last] = 0.0
 
 
 def _shift_stack(x: np.ndarray, groups: int, flip: bool = False) -> np.ndarray:
-    """The nine shifts of a zero-padded (N, H, W) stack of K groups, as one (K, 9, N/K*H*W) array.
+    """The nine shifts of an (N, H, W) stack of K groups, zero outside each image, as one (K, 9, N/K*H*W) array.
 
     A group is N/K consecutive images. Row s of group k holds shift s of
     that group's images; with flip, row s holds shift 8 - s, i.e.
     (2-di, 2-dj), the order in which the transposed convolution reads its
-    input. The stack lives in the workspace's "nine" role.
+    input, and so wraps on the opposite edges. The stack lives in the
+    workspace's "nine" role.
     """
     n, height, width = x.shape
-    padded = _WORKSPACE.array("padded", groups, n // groups, height + 2, width + 2)
-    padded[..., 0, :] = padded[..., -1, :] = 0.0
-    padded[..., :, 0] = padded[..., :, -1] = 0.0
-    padded[..., 1:-1, 1:-1] = x.reshape(padded.shape[:2] + x.shape[1:])
-    windows = _windows(padded)
+    guarded, interior, starts = _guarded("guarded", n, height, width)
+    interior[...] = x.reshape(-1)
     out = _WORKSPACE.array("nine", groups, 9, n // groups, height, width)
-    np.stack(windows[::-1] if flip else windows, axis=1, out=out)
-    return out.reshape(groups, 9, -1)
+    flat = out.reshape(groups, 9, -1)
+    for s, start in enumerate(starts[::-1] if flip else starts):
+        flat[:, s] = guarded[start : start + x.size].reshape(groups, -1)
+    _zero_edges(out, *((-1, 0) if flip else (0, -1)))
+    return flat
 
 
 def _as_stack(images: np.ndarray) -> np.ndarray:
@@ -182,18 +195,22 @@ def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor) -> np.ndarr
 
     z2 at (h, w) sums k2[:, s] . a1 at (h + di - 1, w + dj - 1) over the
     shifts s = (di, dj). Mixing the channels first gives one plane per shift;
-    plane s, added into window 8 - s of a padded accumulator, lands on those
-    positions, and what falls on the border is dropped.
+    plane s, added at shift 8 - s of a guarded flat accumulator that starts
+    at b2, lands on those positions. The cells that would land outside their
+    image, on one edge row and/or column of the plane, are zeroed first, so
+    they add an exact zero to the neighbouring row or image.
     """
     groups, c, per_group, height, width = a1.shape
     _, _, k2, b2 = arch.unpack(params)
     mixed = _WORKSPACE.array("nine", groups, 9, per_group, height, width)
-    np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=mixed.reshape(groups, 9, -1))
-    z2 = _WORKSPACE.array("out", groups, per_group, height + 2, width + 2)
-    z2[...] = b2[:, None, None, None]
-    for s, window in enumerate(_windows(z2)[::-1]):
-        window += mixed[:, s]
-    return z2[..., 1:-1, 1:-1].reshape(-1, height, width)
+    flat = mixed.reshape(groups, 9, -1)
+    np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=flat)
+    _zero_edges(mixed, -1, 0)
+    out, z2, starts = _guarded("out", groups * per_group, height, width)
+    z2.reshape(groups, -1)[...] = b2[:, None]
+    for s, start in enumerate(starts[::-1]):
+        out[start : start + z2.size].reshape(groups, -1)[...] += flat[:, s]
+    return z2.reshape(-1, height, width)
 
 
 def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor):
@@ -205,24 +222,6 @@ def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor):
     a1 = _conv1(params, x, arch)
     np.maximum(a1, 0.0, out=a1)
     return _conv2(params, a1, arch), a1
-
-
-def _forward_full(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor):
-    """prob and (x, z1, a1, z2) for a 2-D image, or for an (N, H, W) stack.
-
-    For a stack, x, prob and z2 are (N, H, W) and z1, a1 are channel-major
-    (C, N, H, W); for a 2-D image the N axis is dropped.
-    """
-    x = _as_stack(images)
-    rows = params.reshape(1, -1)
-    z1 = _conv1(rows, x, arch).copy()
-    a1 = np.maximum(z1, 0.0)
-    z2 = _conv2(rows, a1, arch).copy()
-    prob = expit(z2)
-    z1, a1 = z1[0], a1[0]
-    if np.ndim(images) == 2:
-        return prob[0], (x[0], z1[:, 0], a1[:, 0], z2[0])
-    return prob, (x, z1, a1, z2)
 
 
 def forward(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor | None = None) -> np.ndarray:
@@ -270,12 +269,13 @@ def backward(
     Work memory is the module's workspace, whose four roles are each
     overwritten in place as the pass goes on; a role is taken again only
     once nothing reads what it held:
-      "padded"  the zero-padded stack being shifted: x, then g2, then x again
+      "guarded" the guarded flat copy of the stack being shifted: x, then g2,
+                then x again
       "nine"    a nine-plane stack per group: x's shifts (conv1), then the
                 channel-mixed planes (conv2), then g2's flipped shifts (gk2
                 and dz1), then x's shifts again (gk1)
       "hidden"  z1, overwritten by a1 = relu(z1), then by dz1
-      "out"     the padded accumulator of z2
+      "out"     the guarded flat accumulator of z2
     prob, m (later g2) and the gradient are arrays of their own.
     """
     arch = arch or infer_arch(params)

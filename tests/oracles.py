@@ -86,3 +86,30 @@ def smallest_lesion_estimate(mask: np.ndarray, offsets=SQUARE3_OFFSETS, iteratio
         return int(comp_mask.sum())
     reconstructed = shift_dilate(comp_mask, offsets, iterations)
     return int((reconstructed.astype(bool) & mask.astype(bool)).sum())
+
+
+def conv_logits(params: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden pre-activations z1 (C, H, W) and output logits z2 (H, W) of the two-conv model.
+
+    By definition: zero-pad by one pixel, then add the nine shifted products
+    per channel, z[h, w] = b + sum over (di, dj) of k[di, dj] * x[h + di - 1, w + dj - 1].
+    The flat parameters are k1 (C, 3, 3), b1 (C,), k2 (C, 3, 3) and b2.
+    """
+    c = (params.size - 1) // 19
+    k1, b1 = params[: 9 * c].reshape(c, 3, 3), params[9 * c : 10 * c]
+    k2, b2 = params[10 * c : 19 * c].reshape(c, 3, 3), params[19 * c]
+    height, width = image.shape
+    padded = np.pad(image, 1)
+    z1 = np.empty((c, height, width))
+    for ch in range(c):
+        z1[ch] = b1[ch]
+        for di in range(3):
+            for dj in range(3):
+                z1[ch] += k1[ch, di, dj] * padded[di : di + height, dj : dj + width]
+    hidden = np.pad(np.maximum(z1, 0.0), ((0, 0), (1, 1), (1, 1)))
+    z2 = np.full((height, width), b2)
+    for ch in range(c):
+        for di in range(3):
+            for dj in range(3):
+                z2 += k2[ch, di, dj] * hidden[ch, di : di + height, dj : dj + width]
+    return z1, z2

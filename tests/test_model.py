@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import conv_logits
 
 from fedgs_sim import fl, model
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
@@ -30,8 +31,6 @@ def smooth_fixtures(rng, arch, count, h, size=(12, 12)):
     Rejects draws whose hidden pre-activations sit within reach of the ReLU
     kink under an h-perturbation, or whose output logits saturate the sigmoid.
     """
-    from fedgs_sim.model import _forward_full
-
     fixtures = []
     seed = 0
     while len(fixtures) < count:
@@ -39,7 +38,7 @@ def smooth_fixtures(rng, arch, count, h, size=(12, 12)):
         seed += 1
         image = rng.normal(0.0, 1.0, size)
         mask = (rng.random(size) > 0.7).astype(np.uint8)
-        _, (_, z1, _, z2) = _forward_full(params, image, arch)
+        z1, z2 = conv_logits(params, image)
         if np.abs(z1).min() > 100 * h and np.abs(z2).max() < 8.0:
             fixtures.append((params, image, mask))
     return fixtures
@@ -170,6 +169,56 @@ def stack_fixture(n, seed=0, size=(12, 12)):
     return params, images, masks
 
 
+def edge_fixture(n, size, seed=0):
+    """(params, images, masks) with bright pixels and mask cells on every image's border rows and columns.
+
+    Every other image is all zeros beside a bright one, so that a shift that
+    wrapped across a row or an image boundary would read a value far from
+    the zero padding it should read.
+    """
+    params, images, masks = stack_fixture(n, seed=seed, size=size)
+    images *= 0.5
+    for edge in (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1]):
+        images[edge] += 2.5
+        masks[edge] = 1
+    images[1::2] = 0.0
+    return params, images, masks
+
+
+EDGE_SIZES = [(3, 3), (3, 7), (9, 3), (12, 13)]
+
+
+class TestImageEdges:
+    """The kernel's shifts read zeros, never a neighbouring row or image, outside each image."""
+
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_forward_matches_oracle(self, size):
+        # forward is the sigmoid of the oracle's logits, image by image of a stack
+        params, images, _ = edge_fixture(3, size, seed=1)
+        for image, prob in zip(images, forward(params, images)):
+            _, z2 = conv_logits(params, image)
+            assert np.abs(prob - 1.0 / (1.0 + np.exp(-z2))).max() <= 1e-12
+
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_stack_forward_equals_solo_calls(self, size):
+        params, images, _ = edge_fixture(5, size, seed=2)
+        images[2::2] *= 40.0
+        stacked = forward(params, images)
+        for image, prob in zip(images, stacked):
+            assert np.array_equal(forward(params, image), prob)
+
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    @pytest.mark.parametrize("clients", [2, 5])
+    def test_backward_rows_equal_solo_calls(self, size, clients):
+        batch = 2
+        params, images, masks = edge_fixture(clients * batch, size, seed=clients)
+        rows = np.stack([params + 0.01 * k for k in range(clients)])
+        grad = backward(rows, images, masks)
+        for k in range(clients):
+            group = slice(k * batch, (k + 1) * batch)
+            assert np.array_equal(grad[k], backward(rows[k], images[group], masks[group]))
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_backward_is_mean_of_per_image_gradients(self, n):
@@ -244,6 +293,15 @@ class TestStackedKernel:
         for (grad, prob), (fresh_grad, fresh_prob) in zip(kernel_results(), fresh):
             assert np.array_equal(grad, fresh_grad)
             assert np.array_equal(prob, fresh_prob)
+
+    def test_work_memory_within_documented_figure(self, monkeypatch):
+        # the figure in the comment on model.KERNEL_PIXELS, for calls of that size
+        monkeypatch.setattr(model, "_WORKSPACE", model._Workspace())
+        params = init_params(ArchDescriptor(), 0)
+        for rows, shape in [(params, (4, 64, 64)), (np.stack([params] * 4), (16, 32, 32))]:
+            assert math.prod(shape) == model.KERNEL_PIXELS
+            backward(rows, np.ones(shape), np.zeros(shape, dtype=np.uint8))
+        assert sum(buffer.nbytes for buffer in model._WORKSPACE._buffers.values()) <= 1.97e6
 
     def test_forward_rejects_non_finite_params(self):
         params, images, _ = stack_fixture(2)
