@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy import ndimage
+
+from .shifts import shift_stack
 
 StructuringElement = Literal["square3", "cross3"]
 Regime = Literal["whole_mask", "blob_split"]
@@ -31,15 +32,8 @@ class ShapeMismatchError(ValueError):
     """Two grids that must share a shape do not."""
 
 
-_ELEMENTS = {
-    "square3": np.ones((3, 3), dtype=bool),
-    "cross3": ndimage.generate_binary_structure(2, 1),
-}
-
-_CONNECTIVITY_STRUCTS = {
-    4: ndimage.generate_binary_structure(2, 1),
-    8: ndimage.generate_binary_structure(2, 2),
-}
+# Each element's members among the nine 3x3 shifts, s = 3*di + dj.
+_ELEMENTS = {"square3": slice(None), "cross3": [1, 3, 4, 5, 7]}
 
 
 @dataclass(frozen=True)
@@ -129,45 +123,86 @@ def inverse_relative_area(mask: np.ndarray) -> float:
     return arr.size / foreground
 
 
+def _morph(arr: np.ndarray, element: StructuringElement, iterations: int, reduce: Callable) -> np.ndarray:
+    """`iterations` rounds of `reduce` (min: erode, max: dilate) over the element's shifts of a valid mask."""
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    out = arr
+    for _ in range(iterations):
+        # zero outside the image: erosion eats into the border, dilation adds nothing there
+        out = reduce(shift_stack(out[None])[0, _ELEMENTS[element]], axis=0).reshape(arr.shape)
+    return out.astype(np.uint8)
+
+
 def erode(mask: np.ndarray, element: StructuringElement = "square3", iterations: int = 1) -> np.ndarray:
     """Standard binary erosion, `iterations` times. 0 iterations is the identity.
 
+    A pixel survives iff every shift in the element lands on foreground.
     Pixels outside the image count as background, so foreground touching the
     border erodes. Output foreground is always a subset of the input's.
     """
-    arr = validate_mask(mask)
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    if iterations == 0:
-        return arr.copy()
-    # scipy treats iterations=0 as "until convergence", hence the guard above
-    out = ndimage.binary_erosion(arr, structure=_ELEMENTS[element], iterations=iterations, border_value=0)
-    return out.astype(np.uint8)
+    return _morph(validate_mask(mask), element, iterations, np.min)
 
 
 def dilate(mask: np.ndarray, element: StructuringElement = "square3", iterations: int = 1) -> np.ndarray:
     """Binary dilation, the adjoint of `erode`. 0 iterations is the identity."""
-    arr = validate_mask(mask)
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    if iterations == 0:
-        return arr.copy()
-    out = ndimage.binary_dilation(arr, structure=_ELEMENTS[element], iterations=iterations, border_value=0)
-    return out.astype(np.uint8)
+    return _morph(validate_mask(mask), element, iterations, np.max)
+
+
+def _label(arr: np.ndarray, connectivity: int) -> ComponentLabeling:
+    """Run-based two-scan labeling of a valid mask (He, Chao & Suzuki, IEEE TIP 17(5), 2008).
+
+    A run is a maximal horizontal stretch of foreground in one row. Runs are
+    found in raster order and joined by union-find with the runs of the row
+    above whose columns overlap theirs (widened by one for 8-connectivity).
+    Every set is rooted at its first run, i.e. at its first pixel in raster
+    order, so numbering the roots in order numbers the components as
+    scipy.ndimage.label does.
+    """
+    height, width = arr.shape
+    stride = width + 2  # one zero column on each side keeps every run inside its row
+    padded = np.zeros((height, stride), dtype=np.uint8)
+    padded[:, 1:-1] = arr
+    flat = padded.reshape(-1)
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    starts, ends = changes[0::2], changes[1::2]  # flat positions; ends are one past a run
+    # the runs of the row above that touch run r are the contiguous range first[r]:stop[r]
+    reach = connectivity == 8
+    first = np.searchsorted(ends, starts - (stride + reach), side="right").tolist()
+    stop = np.searchsorted(starts, ends - (stride - reach), side="left").tolist()
+    parent = list(range(len(first)))
+    for run in range(len(parent)):
+        for touched in range(first[run], stop[run]):
+            a, b = touched, run
+            while parent[a] != a:  # find, halving the path
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[max(a, b)] = min(a, b)
+    # roots number the components in order; a parent comes earlier, so its label is known
+    run_labels: list[int] = []
+    n = 0
+    for run, up in enumerate(parent):
+        n += up == run
+        run_labels.append(n if up == run else run_labels[up])
+    labels = np.zeros(flat.size, dtype=np.int32)
+    for start, end, label in zip(starts.tolist(), ends.tolist(), run_labels):
+        labels[start:end] = label
+    areas = np.bincount(run_labels, weights=ends - starts, minlength=n + 1).tolist()
+    component_areas = [(label, int(areas[label])) for label in range(1, n + 1)]
+    return ComponentLabeling(labels=labels.reshape(height, stride)[:, 1:-1], component_areas=component_areas)
 
 
 def label_components(mask: np.ndarray, connectivity: int = 8) -> ComponentLabeling:
     """Label connected foreground components under 4- or 8-connectivity.
 
-    Every foreground pixel gets exactly one label in 1..n; background stays 0.
+    Every foreground pixel gets exactly one label in 1..n; background stays
+    0. Components are numbered in raster order of their first pixel.
     """
     arr = validate_mask(mask)
-    if connectivity not in _CONNECTIVITY_STRUCTS:
+    if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    labels, n = ndimage.label(arr, structure=_CONNECTIVITY_STRUCTS[connectivity])
-    counts = np.bincount(labels.ravel(), minlength=n + 1)
-    areas = [(label, int(counts[label])) for label in range(1, n + 1)]
-    return ComponentLabeling(labels=labels, component_areas=areas)
+    return _label(arr, connectivity)
 
 
 def smallest_lesion_inverse_area(mask: np.ndarray, cfg: DifficultyConfig) -> float:
@@ -186,18 +221,18 @@ def smallest_lesion_inverse_area(mask: np.ndarray, cfg: DifficultyConfig) -> flo
     if arr.sum() == 0:
         raise EmptyMaskError("mask has no foreground pixels")
 
-    eroded = erode(arr, cfg.structuring_element, cfg.erosion_iterations)
+    eroded = _morph(arr, cfg.structuring_element, cfg.erosion_iterations, np.min)
     use_fallback = eroded.sum() == 0
     base = arr if use_fallback else eroded
 
-    labeling = label_components(base, cfg.connectivity)
+    labeling = _label(base, cfg.connectivity)
     smallest_label, smallest_area = min(labeling.component_areas, key=lambda la: la[1])
 
     if use_fallback or cfg.erosion_iterations == 0:
         estimated_area = smallest_area
     else:
         component = (labeling.labels == smallest_label).astype(np.uint8)
-        reconstructed = dilate(component, cfg.structuring_element, cfg.erosion_iterations)
+        reconstructed = _morph(component, cfg.structuring_element, cfg.erosion_iterations, np.max)
         estimated_area = int((reconstructed & arr).sum())
     return arr.size / estimated_area
 

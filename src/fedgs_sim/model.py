@@ -11,13 +11,12 @@ client, to train K clients' batches in one call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
-from scipy.special import expit
 
+from . import shifts
 from .masks import ShapeMismatchError, validate_mask
 from .rng import INIT_STREAM, substream
 
@@ -90,80 +89,6 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
 KERNEL_PIXELS = 16384
 
 
-class _Workspace:
-    """Work memory that forward and backward reuse across calls.
-
-    One kernel call over four 64x64 images needs a few megabytes of
-    temporaries. Allocated afresh on every call, they come back from the
-    operating system as new pages each time, and the page faults cost more
-    than the arithmetic on them. backward lists which role holds what.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, role: str, *shape: int) -> np.ndarray:
-        """An uninitialised float64 array of `shape`, in the memory kept for `role`.
-
-        A role's memory grows to the largest shape asked of it, and every
-        array taken from a role overlaps the previous one.
-        """
-        size = math.prod(shape)
-        if role not in self._buffers or self._buffers[role].size < size:
-            self._buffers.pop(role, None)  # free the smaller buffer before allocating its successor
-            self._buffers[role] = np.empty(size)
-        return self._buffers[role][:size].reshape(shape)
-
-
-# Kernel calls never nest, so one workspace serves them all.
-_WORKSPACE = _Workspace()
-
-
-def _guarded(role: str, n: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """A flat buffer for an (N, H, W) stack, its interior, and the nine shift starts.
-
-    The interior has W + 1 zeros on each side. Shift s = (di, dj), i.e.
-    (h + di - 1, w + dj - 1) of every pixel, is the contiguous slice at start
-    s, offset (di - 1) * W + (dj - 1) from the interior. It reads true
-    neighbours except on one edge row and/or column of each image, where it
-    wraps onto the next row or image.
-    """
-    guard = width + 1
-    buffer = _WORKSPACE.array(role, n * height * width + 2 * guard)
-    buffer[:guard] = buffer[-guard:] = 0.0
-    return buffer, buffer[guard:-guard], [guard + (di - 1) * width + (dj - 1) for di in range(3) for dj in range(3)]
-
-
-def _zero_edges(planes: np.ndarray, first: int, last: int) -> None:
-    """Zero, in place, the cells of a (K, 9, N/K, H, W) shift stack that wrap across a row or image.
-
-    Plane s = 3*di + dj loses row `first` if di = 0, row `last` if di = 2,
-    column `first` if dj = 0 and column `last` if dj = 2.
-    """
-    planes[:, :3, :, first, :] = planes[:, 6:, :, last, :] = 0.0
-    planes[:, ::3, :, :, first] = planes[:, 2::3, :, :, last] = 0.0
-
-
-def _shift_stack(x: np.ndarray, groups: int, flip: bool = False) -> np.ndarray:
-    """The nine shifts of an (N, H, W) stack of K groups, zero outside each image, as one (K, 9, N/K*H*W) array.
-
-    A group is N/K consecutive images. Row s of group k holds shift s of
-    that group's images; with flip, row s holds shift 8 - s, i.e.
-    (2-di, 2-dj), the order in which the transposed convolution reads its
-    input, and so wraps on the opposite edges. The stack lives in the
-    workspace's "nine" role.
-    """
-    n, height, width = x.shape
-    guarded, interior, starts = _guarded("guarded", n, height, width)
-    interior[...] = x.reshape(-1)
-    out = _WORKSPACE.array("nine", groups, 9, n // groups, height, width)
-    flat = out.reshape(groups, 9, -1)
-    for s, start in enumerate(starts[::-1] if flip else starts):
-        flat[:, s] = guarded[start : start + x.size].reshape(groups, -1)
-    _zero_edges(out, *((-1, 0) if flip else (0, -1)))
-    return flat
-
-
 def _as_stack(images: np.ndarray) -> np.ndarray:
     """A 2-D image or an (N, H, W) stack as a validated float64 (N, H, W) stack."""
     x = np.asarray(images, dtype=np.float64)
@@ -184,8 +109,8 @@ def _conv1(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor) -> np.ndarra
     groups, c = len(params), arch.hidden_channels
     k1, b1, _, _ = arch.unpack(params)
     n, height, width = x.shape
-    z1 = _WORKSPACE.array("hidden", groups, c, n // groups, height, width)
-    np.matmul(k1.reshape(groups, c, 9), _shift_stack(x, groups), out=z1.reshape(groups, c, -1))
+    z1 = shifts.WORKSPACE.array("hidden", groups, c, n // groups, height, width)
+    np.matmul(k1.reshape(groups, c, 9), shifts.shift_stack(x, groups), out=z1.reshape(groups, c, -1))
     z1 += b1[:, :, None, None, None]
     return z1
 
@@ -202,15 +127,29 @@ def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor) -> np.ndarr
     """
     groups, c, per_group, height, width = a1.shape
     _, _, k2, b2 = arch.unpack(params)
-    mixed = _WORKSPACE.array("nine", groups, 9, per_group, height, width)
+    mixed = shifts.WORKSPACE.array("nine", groups, 9, per_group, height, width)
     flat = mixed.reshape(groups, 9, -1)
     np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=flat)
-    _zero_edges(mixed, -1, 0)
-    out, z2, starts = _guarded("out", groups * per_group, height, width)
+    shifts.zero_edges(mixed, -1, 0)
+    out, z2, starts = shifts.guarded("out", groups * per_group, height, width)
     z2.reshape(groups, -1)[...] = b2[:, None]
     for s, start in enumerate(starts[::-1]):
         out[start : start + z2.size].reshape(groups, -1)[...] += flat[:, s]
     return z2.reshape(-1, height, width)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) in a new array: negate, exp, +1, reciprocal.
+
+    Below z of about -709, exp(-z) overflows to inf and the result is exactly
+    0.0; above about 37 it is exactly 1.0. The overflow is the intended
+    saturation, so it warns of nothing.
+    """
+    p = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(p, out=p)
+    p += 1.0
+    return np.reciprocal(p, out=p)
 
 
 def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor):
@@ -235,7 +174,7 @@ def forward(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor | None 
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
     z2, _ = _forward_stack(params.reshape(1, -1), x, arch)
-    return expit(z2).reshape(np.shape(images))
+    return _sigmoid(z2).reshape(np.shape(images))
 
 
 def dice_loss(pred: np.ndarray, mask: np.ndarray) -> float:
@@ -266,7 +205,7 @@ def backward(
     returns. Flat (P,) parameters are the K = 1 case. The masks of the whole
     stack are validated in one call.
 
-    Work memory is the module's workspace, whose four roles are each
+    Work memory is the shared shifts.WORKSPACE, whose four roles are each
     overwritten in place as the pass goes on; a role is taken again only
     once nothing reads what it held:
       "guarded" the guarded flat copy of the stack being shifted: x, then g2,
@@ -290,7 +229,7 @@ def backward(
         raise ShapeMismatchError(f"a stack of {n} images does not split into {groups} equal groups")
     m = validate_mask(masks.reshape(-1, width)).reshape(x.shape).astype(np.float64)
     z2, a1 = _forward_stack(rows, x, arch)
-    prob = expit(z2)
+    prob = _sigmoid(z2)
 
     intersection = (prob * m).sum(axis=(1, 2))[:, None, None]
     denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + DICE_SMOOTHING)[:, None, None]
@@ -307,14 +246,14 @@ def backward(
     a1 = a1.reshape(groups, c, -1)
     # both the second kernel's gradient and the hidden gradient read g2 at
     # shift (2-di, 2-dj): the flipped shift stack
-    g2_shifts = _shift_stack(g2, groups, flip=True)
+    g2_shifts = shifts.shift_stack(g2, groups, flip=True)
     gk2 = a1 @ g2_shifts.transpose(0, 2, 1)
     active = a1 > 0.0
     dz1 = np.matmul(k2.reshape(groups, c, 9), g2_shifts, out=a1)  # a1 is not read again
     dz1 *= active
 
     grad = np.empty((groups, arch.param_count))
-    grad[:, : 9 * c] = (dz1 @ _shift_stack(x, groups).transpose(0, 2, 1)).reshape(groups, -1)
+    grad[:, : 9 * c] = (dz1 @ shifts.shift_stack(x, groups).transpose(0, 2, 1)).reshape(groups, -1)
     grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
     grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
     grad[:, 19 * c] = g2.reshape(groups, -1).sum(axis=1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fedgs_sim import masks
 from fedgs_sim.masks import (
     BadBatchError,
     DifficultyConfig,
@@ -22,9 +24,12 @@ from fedgs_sim.masks import (
 )
 from oracles import (
     CROSS3_OFFSETS,
+    EIGHT_NEIGHBORS,
+    FOUR_NEIGHBORS,
     SQUARE3_OFFSETS,
     flood_fill_components,
     rasterize_disk,
+    shift_dilate,
     shift_erode,
     smallest_lesion_estimate,
 )
@@ -101,6 +106,18 @@ class TestErosion:
     def test_matches_definition_cross3(self, mask):
         assert np.array_equal(erode(mask, "cross3", 1), shift_erode(mask, CROSS3_OFFSETS))
 
+    @pytest.mark.parametrize("element, offsets", [("square3", SQUARE3_OFFSETS), ("cross3", CROSS3_OFFSETS)])
+    def test_one_pixel_wide_masks_match_definition(self, element, offsets):
+        # every 1xN and Nx1 mask up to N = 6, 1x1 included, where each shift
+        # that leaves the row or column must read background
+        for n in range(1, 7):
+            for cells in itertools.product((0, 1), repeat=n):
+                row = np.array([cells], dtype=np.uint8)
+                for mask in (row, row.T):
+                    for iterations in range(4):
+                        assert np.array_equal(erode(mask, element, iterations), shift_erode(mask, offsets, iterations))
+                        assert np.array_equal(dilate(mask, element, iterations), shift_dilate(mask, offsets, iterations))
+
 
 class TestLabelComponents:
     def test_two_disjoint_blobs(self):
@@ -135,12 +152,32 @@ class TestLabelComponents:
             assert area >= 1
             assert int((labeling.labels == label).sum()) == area
 
-    @given(small_masks)
-    def test_matches_flood_fill(self, mask):
-        labeling = label_components(mask, 8)
-        reference = flood_fill_components(mask)
-        assert labeling.n_components == len(reference)
-        assert sorted(a for _, a in labeling.component_areas) == sorted(len(c) for c in reference)
+    @given(small_masks, st.sampled_from([4, 8]))
+    def test_matches_flood_fill(self, mask, connectivity):
+        # the oracle seeds its fills in raster order, so its k-th component
+        # is the k-th by first pixel: labels must match it exactly
+        labeling = label_components(mask, connectivity)
+        reference = flood_fill_components(mask, FOUR_NEIGHBORS if connectivity == 4 else EIGHT_NEIGHBORS)
+        expected = np.zeros(mask.shape, dtype=int)
+        for label, component in enumerate(reference, start=1):
+            for pixel in component:
+                expected[pixel] = label
+        assert np.array_equal(labeling.labels, expected)
+        assert labeling.component_areas == [(label, len(c)) for label, c in enumerate(reference, start=1)]
+
+    def test_raster_order_of_first_pixel(self):
+        # two runs of row 0 that meet in row 1 are one component, numbered by
+        # its first pixel (0, 5); a bar that starts further left, a row lower,
+        # comes second
+        mask = np.zeros((6, 8), dtype=np.uint8)
+        mask[0, 5] = mask[0, 7] = 1
+        mask[1, 5:8] = 1
+        mask[2, 0:3] = 1
+        mask[4, 6] = 1
+        labels = label_components(mask, 8).labels
+        assert labels[0, 5] == labels[0, 7] == labels[1, 6] == 1
+        assert labels[2, 0] == 2
+        assert labels[4, 6] == 3
 
 
 class TestSmallestLesion:
@@ -176,6 +213,34 @@ class TestSmallestLesion:
         mask[7, 7] = 1
         cfg = blob_cfg(erosion_iterations=0)
         assert smallest_lesion_inverse_area(mask, cfg) == 100.0
+
+    @pytest.mark.parametrize("diagonal_first", [True, False])
+    def test_area_tie_goes_to_the_first_component_in_raster_order(self, diagonal_first):
+        # two lesions that erode to two pixels each: a 3x4 bar (eroded 1x2,
+        # rebuilt to 12 pixels) and two 3x3 squares offset by (1, 1) (eroded
+        # to a diagonal pair, rebuilt to 14); the eroded areas tie, so the
+        # lesion whose eroded first pixel comes first decides
+        mask = np.zeros((16, 16), dtype=np.uint8)
+        diagonal, bar = (1, 9) if diagonal_first else (9, 1)
+        mask[diagonal : diagonal + 3, 2:5] = mask[diagonal + 1 : diagonal + 4, 3:6] = 1
+        mask[bar : bar + 3, 8:12] = 1
+        eroded = label_components(erode(mask), 8)
+        assert [area for _, area in eroded.component_areas] == [2, 2]
+        expected = 256 / (14 if diagonal_first else 12)
+        assert smallest_lesion_inverse_area(mask, blob_cfg()) == expected
+        assert mask.size / smallest_lesion_estimate(mask) == expected
+
+    def test_validates_its_mask_once(self, monkeypatch):
+        calls = []
+        validate = masks.validate_mask
+
+        def counted(mask):
+            calls.append(mask)
+            return validate(mask)
+
+        monkeypatch.setattr(masks, "validate_mask", counted)
+        smallest_lesion_inverse_area(build_attached_pair(), blob_cfg())
+        assert len(calls) == 1
 
     @given(small_masks, st.integers(0, 2))
     def test_matches_reference_pipeline(self, mask, iterations):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from oracles import conv_logits
 
-from fedgs_sim import fl, model
+from fedgs_sim import fl, model, shifts
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.masks import ShapeMismatchError
 from fedgs_sim.model import (
@@ -154,6 +155,20 @@ class TestBackward:
         grad = backward(params, np.ones((8, 8)), np.zeros((8, 8), dtype=np.uint8))
         assert np.isfinite(grad).all()
 
+    @pytest.mark.parametrize("head_bias, saturated", [(-1e4, 0.0), (1e4, 1.0)])
+    def test_saturated_sigmoid_is_exact_and_silent(self, head_bias, saturated):
+        # exp(-z2) overflows for z2 < -709: that is the sigmoid's saturation,
+        # not an error, so it must neither warn nor leave anything but 0 or 1
+        params, images, masks = stack_fixture(3)
+        params[-1] = head_bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = forward(params, images)
+            grad = backward(params, images, masks)
+        assert (prob == saturated).all()
+        # p * (1 - p) is exactly 0 at saturation, so no gradient flows back
+        assert (grad == 0.0).all()
+
 
 def stack_fixture(n, seed=0, size=(12, 12)):
     """(params, images, masks) with biases moved off zero and sample 0's mask empty."""
@@ -280,14 +295,14 @@ class TestStackedKernel:
         def kernel_results():
             results = []
             for params, images, masks in cases:
-                for buffer in model._WORKSPACE._buffers.values():
+                for buffer in shifts.WORKSPACE._buffers.values():
                     buffer.fill(np.nan)
                 results.append((backward(params, images, masks), forward(params, images)))
             return results
 
         # a new workspace starts with empty work memory
         with monkeypatch.context() as patch:
-            patch.setattr(model, "_WORKSPACE", model._Workspace())
+            patch.setattr(shifts, "WORKSPACE", shifts.Workspace())
             fresh = [(backward(*case), forward(*case[:2])) for case in cases]
         assert len(fresh) == len(cases)
         for (grad, prob), (fresh_grad, fresh_prob) in zip(kernel_results(), fresh):
@@ -296,12 +311,12 @@ class TestStackedKernel:
 
     def test_work_memory_within_documented_figure(self, monkeypatch):
         # the figure in the comment on model.KERNEL_PIXELS, for calls of that size
-        monkeypatch.setattr(model, "_WORKSPACE", model._Workspace())
+        monkeypatch.setattr(shifts, "WORKSPACE", shifts.Workspace())
         params = init_params(ArchDescriptor(), 0)
         for rows, shape in [(params, (4, 64, 64)), (np.stack([params] * 4), (16, 32, 32))]:
             assert math.prod(shape) == model.KERNEL_PIXELS
             backward(rows, np.ones(shape), np.zeros(shape, dtype=np.uint8))
-        assert sum(buffer.nbytes for buffer in model._WORKSPACE._buffers.values()) <= 1.97e6
+        assert sum(buffer.nbytes for buffer in shifts.WORKSPACE._buffers.values()) <= 1.97e6
 
     def test_forward_rejects_non_finite_params(self):
         params, images, _ = stack_fixture(2)
