@@ -1,24 +1,29 @@
 """Experiment configuration: strict key=value files with [section] headers.
 
 Grammar (INI subset): lines are `key = value` inside `[section]` headers;
-`#`/`;` start comments; values are whitespace-separated tokens. Unknown
-sections or keys are hard errors, so typos never silently fall back to
-defaults. Every key has a default; `fedgs-sim print-defaults` emits the full
-default file. Training clients live in numbered `[client <n>]` sections
-(ascending order) and the held-out test center in `[test]`.
+`#`/`;` start comments. Each key is a field of a config dataclass, and the
+field's type picks the parser of its value. Unknown sections or keys are hard
+errors, so typos never silently fall back to defaults. Every key has a
+default; `fedgs-sim print-defaults` emits the full default file. Training
+clients live in numbered `[client <n>]` sections (ascending order) and the
+held-out test center in `[test]`.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Literal, get_args, get_origin, get_type_hints
 
 from .data import ClientDataSpec
+from .fl import StrategyConfig
 from .masks import DifficultyConfig
-from .model import OptimizerConfig
+from .model import ArchDescriptor, OptimizerConfig
+
+Parser = Callable[[str], Any]
 
 
 class ParseError(ValueError):
@@ -51,21 +56,26 @@ class ExperimentConfig:
             raise ValidationError("seeds must be non-negative")
         if not self.strategies:
             raise ValidationError("need at least one strategy")
-        for strategy in self.strategies:
-            if strategy not in ("fedgs", "fedavg"):
-                raise ValidationError(f"unknown strategy {strategy!r}")
-        if len(set(self.strategies)) != len(self.strategies):
-            raise ValidationError("duplicate strategies")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.local_epochs < 1:
-            raise ValidationError("local_epochs must be >= 1")
+        try:
+            for kind in self.strategies:
+                self.strategy(kind)
+            ArchDescriptor(hidden_channels=self.hidden_channels)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+        for name, values in (("seeds", self.seeds), ("strategies", self.strategies)):
+            if len(set(values)) != len(values):
+                raise ValidationError(f"duplicate {name}")
         if len(self.client_specs) < 2:
             raise ValidationError("need at least one training client and a test center")
         offsets = [spec.seed_offset for spec in self.client_specs]
         shared = sorted({offset for offset in offsets if offsets.count(offset) > 1})
         if shared:
             raise ValidationError(f"seed_offset {shared[0]} is used by two clients, which would draw the same data")
+
+    def strategy(self, kind: str) -> StrategyConfig:
+        """The local-training and aggregation settings of strategy `kind` ("fedgs" or "fedavg")."""
+        difficulty = self.difficulty if kind == "fedgs" else None
+        return StrategyConfig(kind, self.batch_size, self.local_epochs, difficulty)  # type: ignore[arg-type]
 
     @property
     def training_specs(self) -> tuple[ClientDataSpec, ...]:
@@ -83,19 +93,10 @@ def default_config() -> ExperimentConfig:
     the test center mixes both regimes. Sized so the full two-strategy,
     five-seed sweep finishes in a few minutes on one core.
     """
-    common = dict(
-        image_size=(32, 32),
-        lesions_per_image=(1, 2),
-        small_radius_range=(2.0, 3.0),
-        large_radius_range=(6.0, 9.0),
-        noise_std=0.5,
-        lesion_intensity=1.0,
+    specs = tuple(
+        ClientDataSpec(n_samples=n, small_fraction=fraction, noise_std=0.5, seed_offset=offset)
+        for offset, n, fraction in ((1, 60, 0.05), (2, 60, 0.05), (3, 60, 0.05), (4, 60, 0.4), (100, 120, 0.3))
     )
-    clients = tuple(
-        ClientDataSpec(n_samples=60, small_fraction=fraction, seed_offset=offset, **common)
-        for offset, fraction in ((1, 0.05), (2, 0.05), (3, 0.05), (4, 0.4))
-    )
-    test = ClientDataSpec(n_samples=120, small_fraction=0.3, seed_offset=100, **common)
     return ExperimentConfig(
         seeds=(1, 2, 3, 4, 5),
         rounds=20,
@@ -105,107 +106,55 @@ def default_config() -> ExperimentConfig:
         hidden_channels=4,
         optimizer=OptimizerConfig(kind="adamw", learning_rate=0.003),
         difficulty=DifficultyConfig(log_base=30.0, threshold=13.0, regime="whole_mask"),
-        client_specs=clients + (test,),
-        out_dir="results",
+        client_specs=specs,
     )
 
 
-# ---------------------------------------------------------------------------
-# parsing
+def _literal_parser(hint: Any) -> Parser:
+    """int, float, str or Literal; tuple[X, ...] (whitespace or commas, not empty); tuple[X, Y]."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        items = [_literal_parser(arg) for arg in args if arg is not Ellipsis]
+        return partial(_parse_tuple, items, args[-1] is Ellipsis)
+    if hint in (int, float):
+        return hint
+    if hint is str or get_origin(hint) is Literal:
+        return str.strip  # a Literal's members are checked by its dataclass
+    raise TypeError(f"no literal parser for {hint!r}")
 
+
+def _parse_tuple(items: list[Parser], is_list: bool, text: str) -> tuple[Any, ...]:
+    if is_list:
+        parts = text.replace(",", " ").split()
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(map(items[0], parts))
+    parts = text.split()
+    if len(parts) != len(items):
+        raise ValueError(f"expected {len(items)} values, got {text!r}")
+    return tuple(parse(part) for parse, part in zip(items, parts))
+
+
+def _parsers(cls: type, names: tuple[str, ...] = ()) -> dict[str, Parser]:
+    hints = get_type_hints(cls)  # at import only: it costs more than a whole parse
+    return {name: _literal_parser(hints[name]) for name in names or [f.name for f in fields(cls)]}
+
+
+# Each section and its fields' parsers, in file order. A flat section names ExperimentConfig
+# fields; a nested one holds every field of the ExperimentConfig field it is named after.
+_FLAT = {
+    "experiment": _parsers(ExperimentConfig, ("seeds", "rounds", "strategies", "out_dir")),
+    "strategy": _parsers(ExperimentConfig, ("batch_size", "local_epochs")),
+    "model": _parsers(ExperimentConfig, ("hidden_channels",)),
+}
+_NESTED = {"optimizer": _parsers(OptimizerConfig), "difficulty": _parsers(DifficultyConfig)}
+_CLIENT_SCHEMA = _parsers(ClientDataSpec)  # [client n] and [test]
 _CLIENT_SECTION = re.compile(r"^client (\d+)$")
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
-
-
-def _parse_strs(text: str) -> tuple[str, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(parts)
-
-
-def _parse_int_pair(text: str) -> tuple[int, int]:
-    parts = text.split()
-    if len(parts) != 2:
-        raise ValueError(f"expected two integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _parse_float_pair(text: str) -> tuple[float, float]:
-    parts = text.split()
-    if len(parts) != 2:
-        raise ValueError(f"expected two reals, got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
-    "experiment": {
-        "seeds": _parse_ints,
-        "rounds": _parse_int,
-        "strategies": _parse_strs,
-        "out_dir": _parse_str,
-    },
-    "strategy": {
-        "batch_size": _parse_int,
-        "local_epochs": _parse_int,
-    },
-    "model": {
-        "hidden_channels": _parse_int,
-    },
-    "optimizer": {
-        "kind": _parse_str,
-        "learning_rate": _parse_float,
-        "beta1": _parse_float,
-        "beta2": _parse_float,
-        "eps": _parse_float,
-        "weight_decay": _parse_float,
-    },
-    "difficulty": {
-        "log_base": _parse_float,
-        "threshold": _parse_float,
-        "regime": _parse_str,
-        "erosion_iterations": _parse_int,
-        "structuring_element": _parse_str,
-        "connectivity": _parse_int,
-    },
-}
-
-_CLIENT_SCHEMA: dict[str, Callable[[str], object]] = {
-    "n_samples": _parse_int,
-    "image_size": _parse_int_pair,
-    "lesions_per_image": _parse_int_pair,
-    "small_fraction": _parse_float,
-    "small_radius_range": _parse_float_pair,
-    "large_radius_range": _parse_float_pair,
-    "noise_std": _parse_float,
-    "lesion_intensity": _parse_float,
-    "seed_offset": _parse_int,
-}
-
-
-def _typed_section(
-    raw: configparser.SectionProxy, schema: dict[str, Callable[[str], object]], section: str
-) -> dict[str, object]:
+def _typed_section(parser: configparser.ConfigParser, section: str, schema: dict[str, Parser]) -> dict[str, object]:
     values: dict[str, object] = {}
-    for key, text in raw.items():
+    for key, text in parser.items(section, raw=True) if parser.has_section(section) else ():
         if key not in schema:
             raise ParseError(f"unknown key {key!r} in section [{section}]")
         try:
@@ -215,11 +164,10 @@ def _typed_section(
     return values
 
 
-def _spec_from_section(defaults: ClientDataSpec, values: dict[str, object], section: str) -> ClientDataSpec:
-    kwargs = {f.name: getattr(defaults, f.name) for f in fields(ClientDataSpec)}
-    kwargs.update(values)
+def _override(obj: Any, parser: configparser.ConfigParser, section: str, schema: dict[str, Parser]) -> Any:
+    values = _typed_section(parser, section, schema)
     try:
-        return ClientDataSpec(**kwargs)  # type: ignore[arg-type]
+        return replace(obj, **values)
     except ValueError as exc:
         raise ValidationError(f"section [{section}]: {exc}") from exc
 
@@ -232,143 +180,39 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
-
+    matches = {name: _CLIENT_SECTION.match(name) for name in parser.sections()}
+    unknown = [name for name, match in matches.items() if not match and name not in {*_FLAT, *_NESTED, "test"}]
+    if unknown:
+        raise ParseError(f"unknown section [{unknown[0]}]")
     base = default_config()
-    known_flat = set(_SCHEMA)
-    client_sections: list[tuple[int, str]] = []
-    test_section: str | None = None
-    for section in parser.sections():
-        match = _CLIENT_SECTION.match(section)
-        if match:
-            client_sections.append((int(match.group(1)), section))
-        elif section == "test":
-            test_section = section
-        elif section not in known_flat:
-            raise ParseError(f"unknown section [{section}]")
-
-    flat: dict[str, dict[str, object]] = {}
-    for section, schema in _SCHEMA.items():
-        flat[section] = _typed_section(parser[section], schema, section) if parser.has_section(section) else {}
-
-    try:
-        optimizer = OptimizerConfig(
-            kind=flat["optimizer"].get("kind", base.optimizer.kind),  # type: ignore[arg-type]
-            learning_rate=flat["optimizer"].get("learning_rate", base.optimizer.learning_rate),  # type: ignore[arg-type]
-            beta1=flat["optimizer"].get("beta1", base.optimizer.beta1),  # type: ignore[arg-type]
-            beta2=flat["optimizer"].get("beta2", base.optimizer.beta2),  # type: ignore[arg-type]
-            eps=flat["optimizer"].get("eps", base.optimizer.eps),  # type: ignore[arg-type]
-            weight_decay=flat["optimizer"].get("weight_decay", base.optimizer.weight_decay),  # type: ignore[arg-type]
-        )
-        difficulty = DifficultyConfig(
-            log_base=flat["difficulty"].get("log_base", base.difficulty.log_base),  # type: ignore[arg-type]
-            threshold=flat["difficulty"].get("threshold", base.difficulty.threshold),  # type: ignore[arg-type]
-            regime=flat["difficulty"].get("regime", base.difficulty.regime),  # type: ignore[arg-type]
-            erosion_iterations=flat["difficulty"].get("erosion_iterations", base.difficulty.erosion_iterations),  # type: ignore[arg-type]
-            structuring_element=flat["difficulty"].get("structuring_element", base.difficulty.structuring_element),  # type: ignore[arg-type]
-            connectivity=flat["difficulty"].get("connectivity", base.difficulty.connectivity),  # type: ignore[arg-type]
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-    if client_sections:
-        client_sections.sort()
-        # [client n] takes the first default client's values, and seed_offset n
-        train_specs = tuple(
-            _spec_from_section(
-                base.training_specs[0],
-                {"seed_offset": number, **_typed_section(parser[name], _CLIENT_SCHEMA, name)},
-                name,
-            )
-            for number, name in client_sections
-        )
-    else:
-        train_specs = base.training_specs
-    if test_section is not None:
-        test_spec = _spec_from_section(
-            base.test_spec, _typed_section(parser[test_section], _CLIENT_SCHEMA, test_section), test_section
-        )
-    else:
-        test_spec = base.test_spec
-
-    try:
-        return ExperimentConfig(
-            seeds=flat["experiment"].get("seeds", base.seeds),  # type: ignore[arg-type]
-            rounds=flat["experiment"].get("rounds", base.rounds),  # type: ignore[arg-type]
-            strategies=flat["experiment"].get("strategies", base.strategies),  # type: ignore[arg-type]
-            out_dir=flat["experiment"].get("out_dir", base.out_dir),  # type: ignore[arg-type]
-            batch_size=flat["strategy"].get("batch_size", base.batch_size),  # type: ignore[arg-type]
-            local_epochs=flat["strategy"].get("local_epochs", base.local_epochs),  # type: ignore[arg-type]
-            hidden_channels=flat["model"].get("hidden_channels", base.hidden_channels),  # type: ignore[arg-type]
-            optimizer=optimizer,
-            difficulty=difficulty,
-            client_specs=train_specs + (test_spec,),
-        )
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-# ---------------------------------------------------------------------------
-# rendering (print-defaults and the shipped default file)
+    flat = {key: value for name, schema in _FLAT.items() for key, value in _typed_section(parser, name, schema).items()}
+    nested = {name: _override(getattr(base, name), parser, name, schema) for name, schema in _NESTED.items()}
+    # [client n] takes the first default client's values, and seed_offset n
+    numbered = sorted((int(match.group(1)), name) for name, match in matches.items() if match)
+    first = base.training_specs[0]
+    clients = tuple(_override(replace(first, seed_offset=n), parser, name, _CLIENT_SCHEMA) for n, name in numbered)
+    test = _override(base.test_spec, parser, "test", _CLIENT_SCHEMA)
+    return replace(base, **flat, **nested, client_specs=(clients or base.training_specs) + (test,))
 
 
 def _format_value(value: object) -> str:
     if isinstance(value, tuple):
-        return " ".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _render_client(section: str, spec: ClientDataSpec) -> list[str]:
-    lines = [f"[{section}]"]
-    for f in fields(ClientDataSpec):
-        lines.append(f"{f.name} = {_format_value(getattr(spec, f.name))}")
-    lines.append("")
-    return lines
+        return " ".join(map(_format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parsing it back yields an equal config."""
-    lines = [
-        "[experiment]",
-        f"seeds = {_format_value(cfg.seeds)}",
-        f"rounds = {cfg.rounds}",
-        f"strategies = {_format_value(cfg.strategies)}",
-        f"out_dir = {cfg.out_dir}",
-        "",
-        "[strategy]",
-        f"batch_size = {cfg.batch_size}",
-        f"local_epochs = {cfg.local_epochs}",
-        "",
-        "[model]",
-        f"hidden_channels = {cfg.hidden_channels}",
-        "",
-        "[optimizer]",
-        f"kind = {cfg.optimizer.kind}",
-        f"learning_rate = {_format_value(cfg.optimizer.learning_rate)}",
-        f"beta1 = {_format_value(cfg.optimizer.beta1)}",
-        f"beta2 = {_format_value(cfg.optimizer.beta2)}",
-        f"eps = {_format_value(cfg.optimizer.eps)}",
-        f"weight_decay = {_format_value(cfg.optimizer.weight_decay)}",
-        "",
-        "[difficulty]",
-        f"log_base = {_format_value(cfg.difficulty.log_base)}",
-        f"threshold = {_format_value(cfg.difficulty.threshold)}",
-        f"regime = {cfg.difficulty.regime}",
-        f"erosion_iterations = {cfg.difficulty.erosion_iterations}",
-        f"structuring_element = {cfg.difficulty.structuring_element}",
-        f"connectivity = {cfg.difficulty.connectivity}",
-        "",
-    ]
-    for i, spec in enumerate(cfg.training_specs, start=1):
-        lines.extend(_render_client(f"client {i}", spec))
-    lines.extend(_render_client("test", cfg.test_spec))
+    """Canonical text form (print-defaults, configs/default.ini); parsing it back yields an equal config."""
+    sections = [(name, cfg, schema) for name, schema in _FLAT.items()]
+    sections += [(name, getattr(cfg, name), schema) for name, schema in _NESTED.items()]
+    sections += [(f"client {i}", spec, _CLIENT_SCHEMA) for i, spec in enumerate(cfg.training_specs, start=1)]
+    sections.append(("test", cfg.test_spec, _CLIENT_SCHEMA))
+    lines = []
+    for name, obj, schema in sections:
+        lines += [f"[{name}]", *(f"{key} = {_format_value(getattr(obj, key))}" for key in schema), ""]
     return "\n".join(lines)
 
 

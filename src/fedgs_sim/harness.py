@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import Federation, build_federation
-from .fl import DivergenceError, StrategyConfig, run_round, sample_deltas
+from .fl import DivergenceError, run_round, sample_deltas
 from .masks import delta_from_inverse_area, raw_difficulty
 from .metrics import evaluate, sample_groups
 from .model import ArchDescriptor, init_params
@@ -61,12 +61,7 @@ def _run_one(
     """One strategy's rounds on a seed's federation; `groups` tags its test set (sample_groups)."""
     arch = ArchDescriptor(hidden_channels=cfg.hidden_channels)
     params = init_params(arch, seed)
-    strategy = StrategyConfig(
-        kind=strategy_kind,  # type: ignore[arg-type]
-        batch_size=cfg.batch_size,
-        local_epochs=cfg.local_epochs,
-        difficulty=cfg.difficulty if strategy_kind == "fedgs" else None,
-    )
+    strategy = cfg.strategy(strategy_kind)
     # Masks never change during a run: score each sample's difficulty once.
     client_deltas = [sample_deltas(dataset, strategy) for dataset in federation.clients]
     rows = []

@@ -125,6 +125,8 @@ def inverse_relative_area(mask: np.ndarray) -> float:
 
 def _morph(arr: np.ndarray, element: StructuringElement, iterations: int, reduce: Callable) -> np.ndarray:
     """`iterations` rounds of `reduce` (min: erode, max: dilate) over the element's shifts of a valid mask."""
+    if element not in _ELEMENTS:
+        raise ValueError(f"unknown structuring element {element!r}")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     out = arr

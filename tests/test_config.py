@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgs_sim.config import (
     ExperimentConfig,
@@ -10,6 +15,9 @@ from fedgs_sim.config import (
     parse_config,
     render_config,
 )
+from fedgs_sim.data import ClientDataSpec
+from fedgs_sim.masks import DifficultyConfig
+from fedgs_sim.model import OptimizerConfig
 
 
 def write(tmp_path, text):
@@ -190,3 +198,147 @@ def test_direct_construction_validates():
             difficulty=base.difficulty,
             client_specs=base.client_specs,
         )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[experiment]\nseeds = 1 1\n", "duplicate seeds"),
+        ("[experiment]\nseeds = 3, 1, 3\n", "duplicate seeds"),
+        ("[experiment]\nstrategies = fedgs fedgs\n", "duplicate strategies"),
+        ("[model]\nhidden_channels = 0\n", "hidden_channels"),
+        ("[strategy]\nbatch_size = 0\n", "batch_size"),
+        ("[strategy]\nlocal_epochs = 0\n", "local_epochs"),
+    ],
+)
+def test_experiment_invariants_are_validation_errors(tmp_path, text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_config(write(tmp_path, text))
+
+
+def test_strategy_settings_come_from_the_config():
+    cfg = default_config()
+    fedgs, fedavg = cfg.strategy("fedgs"), cfg.strategy("fedavg")
+    assert (fedgs.kind, fedgs.batch_size, fedgs.local_epochs) == ("fedgs", cfg.batch_size, cfg.local_epochs)
+    assert fedgs.difficulty == cfg.difficulty
+    assert (fedavg.kind, fedavg.difficulty) == ("fedavg", None)
+    with pytest.raises(ValueError, match="fedprox"):
+        cfg.strategy("fedprox")
+
+
+def _parsed_value(cfg, section, key):
+    owner = {
+        "optimizer": cfg.optimizer,
+        "difficulty": cfg.difficulty,
+        "client 1": cfg.training_specs[0],
+        "test": cfg.test_spec,
+    }.get(section, cfg)
+    return getattr(owner, key)
+
+
+# Literal rules: lists split on whitespace or commas and must not be empty;
+# pairs take exactly two whitespace-separated values; ints reject reals, and
+# reals accept ints.
+@pytest.mark.parametrize(
+    "section, key, text, expected",
+    [
+        ("experiment", "seeds", "1,2", (1, 2)),
+        ("experiment", "seeds", "1, 2 3", (1, 2, 3)),
+        ("experiment", "seeds", "", ParseError),
+        ("experiment", "seeds", ",", ParseError),
+        ("experiment", "seeds", "1.5", ParseError),
+        ("experiment", "strategies", "fedavg,fedgs", ("fedavg", "fedgs")),
+        ("experiment", "strategies", "", ParseError),
+        ("experiment", "rounds", "3", 3),
+        ("experiment", "rounds", "3.0", ParseError),
+        ("experiment", "rounds", "3 4", ParseError),
+        ("experiment", "out_dir", "runs/a", "runs/a"),
+        ("optimizer", "learning_rate", "1", 1.0),
+        ("optimizer", "eps", "1e-08", 1e-08),
+        ("optimizer", "beta1", "high", ParseError),
+        ("difficulty", "erosion_iterations", "2", 2),
+        ("difficulty", "regime", "blob_split", "blob_split"),
+        ("client 1", "image_size", "16 24", (16, 24)),
+        ("client 1", "image_size", "32,32", ParseError),
+        ("client 1", "image_size", "32", ParseError),
+        ("client 1", "lesions_per_image", "1 2 3", ParseError),
+        ("test", "small_radius_range", "2 3", (2.0, 3.0)),
+        ("test", "large_radius_range", "6.0 9.0 12.0", ParseError),
+        ("test", "n_samples", "7.0", ParseError),
+    ],
+)
+def test_literal_rules(tmp_path, section, key, text, expected):
+    path = write(tmp_path, f"[{section}]\n{key} = {text}\n")
+    if expected is ParseError:
+        with pytest.raises(ParseError, match=key):
+            parse_config(path)
+        return
+    value = _parsed_value(parse_config(path), section, key)
+    assert value == expected
+    assert type(value) is type(expected)
+    if isinstance(value, tuple):
+        assert [type(v) for v in value] == [type(v) for v in expected]
+
+
+_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-9, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def _client_specs(draw, seed_offset):
+    small_lo = draw(st.floats(min_value=0.5, max_value=4.0))
+    small_hi = small_lo + draw(st.floats(min_value=0.0, max_value=3.0))
+    large_lo = small_hi + draw(st.floats(min_value=0.01, max_value=5.0))
+    lesions_lo = draw(st.integers(1, 3))
+    return ClientDataSpec(
+        n_samples=draw(st.integers(1, 500)),
+        image_size=(draw(st.integers(1, 128)), draw(st.integers(1, 128))),
+        lesions_per_image=(lesions_lo, lesions_lo + draw(st.integers(0, 3))),
+        small_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+        small_radius_range=(small_lo, small_hi),
+        large_radius_range=(large_lo, large_lo + draw(st.floats(min_value=0.0, max_value=10.0))),
+        noise_std=draw(st.floats(min_value=0.0, max_value=10.0)),
+        lesion_intensity=draw(_reals),
+        seed_offset=seed_offset,
+    )
+
+
+@st.composite
+def _experiment_configs(draw):
+    n_clients = draw(st.integers(1, 5))
+    offsets = draw(st.lists(st.integers(0, 10_000), min_size=n_clients + 1, max_size=n_clients + 1, unique=True))
+    return ExperimentConfig(
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True))),
+        rounds=draw(st.integers(1, 1000)),
+        strategies=draw(st.sampled_from([("fedgs",), ("fedavg",), ("fedgs", "fedavg"), ("fedavg", "fedgs")])),
+        batch_size=draw(st.integers(1, 64)),
+        local_epochs=draw(st.integers(1, 10)),
+        hidden_channels=draw(st.integers(1, 16)),
+        optimizer=OptimizerConfig(
+            kind=draw(st.sampled_from(["sgd", "adamw"])),
+            learning_rate=draw(_positive),
+            beta1=draw(_reals),
+            beta2=draw(_reals),
+            eps=draw(_positive),
+            weight_decay=draw(_reals),
+        ),
+        difficulty=DifficultyConfig(
+            log_base=draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
+            threshold=draw(st.floats(min_value=1.0, max_value=1e6)),
+            regime=draw(st.sampled_from(["whole_mask", "blob_split"])),
+            erosion_iterations=draw(st.integers(0, 5)),
+            structuring_element=draw(st.sampled_from(["square3", "cross3"])),
+            connectivity=draw(st.sampled_from([4, 8])),
+        ),
+        client_specs=tuple(draw(_client_specs(offset)) for offset in offsets),
+        out_dir=draw(st.text(alphabet="abcxyz0123456789_-./", min_size=1, max_size=20)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_experiment_configs())
+def test_parse_inverts_render_for_any_valid_config(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.ini"
+        path.write_text(render_config(cfg))
+        assert parse_config(path) == cfg

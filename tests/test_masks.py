@@ -88,6 +88,14 @@ class TestErosion:
         mask = (np.random.default_rng(3).random((10, 10)) > 0.5).astype(np.uint8)
         assert np.array_equal(erode(mask, "square3", 0), mask)
 
+    @pytest.mark.parametrize("iterations", [0, 1])
+    @pytest.mark.parametrize("operation", [erode, dilate])
+    def test_unknown_element_is_value_error_naming_it(self, operation, iterations):
+        mask = np.zeros((5, 5), dtype=np.uint8)
+        mask[1:4, 1:4] = 1
+        with pytest.raises(ValueError, match="diamond"):
+            operation(mask, "diamond", iterations)
+
     @given(small_masks, st.sampled_from(["square3", "cross3"]))
     def test_anti_extensive(self, mask, element):
         out = erode(mask, element, 1)
