@@ -1,7 +1,7 @@
 """Desk-scale federated learning simulator with difficulty-scaled aggregation."""
 
 from .config import ExperimentConfig, default_config, parse_config
-from .data import ClientDataSpec, Federation, Sample, build_federation, generate_client_dataset
+from .data import ClientData, ClientDataSpec, Federation, build_federation, generate_client_dataset
 from .fl import (
     ClientRoundReport,
     StrategyConfig,
@@ -39,6 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchDescriptor",
+    "ClientData",
     "ClientDataSpec",
     "ClientRoundReport",
     "ComponentLabeling",
@@ -49,7 +50,6 @@ __all__ = [
     "Federation",
     "OptimizerConfig",
     "ResultRow",
-    "Sample",
     "StrategyConfig",
     "aggregate_fedavg",
     "aggregate_fedgs",

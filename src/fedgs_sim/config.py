@@ -183,6 +183,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
+    if parser.defaults():  # configparser would merge its keys into every section
+        raise ParseError("unknown section [DEFAULT]")
     matches = {name: _CLIENT_SECTION.match(name) for name in parser.sections()}
     unknown = [name for name, match in matches.items() if not match and name not in {*_FLAT, *_NESTED, "test"}]
     if unknown:

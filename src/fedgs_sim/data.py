@@ -70,21 +70,24 @@ class ClientDataSpec:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One image/mask pair; is_small is the construction-time ground truth."""
+class ClientData:
+    """One client's samples: row i of each array is sample i."""
 
-    image: np.ndarray
-    mask: np.ndarray
-    provenance: tuple[int, int]  # (client seed_offset, sample index)
-    is_small: bool
+    images: np.ndarray  # (n, H, W) float64
+    masks: np.ndarray  # (n, H, W) uint8; generate_client_dataset makes them read-only
+    is_small: np.ndarray  # (n,) bool, the construction-time ground truth
+    seed_offset: int
+
+    def __len__(self) -> int:
+        return len(self.images)
 
 
 @dataclass(frozen=True)
 class Federation:
     """Training clients plus the held-out test center (which never trains)."""
 
-    clients: list[list[Sample]]
-    test_set: list[Sample]
+    clients: list[ClientData]
+    test_set: ClientData
 
 
 def _check_feasible(spec: ClientDataSpec) -> None:
@@ -104,20 +107,22 @@ def _stamp_disk(mask: np.ndarray, cy: int, cx: int, radius: float) -> None:
     mask[rows * rows + cols * cols <= radius * radius] = 1
 
 
-def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> list[Sample]:
+def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> ClientData:
     """Generate the client's samples; bit-identical across runs for the same inputs."""
     _check_feasible(spec)
     height, width = spec.image_size
-    samples = []
+    images = np.empty((spec.n_samples, height, width))
+    masks = np.zeros((spec.n_samples, height, width), dtype=np.uint8)
+    is_small = np.empty(spec.n_samples, dtype=bool)
     bad_pixels = 0
     foreground_pixels = 0
     for index in range(spec.n_samples):
         rng = substream(experiment_seed, DATA_STREAM, spec.seed_offset, index)
-        is_small = bool(rng.random() < spec.small_fraction)
-        r_lo, r_hi = spec.small_radius_range if is_small else spec.large_radius_range
+        is_small[index] = rng.random() < spec.small_fraction
+        r_lo, r_hi = spec.small_radius_range if is_small[index] else spec.large_radius_range
         n_lesions = int(rng.integers(spec.lesions_per_image[0], spec.lesions_per_image[1] + 1))
 
-        mask = np.zeros((height, width), dtype=np.uint8)
+        mask = masks[index]
         for _ in range(n_lesions):
             radius = float(rng.uniform(r_lo, r_hi))
             margin = math.ceil(radius)
@@ -125,11 +130,10 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> list[
             cx = int(rng.integers(margin, width - margin))
             _stamp_disk(mask, cy, cx, radius)
 
-        image = rng.normal(0.0, spec.noise_std, size=(height, width))
-        image[mask == 1] += spec.lesion_intensity
-        samples.append(Sample(image=image, mask=mask, provenance=(spec.seed_offset, index), is_small=is_small))
-
+        image = images[index]
+        image[:] = rng.normal(0.0, spec.noise_std, size=(height, width))
         fg = mask == 1
+        image[fg] += spec.lesion_intensity
         foreground_pixels += int(fg.sum())
         bad_pixels += int((image[fg] < spec.lesion_intensity - 5.0 * spec.noise_std).sum())
 
@@ -141,7 +145,8 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> list[
             "fall below lesion_intensity - 5*noise_std",
             stacklevel=2,
         )
-    return samples
+    masks.flags.writeable = False  # difficulty tables built once per run rely on this
+    return ClientData(images=images, masks=masks, is_small=is_small, seed_offset=spec.seed_offset)
 
 
 def build_federation(specs: list[ClientDataSpec], experiment_seed: int) -> Federation:
@@ -156,7 +161,7 @@ def build_federation(specs: list[ClientDataSpec], experiment_seed: int) -> Feder
     return Federation(clients=datasets[:-1], test_set=datasets[-1])
 
 
-def dump_samples(out_dir: str | Path, samples: list[Sample], manifest_name: str = "manifest.txt") -> None:
+def dump_samples(out_dir: str | Path, dataset: ClientData, manifest_name: str = "manifest.txt") -> None:
     """Write img_####.pgm / msk_####.pgm pairs plus a manifest.
 
     Manifest lines are "<sample id> <client> <is_small 0|1>". Images are
@@ -165,10 +170,10 @@ def dump_samples(out_dir: str | Path, samples: list[Sample], manifest_name: str 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
-    for i, sample in enumerate(samples):
-        write_gray_pgm(out / f"img_{i:04d}.pgm", sample.image)
-        write_mask_pgm(out / f"msk_{i:04d}.pgm", sample.mask)
-        lines.append(f"{i:04d} {sample.provenance[0]} {int(sample.is_small)}")
+    for i, (image, mask, is_small) in enumerate(zip(dataset.images, dataset.masks, dataset.is_small)):
+        write_gray_pgm(out / f"img_{i:04d}.pgm", image)
+        write_mask_pgm(out / f"msk_{i:04d}.pgm", mask)
+        lines.append(f"{i:04d} {dataset.seed_offset} {int(is_small)}")
     (out / manifest_name).write_text("\n".join(lines) + "\n")
 
 
@@ -176,6 +181,5 @@ def dump_federation(out_dir: str | Path, federation: Federation) -> None:
     """Dump every client to client_<offset>/ and the test center to test/."""
     out = Path(out_dir)
     for dataset in federation.clients:
-        offset = dataset[0].provenance[0]
-        dump_samples(out / f"client_{offset}", dataset)
+        dump_samples(out / f"client_{dataset.seed_offset}", dataset)
     dump_samples(out / "test", federation.test_set)

@@ -14,7 +14,7 @@ toward the clients, and with eta = 1 the cumulative gradient telescopes to
 (global params) - (final local params).
 
 The clients of a round train in lockstep: local step i advances every client
-that still has an i-th batch, with their batches stacked into shared kernel
+that still has an i-th batch, with their batches gathered into shared kernel
 calls. Each client's numbers are bitwise those it would compute alone.
 """
 
@@ -26,7 +26,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .data import Sample
+from .data import ClientData
 from .masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from .model import (
     KERNEL_PIXELS,
@@ -128,28 +128,28 @@ class RoundStats:
     max_eta: float
 
 
-def sample_deltas(dataset: Sequence[Sample], strategy: StrategyConfig) -> list[float] | None:
-    """Each sample's difficulty factor delta under fedgs, in dataset order.
+def sample_deltas(dataset: ClientData, strategy: StrategyConfig) -> np.ndarray | None:
+    """Each sample's difficulty factor delta under fedgs, as an (n,) array in dataset order.
 
-    Masks never change during a run, so a run scores each client's dataset
-    once and every batch reads its deltas from this list. Under fedavg eta is
-    1 whatever the masks, and the result is None.
+    Masks are read-only, so a run scores each client's dataset once and every
+    batch indexes its deltas from this array. Under fedavg eta is 1 whatever
+    the masks, and the result is None.
     """
     if strategy.kind != "fedgs":
         return None
-    return [difficulty_factor(sample.mask, strategy.difficulty).delta for sample in dataset]
+    return np.array([difficulty_factor(mask, strategy.difficulty).delta for mask in dataset.masks])
 
 
-def _kernel_calls(batches: Sequence[Sequence[Sample]]) -> list[list[int]]:
-    """The positions of `batches`, split into the lists that share one backward call.
+def _kernel_calls(shapes: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """The positions of the batch `shapes`, split into the lists that share one backward call.
 
     Batches of the same (B, H, W) shape share calls of at most
     KERNEL_PIXELS pixels, in order; a batch larger than that gets a call of
     its own.
     """
     by_shape: dict[tuple[int, ...], list[int]] = {}
-    for j, batch in enumerate(batches):
-        by_shape.setdefault((len(batch), *batch[0].image.shape), []).append(j)
+    for j, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(j)
     calls = []
     for shape, positions in by_shape.items():
         per_call = max(1, KERNEL_PIXELS // math.prod(shape))
@@ -157,11 +157,11 @@ def _kernel_calls(batches: Sequence[Sequence[Sample]]) -> list[list[int]]:
     return calls
 
 
-def _blame(exc: ValueError, clients: Sequence[int], batches, params: np.ndarray, step: int) -> ValueError:
+def _blame(exc: ValueError, clients: Sequence[int], datasets, picks, params: np.ndarray, step: int) -> ValueError:
     """A shared backward call's error, attributed to the first of its clients whose batch fails alone."""
     for k, row in zip(clients, params):
         try:
-            backward(row, np.stack([s.image for s in batches[k]]), np.stack([s.mask for s in batches[k]]))
+            backward(row, datasets[k].images[picks[k]], datasets[k].masks[picks[k]])
         except ValueError as solo:
             return type(solo)(f"client {k}: {solo} at local step {step}")
     return exc
@@ -169,32 +169,33 @@ def _blame(exc: ValueError, clients: Sequence[int], batches, params: np.ndarray,
 
 def local_iteration(
     state: ClientState,
-    batches: Sequence[Sequence[Sample] | None],
+    datasets: Sequence[ClientData],
+    picks: Sequence[np.ndarray | None],
     strategy: StrategyConfig,
-    deltas: Sequence[Sequence[float] | None] | None = None,
+    client_deltas: Sequence[np.ndarray | None],
 ) -> ClientState:
-    """One lockstep local step: client k trains on batches[k]; returns the updated state.
+    """One lockstep local step: client k trains on samples picks[k] of datasets[k]; returns the updated state.
 
-    Clients whose batch is None sit the step out; the others must all be on
+    Clients whose picks are None sit the step out; the others must all be on
     the same local step. Each client's optimizer update uses the plain mean
     Dice-loss gradient of its batch regardless of strategy. Batches of one
-    shape are stacked into shared backward calls, and one optimizer step
-    updates every training client's row. Under fedgs the decrement added to
-    a client's cumulative gradient is scaled by its batch's eta, computed
-    from deltas[k] (the batch's sample_deltas, in batch order; scored here
-    when omitted); under fedavg eta is 1. A non-finite gradient or updated
-    parameter vector raises DivergenceError naming the client and the step.
+    shape share backward calls, each call's stack gathered just before it,
+    and one optimizer step updates every training client's row. Under fedgs
+    the decrement added to a client's cumulative gradient is scaled by the
+    eta of client_deltas[k][picks[k]] (client_deltas[k] is its sample_deltas);
+    under fedavg eta is 1. A non-finite gradient or updated parameter vector
+    raises DivergenceError naming the client and the step.
     """
-    if len(batches) != len(state.params):
-        raise ValueError(f"{len(batches)} batches for a cohort of {len(state.params)} clients")
-    active = [k for k, batch in enumerate(batches) if batch is not None]
+    if len(picks) != len(state.params):
+        raise ValueError(f"{len(picks)} batches for a cohort of {len(state.params)} clients")
+    active = [k for k, idx in enumerate(picks) if idx is not None]
     if not active:
         raise ValueError("no client has a batch")
     for k in active:
-        if not batches[k]:
+        if not len(picks[k]):
             raise ValueError("batch must be non-empty")
-        if len(batches[k]) > strategy.batch_size:
-            raise ValueError(f"batch of {len(batches[k])} exceeds configured size {strategy.batch_size}")
+        if len(picks[k]) > strategy.batch_size:
+            raise ValueError(f"batch of {len(picks[k])} exceeds configured size {strategy.batch_size}")
     taken = set(state.steps_this_round[active].tolist())
     if len(taken) > 1:
         raise ValueError(f"clients on different local steps {sorted(taken)} cannot advance in lockstep")
@@ -203,15 +204,14 @@ def local_iteration(
     rows = np.asarray(active)
     params = state.params[rows]
     grad = np.empty_like(params)
-    for at in _kernel_calls([batches[k] for k in active]):
+    for at in _kernel_calls([(len(picks[k]), *datasets[k].images.shape[1:]) for k in active]):
         clients = [active[j] for j in at]
-        samples = [sample for k in clients for sample in batches[k]]
-        images = np.stack([sample.image for sample in samples])
-        masks = np.stack([sample.mask for sample in samples])
+        images = np.concatenate([datasets[k].images[picks[k]] for k in clients])
+        masks = np.concatenate([datasets[k].masks[picks[k]] for k in clients])
         try:
             grad[at] = backward(params[at], images, masks)
         except ValueError as exc:
-            raise _blame(exc, clients, batches, params[at], step) from exc
+            raise _blame(exc, clients, datasets, picks, params[at], step) from exc
     optimizer = state.optimizer
     if optimizer.m is not None:
         optimizer = replace(optimizer, m=optimizer.m[rows], v=optimizer.v[rows])
@@ -222,17 +222,11 @@ def local_iteration(
             client = active[int(np.argmin(finite))]
             raise DivergenceError(f"client {client}: non-finite {what} at local step {step}")
 
-    etas = []
-    for k in active:
-        if strategy.kind == "fedgs":
-            batch_deltas = None if deltas is None else deltas[k]
-            if batch_deltas is None:
-                batch_deltas = sample_deltas(batches[k], strategy)
-            # short final batches use their true length as N
-            etas.append(batch_scaling_factor(batch_deltas, len(batches[k])))
-        else:
-            etas.append(1.0)
-        state.etas[k].append(etas[-1])
+    # eta is 1 under fedavg; short final batches use their true length as N
+    fedgs = strategy.kind == "fedgs"
+    etas = [batch_scaling_factor(client_deltas[k][picks[k]], len(picks[k])) if fedgs else 1.0 for k in active]
+    for k, eta in zip(active, etas):
+        state.etas[k].append(eta)
 
     decrement = params - new_params
     state.cumulative_gradient[rows] = state.cumulative_gradient[rows] + np.asarray(etas)[:, None] * decrement
@@ -247,11 +241,11 @@ def local_iteration(
 
 def run_client_round(
     global_params: np.ndarray,
-    datasets: Sequence[Sequence[Sample]],
+    datasets: Sequence[ClientData],
     strategy: StrategyConfig,
     optimizer_cfg: OptimizerConfig,
     rngs: Sequence[np.random.Generator],
-    client_deltas: Sequence[Sequence[float] | None] | None = None,
+    client_deltas: Sequence[np.ndarray | None] | None = None,
     record_trajectory: bool = False,
 ) -> list[ClientRoundResult]:
     """Run local_epochs epochs of batched training on every client, in lockstep.
@@ -291,12 +285,7 @@ def run_client_round(
     trajectories: list[list[np.ndarray]] | None = [[] for _ in datasets] if record_trajectory else None
     for step in range(max(len(schedule) for schedule in schedules)):
         picks = [schedule[step] if step < len(schedule) else None for schedule in schedules]
-        batches = [None if idx is None else [dataset[i] for i in idx] for idx, dataset in zip(picks, datasets)]
-        step_deltas = [
-            None if idx is None or deltas is None else [deltas[i] for i in idx]
-            for idx, deltas in zip(picks, client_deltas)
-        ]
-        state = local_iteration(state, batches, strategy, step_deltas)
+        state = local_iteration(state, datasets, picks, strategy, client_deltas)
         if trajectories is not None:
             for k, idx in enumerate(picks):
                 if idx is not None:
@@ -359,11 +348,11 @@ def aggregate_fedavg(client_params: Sequence[tuple[np.ndarray, float]]) -> np.nd
 
 def run_round(
     global_params: np.ndarray,
-    client_datasets: Sequence[Sequence[Sample]],
+    client_datasets: Sequence[ClientData],
     strategy: StrategyConfig,
     optimizer_cfg: OptimizerConfig,
     rng_streams: Sequence[np.random.Generator],
-    client_deltas: Sequence[Sequence[float] | None] | None = None,
+    client_deltas: Sequence[np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, RoundStats]:
     """One full federated round: local training on every client, then aggregation.
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedgs_sim.config import parse_config
-from fedgs_sim.data import ClientDataSpec, Sample, generate_client_dataset
+from fedgs_sim.data import ClientData, ClientDataSpec, generate_client_dataset
 from fedgs_sim.fl import StrategyConfig, run_client_round, run_round
 from fedgs_sim.harness import emit_difficulty_curve, fedgs_overhead, run_experiment
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
@@ -353,11 +353,13 @@ def test_criterion_9_metric_properties():
 
     # evaluate: grouping partitions the set; empty masks excluded from S/L
     spec = desk_spec(n_samples=40, small_fraction=0.4, seed_offset=9)
-    samples = generate_client_dataset(spec, 5)
-    empty = Sample(
-        image=np.zeros((16, 16)), mask=np.zeros((16, 16), dtype=np.uint8), provenance=(9, 999), is_small=False
+    generated = generate_client_dataset(spec, 5)
+    samples = ClientData(  # plus two empty samples
+        images=np.concatenate([generated.images, np.zeros((2, 16, 16))]),
+        masks=np.concatenate([generated.masks, np.zeros((2, 16, 16), dtype=np.uint8)]),
+        is_small=np.concatenate([generated.is_small, [False, False]]),
+        seed_offset=9,
     )
-    samples = samples + [empty, empty]
     cfg = DifficultyConfig(log_base=50.0, threshold=7.0, regime="whole_mask")
     rep = evaluate(init_params(ArchDescriptor(), 1), samples, sample_groups(samples, cfg))
     partition_ok = rep.n_total == rep.n_small + rep.n_large + rep.n_empty == len(samples)
@@ -365,9 +367,9 @@ def test_criterion_9_metric_properties():
     assert rep.n_empty == 2
     assert 0.0 <= rep.dice <= 1.0
     per_sample = []
-    for s in samples[:-2]:
-        pred = (forward(init_params(ArchDescriptor(), 1), s.image) >= 0.5).astype(np.uint8)
-        per_sample.append(dice_score(pred, s.mask))
+    for image, mask in zip(samples.images[:-2], samples.masks[:-2]):
+        pred = (forward(init_params(ArchDescriptor(), 1), image) >= 0.5).astype(np.uint8)
+        per_sample.append(dice_score(pred, mask))
     # the overall mean lies inside the per-sample hull (empties score 0 or 1)
     assert min(per_sample + [0.0]) <= rep.dice <= max(per_sample + [1.0])
     report(9, "metric properties", True, "300 random pairs + partition rules")

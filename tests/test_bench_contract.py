@@ -36,7 +36,8 @@ def test_traced_site_resolves_to_a_callable(module, attr, layer):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr} ({layer})"
 
 
-def test_every_traced_site_runs_in_a_two_strategy_sweep(tmp_path, monkeypatch):
+@pytest.mark.parametrize("regime", ["blob_split", "whole_mask"])
+def test_every_traced_site_runs_in_a_two_strategy_sweep(tmp_path, monkeypatch, regime):
     calls = Counter()
 
     def counting(site, fn):
@@ -50,8 +51,8 @@ def test_every_traced_site_runs_in_a_two_strategy_sweep(tmp_path, monkeypatch):
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, counting(f"{module_name}.{attr}", getattr(module, attr)))
     config = TINY_CONFIG.replace("seeds = 1 2\nrounds = 3", "seeds = 1\nrounds = 1")
-    config = config.replace("regime = whole_mask", "regime = blob_split")
-    assert "blob_split" in config and "rounds = 1" in config
+    config = config.replace("regime = whole_mask", f"regime = {regime}")
+    assert f"regime = {regime}" in config and "rounds = 1" in config
     (tmp_path / "tiny.ini").write_text(config)
     assert main(["run", "--config", str(tmp_path / "tiny.ini"), "--out", str(tmp_path / "out")]) == 0
     idle = [f"{m}.{a}" for m, a, _ in traced_sites() if calls[f"{m}.{a}"] == 0]

@@ -65,6 +65,20 @@ def test_unknown_section_is_parse_error(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\nrounds = 3\n",  # alone: its keys were dropped, rounds stayed 20
+        "[DEFAULT]\nrounds = 3\n\n[experiment]\nseeds = 1\n",  # merged into [experiment]: rounds became 3
+        "[DEFAULT]\nrounds = 3\n\n[strategy]\nbatch_size = 2\n",  # merged into [strategy]: "unknown key"
+    ],
+    ids=["alone", "beside-experiment", "beside-strategy"],
+)
+def test_default_section_is_parse_error(tmp_path, text):
+    with pytest.raises(ParseError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_config(write(tmp_path, text))
+
+
 def test_bad_literal_is_parse_error_with_context(tmp_path):
     path = write(tmp_path, "[experiment]\nrounds = soon\n")
     with pytest.raises(ParseError, match="rounds"):
@@ -128,7 +142,7 @@ n_samples = 5
     cfg = parse_config(write(tmp_path, text))
     assert [s.seed_offset for s in cfg.training_specs] == [1, 2]
     first, second = build_federation(list(cfg.client_specs), 1).clients
-    assert not any(np.array_equal(a.image, b.image) for a, b in zip(first, second))
+    assert not any(np.array_equal(a, b) for a, b in zip(first.images, second.images))
 
 
 @pytest.mark.parametrize(

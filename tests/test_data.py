@@ -42,40 +42,42 @@ class TestGeneration:
         spec = make_spec()
         a = generate_client_dataset(spec, 7)
         b = generate_client_dataset(spec, 7)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.image, sb.image)
-            assert np.array_equal(sa.mask, sb.mask)
-            assert sa.provenance == sb.provenance
-            assert sa.is_small == sb.is_small
+        assert np.array_equal(a.images, b.images)
+        assert np.array_equal(a.masks, b.masks)
+        assert a.seed_offset == b.seed_offset
+        assert np.array_equal(a.is_small, b.is_small)
 
     def test_different_seeds_differ(self):
         spec = make_spec()
         a = generate_client_dataset(spec, 1)
         b = generate_client_dataset(spec, 2)
-        assert any(not np.array_equal(sa.mask, sb.mask) for sa, sb in zip(a, b))
+        assert any(not np.array_equal(ma, mb) for ma, mb in zip(a.masks, b.masks))
 
     def test_small_fraction_zero_never_classifies_small(self):
         spec = make_spec(n_samples=100, small_fraction=0.0)
         tau = matching_threshold(spec)
         cfg = DifficultyConfig(log_base=100.0, threshold=tau, regime="whole_mask")
-        for sample in generate_client_dataset(spec, 11):
-            assert not sample.is_small
-            assert not difficulty_factor(sample.mask, cfg).is_small
+        dataset = generate_client_dataset(spec, 11)
+        for mask, is_small in zip(dataset.masks, dataset.is_small):
+            assert not is_small
+            assert not difficulty_factor(mask, cfg).is_small
 
     def test_small_fraction_one_always_classifies_small(self):
         spec = make_spec(n_samples=100, small_fraction=1.0)
         tau = matching_threshold(spec)
         cfg = DifficultyConfig(log_base=100.0, threshold=tau, regime="whole_mask")
-        for sample in generate_client_dataset(spec, 11):
-            assert sample.is_small
-            assert difficulty_factor(sample.mask, cfg).is_small
+        dataset = generate_client_dataset(spec, 11)
+        for mask, is_small in zip(dataset.masks, dataset.is_small):
+            assert is_small
+            assert difficulty_factor(mask, cfg).is_small
 
     def test_construction_flag_matches_classifier(self):
         spec = make_spec(n_samples=150, small_fraction=0.5)
         tau = matching_threshold(spec)
         cfg = DifficultyConfig(log_base=100.0, threshold=tau, regime="whole_mask")
-        for sample in generate_client_dataset(spec, 5):
-            assert difficulty_factor(sample.mask, cfg).is_small == sample.is_small
+        dataset = generate_client_dataset(spec, 5)
+        for mask, is_small in zip(dataset.masks, dataset.is_small):
+            assert difficulty_factor(mask, cfg).is_small == is_small
 
     def test_infeasible_radius_rejected(self):
         spec = make_spec(image_size=(8, 8), small_radius_range=(2.0, 2.0), large_radius_range=(10.0, 10.0))
@@ -84,30 +86,40 @@ class TestGeneration:
 
     def test_disks_fully_inside_frame(self):
         spec = make_spec(n_samples=60)
-        for sample in generate_client_dataset(spec, 13):
-            assert sample.mask[0, :].sum() == 0
-            assert sample.mask[-1, :].sum() == 0
-            assert sample.mask[:, 0].sum() == 0
-            assert sample.mask[:, -1].sum() == 0
-            assert sample.mask.sum() > 0
+        for mask in generate_client_dataset(spec, 13).masks:
+            assert mask[0, :].sum() == 0
+            assert mask[-1, :].sum() == 0
+            assert mask[:, 0].sum() == 0
+            assert mask[:, -1].sum() == 0
+            assert mask.sum() > 0
 
     def test_empirical_small_fraction_within_seven_points(self):
         # n=400 draws: binomial sigma is ~2.3pp at p=0.3, so a 7pp deviation
         # is beyond 3 sigma; with the fixed stream this is deterministic anyway
         spec = make_spec(n_samples=400, small_fraction=0.3)
         samples = generate_client_dataset(spec, 21)
-        fraction = sum(s.is_small for s in samples) / len(samples)
+        fraction = sum(samples.is_small) / len(samples)
         assert abs(fraction - 0.3) < 0.07
 
     def test_lesion_pixels_sit_above_noise_floor(self):
         spec = make_spec(n_samples=50, noise_std=0.3)
         violations = 0
         foreground = 0
-        for sample in generate_client_dataset(spec, 17):
-            fg = sample.mask == 1
+        dataset = generate_client_dataset(spec, 17)
+        for image, mask in zip(dataset.images, dataset.masks):
+            fg = mask == 1
             foreground += int(fg.sum())
-            violations += int((sample.image[fg] < spec.lesion_intensity - 5 * spec.noise_std).sum())
+            violations += int((image[fg] < spec.lesion_intensity - 5 * spec.noise_std).sum())
         assert violations <= 0.001 * foreground
+
+
+    def test_masks_are_read_only(self):
+        dataset = generate_client_dataset(make_spec(n_samples=3), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.masks[0, 5, 5] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.masks[1] = 0
+        assert dataset.images.flags.writeable
 
 
 class TestFederation:
@@ -126,15 +138,15 @@ class TestFederation:
         fed_a = build_federation(specs, 9)
         fed_b = build_federation([specs[1], specs[0], specs[2]], 9)
         # client with offset 1 sees the same data regardless of list position
-        for sa, sb in zip(fed_a.clients[0], fed_b.clients[1]):
-            assert np.array_equal(sa.image, sb.image)
-            assert np.array_equal(sa.mask, sb.mask)
+        sa, sb = fed_a.clients[0], fed_b.clients[1]
+        assert np.array_equal(sa.images, sb.images)
+        assert np.array_equal(sa.masks, sb.masks)
 
     def test_provenance_disjoint_between_test_and_train(self):
         specs = [make_spec(seed_offset=i) for i in (1, 2, 7)]
         federation = build_federation(specs, 4)
-        train_clients = {s.provenance[0] for c in federation.clients for s in c}
-        test_clients = {s.provenance[0] for s in federation.test_set}
+        train_clients = {c.seed_offset for c in federation.clients}
+        test_clients = {federation.test_set.seed_offset}
         assert train_clients.isdisjoint(test_clients)
 
 
@@ -142,9 +154,9 @@ def test_dump_writes_pairs_and_manifest(tmp_path):
     spec = make_spec(n_samples=3)
     samples = generate_client_dataset(spec, 2)
     dump_samples(tmp_path, samples)
-    for i, sample in enumerate(samples):
+    for i, mask in enumerate(samples.masks):
         assert (tmp_path / f"img_{i:04d}.pgm").exists()
-        assert np.array_equal(read_mask_pgm(tmp_path / f"msk_{i:04d}.pgm"), sample.mask)
+        assert np.array_equal(read_mask_pgm(tmp_path / f"msk_{i:04d}.pgm"), mask)
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
     assert len(lines) == 3
     for i, line in enumerate(lines):

@@ -54,9 +54,9 @@ def fresh_state(params, optimizer_cfg=SGD):
     return ClientState.start(params, 1, optimizer_cfg)
 
 
-def solo_step(state, batch, strategy):
-    """local_iteration on a one-client cohort, seen as that client's row."""
-    state = local_iteration(state, [batch], strategy)
+def solo_step(state, dataset, idx, strategy):
+    """local_iteration on a one-client cohort training on samples idx, seen as that client's row."""
+    state = local_iteration(state, [dataset], [idx], strategy, [sample_deltas(dataset, strategy)])
     return SimpleNamespace(
         params=state.params[0],
         cumulative_gradient=state.cumulative_gradient[0],
@@ -68,22 +68,23 @@ def solo_step(state, batch, strategy):
 class TestLocalIteration:
     def test_fedavg_accumulates_exact_decrement(self):
         params = init_params(ArchDescriptor(), 3)
-        batch = make_dataset(n=4)[:4]
+        batch = make_dataset(n=4)
         state = fresh_state(params)
-        state = solo_step(state, batch, StrategyConfig(kind="fedavg", batch_size=4))
+        state = solo_step(state, batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
         assert np.array_equal(state.cumulative_gradient, params - state.params)
         assert state.steps_this_round == 1
         assert state.etas == [1.0]
 
     def test_fedgs_scales_only_the_cumulative_gradient(self):
         params = init_params(ArchDescriptor(), 4)
-        batch = make_dataset(n=4, small_fraction=1.0)[:4]
+        batch = make_dataset(n=4, small_fraction=1.0)
         fedgs = solo_step(
             fresh_state(params),
             batch,
+            np.arange(4),
             StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY),
         )
-        fedavg = solo_step(fresh_state(params), batch, StrategyConfig(kind="fedavg", batch_size=4))
+        fedavg = solo_step(fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
         # local params bitwise identical; only the accumulated gradient differs
         assert np.array_equal(fedgs.params, fedavg.params)
         eta = fedgs.etas[0]
@@ -94,11 +95,11 @@ class TestLocalIteration:
         # replacing eta=1 by eta>1 changes the accumulated entry by exactly
         # (eta - 1) * decrement
         params = init_params(ArchDescriptor(), 5)
-        batch = make_dataset(n=4, small_fraction=1.0)[:4]
+        batch = make_dataset(n=4, small_fraction=1.0)
         fedgs = solo_step(
-            fresh_state(params), batch, StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
+            fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         )
-        fedavg = solo_step(fresh_state(params), batch, StrategyConfig(kind="fedavg", batch_size=4))
+        fedavg = solo_step(fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
         eta = fedgs.etas[0]
         decrement = params - fedavg.params
         assert np.allclose(
@@ -110,9 +111,9 @@ class TestLocalIteration:
 
     def test_large_only_batch_has_eta_one(self):
         params = init_params(ArchDescriptor(), 6)
-        batch = make_dataset(n=4, small_fraction=0.0)[:4]
+        batch = make_dataset(n=4, small_fraction=0.0)
         state = solo_step(
-            fresh_state(params), batch, StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
+            fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         )
         assert state.etas == [1.0]
 
@@ -120,7 +121,9 @@ class TestLocalIteration:
         params = init_params(ArchDescriptor(), 0)
         batch = make_dataset(n=6)
         with pytest.raises(ValueError):
-            local_iteration(fresh_state(params), [batch], StrategyConfig(kind="fedavg", batch_size=4))
+            local_iteration(
+                fresh_state(params), [batch], [np.arange(6)], StrategyConfig(kind="fedavg", batch_size=4), [None]
+            )
 
 
 class TestRunClientRound:
@@ -158,7 +161,7 @@ class TestRunClientRound:
             SGD,
             [substream(0, SHUFFLE_STREAM, 0, 0)],
         )
-        grad = backward(params, dataset[0].image, dataset[0].mask)
+        grad = backward(params, dataset.images[0], dataset.masks[0])
         # the round-trip through params - (params - lr*g) rounds at ulp(params)
         assert np.allclose(result.report.cumulative_gradient, SGD.learning_rate * grad, rtol=0, atol=1e-15)
 
@@ -196,7 +199,7 @@ class TestRunClientRound:
         # 7 samples, batches of 3: the last batch of each epoch holds one sample
         params = init_params(ArchDescriptor(), 10)
         dataset = make_dataset(n=7, small_fraction=0.5, offset=4)
-        assert any(sample.is_small for sample in dataset)
+        assert any(dataset.is_small)
         strategy = StrategyConfig(kind="fedgs", batch_size=3, local_epochs=2, difficulty=DIFFICULTY)
         (result,) = run_client_round(params, [dataset], strategy, ADAMW, [substream(4, SHUFFLE_STREAM, 0, 0)])
 
@@ -205,8 +208,8 @@ class TestRunClientRound:
         for _ in range(2):
             order = rng.permutation(7)
             for start in range(0, 7, 3):
-                batch = [dataset[i] for i in order[start : start + 3]]
-                deltas = [difficulty_factor(sample.mask, DIFFICULTY).delta for sample in batch]
+                batch = order[start : start + 3]
+                deltas = [difficulty_factor(dataset.masks[i], DIFFICULTY).delta for i in batch]
                 expected.append(batch_scaling_factor(deltas, len(batch)))
         assert len(expected) == 6 and any(eta > 1.0 for eta in expected)
         assert result.etas == expected
@@ -223,7 +226,7 @@ class TestRunClientRound:
     def test_sample_deltas_score_fedgs_only(self):
         dataset = make_dataset(n=5, small_fraction=0.5)
         fedgs = StrategyConfig(kind="fedgs", difficulty=DIFFICULTY)
-        assert sample_deltas(dataset, fedgs) == [difficulty_factor(s.mask, DIFFICULTY).delta for s in dataset]
+        assert sample_deltas(dataset, fedgs).tolist() == [difficulty_factor(m, DIFFICULTY).delta for m in dataset.masks]
         assert sample_deltas(dataset, StrategyConfig(kind="fedavg")) is None
 
 
@@ -288,7 +291,7 @@ class TestLockstep:
 
     def test_nan_in_a_client_dataset_names_the_client(self):
         datasets = [make_dataset(n=4, offset=c + 1) for c in range(3)]
-        datasets[2][1].image[5, 5] = np.nan
+        datasets[2].images[1, 5, 5] = np.nan
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(3)]
         with pytest.raises(ValueError, match=r"client 2: image contains non-finite values at local step 1"):
             run_client_round(init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams)
@@ -308,10 +311,11 @@ class TestLockstep:
     def test_clients_on_different_steps_cannot_share_a_step(self):
         params = init_params(ArchDescriptor(), 0)
         batch = make_dataset(n=4)
+        idx = np.arange(4)
         strategy = StrategyConfig(kind="fedavg", batch_size=4)
-        state = local_iteration(ClientState.start(params, 2, SGD), [batch, None], strategy)
+        state = local_iteration(ClientState.start(params, 2, SGD), [batch, batch], [idx, None], strategy, [None, None])
         with pytest.raises(ValueError, match="different local steps"):
-            local_iteration(state, [batch, batch], strategy)
+            local_iteration(state, [batch, batch], [idx, idx], strategy, [None, None])
 
 
 class TestAggregation:
