@@ -3,7 +3,6 @@
 from .config import ExperimentConfig, default_config, parse_config
 from .data import ClientData, ClientDataSpec, Federation, build_federation, generate_client_dataset
 from .fl import (
-    ClientRoundReport,
     StrategyConfig,
     aggregate_fedavg,
     aggregate_fedgs,
@@ -41,7 +40,6 @@ __all__ = [
     "ArchDescriptor",
     "ClientData",
     "ClientDataSpec",
-    "ClientRoundReport",
     "ComponentLabeling",
     "DifficultyConfig",
     "DifficultyResult",

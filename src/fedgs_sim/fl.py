@@ -27,7 +27,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .data import ClientData
-from .masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
+from .masks import DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
 from .model import (
     KERNEL_PIXELS,
     OptimizerConfig,
@@ -40,10 +40,6 @@ from .model import (
 
 class EmptyFederationError(ValueError):
     """Aggregation was asked to combine zero client updates."""
-
-
-class LengthMismatchError(ValueError):
-    """Parameter vectors of different lengths cannot be aggregated."""
 
 
 class DivergenceError(ValueError):
@@ -75,7 +71,8 @@ class ClientState:
     Row k of params, cumulative_gradient and the AdamW moments belongs to
     client k. The clients advance in lockstep, so the optimizer's step count
     is shared: every client still training is on the same local step. The
-    state is built afresh at every round start.
+    state is built afresh at every round start, and run_client_round returns
+    it at round end: the server aggregates its rows.
     """
 
     params: np.ndarray  # (K, P)
@@ -83,46 +80,23 @@ class ClientState:
     optimizer: OptimizerState  # moments (K, P)
     steps_this_round: np.ndarray  # (K,) local steps taken by each client
     etas: list[list[float]]  # each client's eta per local step
+    trajectory: list[list[np.ndarray]] | None = None  # each client's params after each step, when recorded
 
     @classmethod
     def start(cls, global_params: np.ndarray, n_clients: int, optimizer_cfg: OptimizerConfig) -> "ClientState":
         """K clients at the global snapshot: zero cumulative gradients, fresh optimizer moments."""
         params = np.tile(np.asarray(global_params, dtype=np.float64), (n_clients, 1))
-        optimizer = init_optimizer_state(optimizer_cfg, params.size)
-        if optimizer.m is not None:
-            optimizer = replace(optimizer, m=optimizer.m.reshape(params.shape), v=optimizer.v.reshape(params.shape))
         return cls(
             params=params,
             cumulative_gradient=np.zeros_like(params),
-            optimizer=optimizer,
+            optimizer=init_optimizer_state(optimizer_cfg, params.shape),
             steps_this_round=np.zeros(n_clients, dtype=np.int64),
             etas=[[] for _ in range(n_clients)],
         )
 
 
 @dataclass(frozen=True)
-class ClientRoundReport:
-    """What a client sends to the server at round end."""
-
-    client_id: int
-    cumulative_gradient: np.ndarray
-    steps: int
-
-
-@dataclass(frozen=True)
-class ClientRoundResult:
-    """Round report plus local-side extras the simulator keeps for baselines/stats."""
-
-    report: ClientRoundReport
-    final_params: np.ndarray
-    n_samples: int
-    etas: list[float]
-    trajectory: list[np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
 class RoundStats:
-    client_steps: list[int]
     steps_total: int
     mean_eta: float
     max_eta: float
@@ -247,7 +221,7 @@ def run_client_round(
     rngs: Sequence[np.random.Generator],
     client_deltas: Sequence[np.ndarray | None] | None = None,
     record_trajectory: bool = False,
-) -> list[ClientRoundResult]:
+) -> ClientState:
     """Run local_epochs epochs of batched training on every client, in lockstep.
 
     Every client starts fresh from the global snapshot: parameters copied,
@@ -257,8 +231,10 @@ def run_client_round(
     every client that still has an i-th batch, so clients of unequal sizes
     drop out as their batches run out. client_deltas[k] is
     sample_deltas(datasets[k], strategy), built here when omitted; each
-    batch takes its deltas in the epoch's shuffled order. Returns one result
-    per client, in order, each bitwise what the client computes alone.
+    batch takes its deltas in the epoch's shuffled order. Returns the
+    cohort's state at round end; row k is bitwise what client k computes
+    alone. With record_trajectory, state.trajectory[k] holds client k's
+    parameters after each of its local steps.
     """
     if not datasets:
         raise EmptyFederationError("need at least one client")
@@ -282,68 +258,55 @@ def run_client_round(
         schedules.append([order[i : i + size] for order in orders for i in range(0, len(order), size)])
 
     state = ClientState.start(global_params, len(datasets), optimizer_cfg)
-    trajectories: list[list[np.ndarray]] | None = [[] for _ in datasets] if record_trajectory else None
+    if record_trajectory:
+        state.trajectory = [[] for _ in datasets]
     for step in range(max(len(schedule) for schedule in schedules)):
         picks = [schedule[step] if step < len(schedule) else None for schedule in schedules]
         state = local_iteration(state, datasets, picks, strategy, client_deltas)
-        if trajectories is not None:
+        if state.trajectory is not None:
             for k, idx in enumerate(picks):
                 if idx is not None:
-                    trajectories[k].append(state.params[k].copy())
-    return [
-        ClientRoundResult(
-            report=ClientRoundReport(
-                client_id=k,
-                cumulative_gradient=state.cumulative_gradient[k],
-                steps=int(state.steps_this_round[k]),
-            ),
-            final_params=state.params[k],
-            n_samples=len(dataset),
-            etas=state.etas[k],
-            trajectory=None if trajectories is None else trajectories[k],
-        )
-        for k, dataset in enumerate(datasets)
-    ]
+                    state.trajectory[k].append(state.params[k].copy())
+    return state
 
 
-def _check_lengths(vectors: Sequence[np.ndarray]) -> None:
-    lengths = {v.shape for v in vectors}
-    if len(lengths) > 1:
-        raise LengthMismatchError(f"mismatched parameter vector shapes: {sorted(lengths)}")
+def _weighted_mean(rows: np.ndarray, weights: np.ndarray, name: str) -> np.ndarray:
+    """Sum over k of (weights[k] / sum(weights)) * rows[k], for a (K, P) array and K valid weights.
+
+    numpy's reduction over axis 0 adds the weighted rows one at a time, in
+    order, so the result is bitwise that of adding them to zeros in a loop.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if not len(rows):
+        raise EmptyFederationError("no client rows to aggregate")
+    if rows.ndim != 2 or w.shape != (len(rows),):
+        raise ShapeMismatchError(f"{name} of shape {w.shape} for client rows of shape {rows.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"non-finite {name} {w.tolist()}")
+    if (w < 0).any():
+        raise ValueError(f"negative {name} {w.tolist()}")
+    total = w.sum()
+    if not total > 0:
+        raise ValueError(f"{name} sum to {total}, not a positive total")
+    return ((w / total)[:, None] * rows).sum(axis=0)
 
 
-def aggregate_fedgs(reports: Sequence[ClientRoundReport]) -> np.ndarray:
-    """Average cumulative gradients weighted by each client's iteration count."""
-    if not reports:
-        raise EmptyFederationError("no client reports to aggregate")
-    _check_lengths([r.cumulative_gradient for r in reports])
-    steps_total = sum(r.steps for r in reports)
-    aggregate = np.zeros_like(reports[0].cumulative_gradient)
-    for r in reports:
-        aggregate += (r.steps / steps_total) * r.cumulative_gradient
-    return aggregate
+def aggregate_fedgs(cumulative_gradients: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Average the (K, P) cumulative gradients weighted by each client's (K,) iteration count."""
+    return _weighted_mean(cumulative_gradients, steps, "steps")
 
 
 def apply_global_update(global_params: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     """New global parameters: current minus the aggregated pseudo-gradient."""
     if global_params.shape != aggregate.shape:
-        raise LengthMismatchError(f"global shape {global_params.shape} != aggregate shape {aggregate.shape}")
+        raise ShapeMismatchError(f"global shape {global_params.shape} != aggregate shape {aggregate.shape}")
     return global_params - aggregate
 
 
-def aggregate_fedavg(client_params: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Weighted mean of full parameter vectors (weights = client sample counts)."""
-    if not client_params:
-        raise EmptyFederationError("no client parameters to aggregate")
-    _check_lengths([p for p, _ in client_params])
-    weights = [w for _, w in client_params]
-    if min(weights) < 0 or sum(weights) <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
-    total = sum(weights)
-    mean = np.zeros_like(client_params[0][0])
-    for params, weight in client_params:
-        mean += (weight / total) * params
-    return mean
+def aggregate_fedavg(client_params: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean of the (K, P) final parameter vectors (weights = client sample counts)."""
+    return _weighted_mean(client_params, weights, "weights")
 
 
 def run_round(
@@ -362,20 +325,15 @@ def run_round(
     sample_deltas; a run builds it once and passes it to every round, and it
     is built here when omitted.
     """
-    results = run_client_round(global_params, client_datasets, strategy, optimizer_cfg, rng_streams, client_deltas)
+    state = run_client_round(global_params, client_datasets, strategy, optimizer_cfg, rng_streams, client_deltas)
     if strategy.kind == "fedgs":
-        aggregate = aggregate_fedgs([r.report for r in results])
+        aggregate = aggregate_fedgs(state.cumulative_gradient, state.steps_this_round)
         new_global = apply_global_update(global_params, aggregate)
     else:
-        new_global = aggregate_fedavg([(r.final_params, float(r.n_samples)) for r in results])
+        new_global = aggregate_fedavg(state.params, [len(dataset) for dataset in client_datasets])
     if not np.isfinite(new_global).all():
         raise DivergenceError("non-finite aggregate of all clients")
 
-    all_etas = [eta for r in results for eta in r.etas]
-    stats = RoundStats(
-        client_steps=[r.report.steps for r in results],
-        steps_total=sum(r.report.steps for r in results),
-        mean_eta=float(np.mean(all_etas)),
-        max_eta=float(np.max(all_etas)),
-    )
-    return new_global, stats
+    all_etas = [eta for etas in state.etas for eta in etas]
+    steps_total = int(state.steps_this_round.sum())
+    return new_global, RoundStats(steps_total, mean_eta=float(np.mean(all_etas)), max_eta=float(np.max(all_etas)))

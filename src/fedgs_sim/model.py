@@ -289,10 +289,11 @@ class OptimizerState:
     v: np.ndarray | None = None
 
 
-def init_optimizer_state(config: OptimizerConfig, n_params: int) -> OptimizerState:
+def init_optimizer_state(config: OptimizerConfig, shape: int | tuple[int, ...]) -> OptimizerState:
+    """A fresh optimizer; AdamW's moments are zeros of the parameters' shape, (P,) or (K, P)."""
     if config.kind == "sgd":
         return OptimizerState(config=config)
-    zeros = np.zeros(n_params, dtype=np.float64)
+    zeros = np.zeros(shape, dtype=np.float64)
     return OptimizerState(config=config, m=zeros, v=zeros.copy())
 
 

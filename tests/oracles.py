@@ -113,3 +113,12 @@ def conv_logits(params: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.n
             for dj in range(3):
                 z2 += k2[ch, di, dj] * hidden[ch, di : di + height, dj : dj + width]
     return z1, z2
+
+
+def weighted_rows(rows: np.ndarray, weights) -> np.ndarray:
+    """A weighted mean by definition: from zeros, add (w_k / sum(w)) * row_k for each row in order."""
+    total = sum(weights)
+    out = np.zeros(rows.shape[1])
+    for row, weight in zip(rows, weights):
+        out += (weight / total) * row
+    return out

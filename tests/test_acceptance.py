@@ -126,7 +126,7 @@ def test_criterion_2_local_trajectory_invariance():
                         local_epochs=2,
                         difficulty=DESK_DIFFICULTY if kind == "fedgs" else None,
                     )
-                    (results[kind],) = run_client_round(
+                    results[kind] = run_client_round(
                         global_params,
                         [dataset],
                         strategy,
@@ -134,7 +134,7 @@ def test_criterion_2_local_trajectory_invariance():
                         [substream(seed, SHUFFLE_STREAM, round_index, client_index)],
                         record_trajectory=True,
                     )
-                for a, b in zip(results["fedgs"].trajectory, results["fedavg"].trajectory):
+                for a, b in zip(results["fedgs"].trajectory[0], results["fedavg"].trajectory[0]):
                     iterations += 1
                     if not np.array_equal(a, b):
                         mismatches += 1

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import weighted_rows
 
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.fl import (
-    ClientRoundReport,
     ClientState,
     DivergenceError,
     EmptyFederationError,
-    LengthMismatchError,
     StrategyConfig,
     aggregate_fedavg,
     aggregate_fedgs,
@@ -21,7 +20,7 @@ from fedgs_sim.fl import (
     run_round,
     sample_deltas,
 )
-from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
+from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
 from fedgs_sim.model import OptimizerConfig, backward, init_params, ArchDescriptor
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 
@@ -131,30 +130,30 @@ class TestRunClientRound:
         # 10 samples, batches of 4 -> 3 batches per epoch, 5 epochs -> 15
         params = init_params(ArchDescriptor(), 1)
         dataset = make_dataset(n=10)
-        (result,) = run_client_round(
+        result = run_client_round(
             params,
             [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=5),
             SGD,
             [substream(0, SHUFFLE_STREAM, 0, 0)],
         )
-        assert result.report.steps == 15
-        assert len(result.etas) == 15
+        assert result.steps_this_round[0] == 15
+        assert len(result.etas[0]) == 15
 
     def test_deterministic_given_stream(self):
         params = init_params(ArchDescriptor(), 2)
         dataset = make_dataset(n=10)
         strategy = StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2)
-        (a,) = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
-        (b,) = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
-        assert np.array_equal(a.report.cumulative_gradient, b.report.cumulative_gradient)
-        assert np.array_equal(a.final_params, b.final_params)
+        a = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
+        b = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
+        assert np.array_equal(a.cumulative_gradient[0], b.cumulative_gradient[0])
+        assert np.array_equal(a.params[0], b.params[0])
 
     def test_single_sample_single_epoch_sgd(self):
         # one step: cumulative gradient is exactly lr * mean-gradient
         params = init_params(ArchDescriptor(), 7)
         dataset = make_dataset(n=1)
-        (result,) = run_client_round(
+        result = run_client_round(
             params,
             [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=1),
@@ -163,28 +162,26 @@ class TestRunClientRound:
         )
         grad = backward(params, dataset.images[0], dataset.masks[0])
         # the round-trip through params - (params - lr*g) rounds at ulp(params)
-        assert np.allclose(result.report.cumulative_gradient, SGD.learning_rate * grad, rtol=0, atol=1e-15)
+        assert np.allclose(result.cumulative_gradient[0], SGD.learning_rate * grad, rtol=0, atol=1e-15)
 
     def test_telescoping_identity_with_eta_one(self):
         # sum of decrements collapses to (global - final), any optimizer
         params = init_params(ArchDescriptor(), 8)
         dataset = make_dataset(n=10)
         for opt in (SGD, ADAMW):
-            (result,) = run_client_round(
+            result = run_client_round(
                 params,
                 [dataset],
                 StrategyConfig(kind="fedavg", batch_size=4, local_epochs=3),
                 opt,
                 [substream(1, SHUFFLE_STREAM, 0, 0)],
             )
-            assert np.allclose(
-                result.report.cumulative_gradient, params - result.final_params, rtol=0, atol=1e-13
-            )
+            assert np.allclose(result.cumulative_gradient[0], params - result.params[0], rtol=0, atol=1e-13)
 
     def test_trajectory_recording(self):
         params = init_params(ArchDescriptor(), 9)
         dataset = make_dataset(n=8)
-        (result,) = run_client_round(
+        result = run_client_round(
             params,
             [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
@@ -192,8 +189,8 @@ class TestRunClientRound:
             [substream(2, SHUFFLE_STREAM, 0, 0)],
             record_trajectory=True,
         )
-        assert len(result.trajectory) == result.report.steps
-        assert np.array_equal(result.trajectory[-1], result.final_params)
+        assert len(result.trajectory[0]) == result.steps_this_round[0]
+        assert np.array_equal(result.trajectory[0][-1], result.params[0])
 
     def test_etas_read_each_batch_deltas_in_shuffled_order(self):
         # 7 samples, batches of 3: the last batch of each epoch holds one sample
@@ -201,7 +198,7 @@ class TestRunClientRound:
         dataset = make_dataset(n=7, small_fraction=0.5, offset=4)
         assert any(dataset.is_small)
         strategy = StrategyConfig(kind="fedgs", batch_size=3, local_epochs=2, difficulty=DIFFICULTY)
-        (result,) = run_client_round(params, [dataset], strategy, ADAMW, [substream(4, SHUFFLE_STREAM, 0, 0)])
+        result = run_client_round(params, [dataset], strategy, ADAMW, [substream(4, SHUFFLE_STREAM, 0, 0)])
 
         rng = substream(4, SHUFFLE_STREAM, 0, 0)
         expected = []
@@ -212,7 +209,7 @@ class TestRunClientRound:
                 deltas = [difficulty_factor(dataset.masks[i], DIFFICULTY).delta for i in batch]
                 expected.append(batch_scaling_factor(deltas, len(batch)))
         assert len(expected) == 6 and any(eta > 1.0 for eta in expected)
-        assert result.etas == expected
+        assert result.etas[0] == expected
 
     def test_rejects_deltas_of_another_length(self):
         params = init_params(ArchDescriptor(), 0)
@@ -239,22 +236,22 @@ class TestLockstep:
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
         cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams(), record_trajectory=True)
         solo = [
-            run_client_round(params, [dataset], strategy, optimizer_cfg, [rng], record_trajectory=True)[0]
+            run_client_round(params, [dataset], strategy, optimizer_cfg, [rng], record_trajectory=True)
             for dataset, rng in zip(datasets, streams())
         ]
         return cohort, solo
 
     @staticmethod
     def assert_bitwise_equal(cohort, solo):
-        assert len(cohort) == len(solo)
-        for k, (a, b) in enumerate(zip(cohort, solo)):
-            assert a.report.client_id == k
-            assert a.report.steps == b.report.steps == len(b.etas)
-            assert np.array_equal(a.final_params, b.final_params)
-            assert np.array_equal(a.report.cumulative_gradient, b.report.cumulative_gradient)
-            assert a.etas == b.etas
-            assert len(a.trajectory) == len(b.trajectory)
-            assert all(np.array_equal(x, y) for x, y in zip(a.trajectory, b.trajectory))
+        # row k of the cohort's state is client k; each solo state has one row
+        assert len(cohort.params) == len(cohort.steps_this_round) == len(solo)
+        for k, b in enumerate(solo):
+            assert cohort.steps_this_round[k] == b.steps_this_round[0] == len(b.etas[0])
+            assert np.array_equal(cohort.params[k], b.params[0])
+            assert np.array_equal(cohort.cumulative_gradient[k], b.cumulative_gradient[0])
+            assert cohort.etas[k] == b.etas[0]
+            assert len(cohort.trajectory[k]) == len(b.trajectory[0])
+            assert all(np.array_equal(x, y) for x, y in zip(cohort.trajectory[k], b.trajectory[0]))
 
     def test_64_clients_match_their_solo_runs(self):
         # 64 x 2 images of 32x32 per step fill two kernel calls
@@ -262,7 +259,7 @@ class TestLockstep:
         strategy = StrategyConfig(kind="fedgs", batch_size=2, local_epochs=2, difficulty=DIFFICULTY)
         cohort, solo = self.solo_and_cohort(datasets, strategy, ADAMW, seed=3)
         self.assert_bitwise_equal(cohort, solo)
-        assert any(eta > 1.0 for result in cohort for eta in result.etas)
+        assert any(eta > 1.0 for etas in cohort.etas for eta in etas)
 
     def test_unequal_clients_with_short_and_missing_batches(self, monkeypatch):
         # batches per epoch: 7 -> 3, 3, 1; 4 -> 3, 1; 9 -> 3, 3, 3
@@ -277,7 +274,7 @@ class TestLockstep:
         monkeypatch.setattr("fedgs_sim.fl.backward", recording_backward)
         cohort, solo = self.solo_and_cohort(datasets, strategy, ADAMW, seed=5)
         self.assert_bitwise_equal(cohort, solo)
-        assert [r.report.steps for r in cohort] == [6, 4, 6]
+        assert cohort.steps_this_round.tolist() == [6, 4, 6]
         # the cohort's calls, (clients, images) per call: clients whose batches
         # share a shape share a call, and a client with no batch left sits out
         per_step = [[(3, 9)], [(2, 6), (1, 1)], [(1, 1), (2, 6)], [(2, 6), (1, 1)], [(2, 6)], [(1, 1), (1, 3)]]
@@ -320,55 +317,80 @@ class TestLockstep:
 
 class TestAggregation:
     def test_single_client_weight_one(self):
-        report = ClientRoundReport(client_id=0, cumulative_gradient=np.array([1.0, -2.0]), steps=7)
-        assert np.array_equal(aggregate_fedgs([report]), np.array([1.0, -2.0]))
+        assert np.array_equal(aggregate_fedgs(np.array([[1.0, -2.0]]), np.array([7])), np.array([1.0, -2.0]))
 
     def test_step_weighting(self):
-        reports = [
-            ClientRoundReport(0, np.array([1.0, 0.0]), steps=10),
-            ClientRoundReport(1, np.array([0.0, 1.0]), steps=30),
-        ]
-        assert np.allclose(aggregate_fedgs(reports), [0.25, 0.75])
+        gradients = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(aggregate_fedgs(gradients, np.array([10, 30])), [0.25, 0.75])
 
     def test_equal_steps_is_plain_mean(self):
-        reports = [
-            ClientRoundReport(0, np.array([2.0, 0.0]), steps=5),
-            ClientRoundReport(1, np.array([0.0, 2.0]), steps=5),
-        ]
-        assert np.allclose(aggregate_fedgs(reports), [1.0, 1.0])
+        gradients = np.array([[2.0, 0.0], [0.0, 2.0]])
+        assert np.allclose(aggregate_fedgs(gradients, np.array([5, 5])), [1.0, 1.0])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
-        reports = [
-            ClientRoundReport(i, np.ones(3), steps=int(s)) for i, s in enumerate(rng.integers(1, 50, size=6))
-        ]
+        steps = rng.integers(1, 50, size=6)
         # identical unit gradients must aggregate to the unit vector
-        assert np.allclose(aggregate_fedgs(reports), 1.0)
+        assert np.allclose(aggregate_fedgs(np.ones((6, 3)), steps), 1.0)
 
     def test_errors(self):
         with pytest.raises(EmptyFederationError):
-            aggregate_fedgs([])
-        with pytest.raises(LengthMismatchError):
-            aggregate_fedgs(
-                [ClientRoundReport(0, np.zeros(2), 1), ClientRoundReport(1, np.zeros(3), 1)]
-            )
+            aggregate_fedgs(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
+    def test_weight_count_must_match_the_rows(self, aggregate):
+        # a (1,) weight array would otherwise broadcast across all three rows
+        with pytest.raises(ShapeMismatchError, match=r"shape \(1,\) for client rows of shape \(3, 2\)"):
+            aggregate(np.ones((3, 2)), np.array([1]))
+        with pytest.raises(ShapeMismatchError):
+            aggregate(np.ones((2, 2)), np.array([1, 1, 1]))
+
+    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_rejected(self, aggregate, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            aggregate(np.ones((2, 2)), np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
+    def test_zero_total_weight_is_rejected(self, aggregate):
+        with pytest.raises(ValueError, match="sum to 0.0"):
+            aggregate(np.ones((3, 2)), np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
+    def test_negative_weight_is_rejected(self, aggregate):
+        with pytest.raises(ValueError, match="negative"):
+            aggregate(np.ones((2, 2)), np.array([-1.0, 2.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 500), min_size=1, max_size=80),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e2]),
+    )
+    def test_rows_add_in_order(self, weights, seed, scale):
+        # results.csv byte-identity rests on this summation order: from
+        # zeros, add (w_k / sum(w)) * row_k for k = 0, 1, ..., K-1
+        rows = np.random.default_rng(seed).standard_normal((len(weights), 77)) * scale
+        expected = weighted_rows(rows, weights)
+        assert np.array_equal(aggregate_fedgs(rows, np.array(weights)), expected)
+        assert np.array_equal(aggregate_fedavg(rows, np.array(weights, dtype=np.float64)), expected)
 
     def test_apply_global_update(self):
         assert np.allclose(apply_global_update(np.array([1.0, 1.0]), np.array([0.1, -0.2])), [0.9, 1.2])
         unchanged = apply_global_update(np.array([3.0, 4.0]), np.zeros(2))
         assert np.array_equal(unchanged, [3.0, 4.0])
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             apply_global_update(np.zeros(2), np.zeros(3))
 
     def test_fedavg_mean(self):
-        identical = [(np.array([1.0, 2.0]), 3.0), (np.array([1.0, 2.0]), 9.0)]
-        assert np.allclose(aggregate_fedavg(identical), [1.0, 2.0])
-        assert np.allclose(aggregate_fedavg([(np.zeros(2), 1.0), (np.full(2, 2.0), 1.0)]), [1.0, 1.0])
-        assert np.allclose(aggregate_fedavg([(np.array([0.0]), 1.0), (np.array([4.0]), 3.0)]), [3.0])
+        identical = np.array([[1.0, 2.0], [1.0, 2.0]])
+        assert np.allclose(aggregate_fedavg(identical, np.array([3.0, 9.0])), [1.0, 2.0])
+        assert np.allclose(aggregate_fedavg(np.array([[0.0, 0.0], [2.0, 2.0]]), np.array([1.0, 1.0])), [1.0, 1.0])
+        assert np.allclose(aggregate_fedavg(np.array([[0.0], [4.0]]), np.array([1.0, 3.0])), [3.0])
         with pytest.raises(EmptyFederationError):
-            aggregate_fedavg([])
+            aggregate_fedavg(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
-            aggregate_fedavg([(np.zeros(1), 0.0)])
+            aggregate_fedavg(np.zeros((1, 1)), np.array([0.0]))
 
 
 class TestRunRound:
@@ -381,12 +403,12 @@ class TestRunRound:
             )
             stream = substream(3, SHUFFLE_STREAM, 0, 0)
             new_global, stats = run_round(params, [dataset], strategy, SGD, [stream])
-            (reference,) = run_client_round(
+            reference = run_client_round(
                 params, [dataset], strategy, SGD, [substream(3, SHUFFLE_STREAM, 0, 0)]
             )
             atol = 0.0 if kind == "fedavg" else 1e-15
-            assert np.allclose(new_global, reference.final_params, rtol=0, atol=atol)
-            assert stats.steps_total == reference.report.steps
+            assert np.allclose(new_global, reference.params[0], rtol=0, atol=atol)
+            assert stats.steps_total == reference.steps_this_round[0]
 
     def test_fedgs_equals_fedavg_on_all_large_data(self):
         # eta is identically 1, dataset sizes match: the strategies coincide
@@ -446,7 +468,7 @@ class TestRunRound:
             run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
 
     def test_non_finite_aggregate_raises(self, monkeypatch):
-        monkeypatch.setattr("fedgs_sim.fl.aggregate_fedavg", lambda client_params: client_params[0][0] * np.inf)
+        monkeypatch.setattr("fedgs_sim.fl.aggregate_fedavg", lambda client_params, weights: client_params[0] * np.inf)
         params = init_params(ArchDescriptor(), 16)
         with pytest.raises(DivergenceError, match="non-finite aggregate"):
             run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
@@ -471,12 +493,9 @@ class TestRunRound:
         fedavg_global, _ = run_round(params, datasets, fedavg, ADAMW, streams())
         assert stats.max_eta == 1.0
 
-        clients = [
-            run_client_round(params, [dataset], fedavg, ADAMW, [rng])[0]
-            for dataset, rng in zip(datasets, streams())
-        ]
-        steps = [client.report.steps for client in clients]
-        step_weighted = sum((s / sum(steps)) * client.final_params for s, client in zip(steps, clients))
+        clients = [run_client_round(params, [dataset], fedavg, ADAMW, [rng]) for dataset, rng in zip(datasets, streams())]
+        steps = [int(client.steps_this_round[0]) for client in clients]
+        step_weighted = sum((s / sum(steps)) * client.params[0] for s, client in zip(steps, clients))
         assert np.abs(fedgs_global - step_weighted).max() < 1e-12
         gap = np.abs(fedgs_global - fedavg_global).max()
         if all(s * sizes[0] == steps[0] * n for s, n in zip(steps, sizes)):
@@ -495,7 +514,7 @@ def test_local_trajectory_invariance_microcase():
     # bitwise equal between the two accumulation modes
     params = init_params(ArchDescriptor(), 21)
     dataset = make_dataset(n=10, small_fraction=0.5, offset=4)
-    (fedgs,) = run_client_round(
+    fedgs = run_client_round(
         params,
         [dataset],
         StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DIFFICULTY),
@@ -503,7 +522,7 @@ def test_local_trajectory_invariance_microcase():
         [substream(8, SHUFFLE_STREAM, 0, 0)],
         record_trajectory=True,
     )
-    (fedavg,) = run_client_round(
+    fedavg = run_client_round(
         params,
         [dataset],
         StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
@@ -511,12 +530,12 @@ def test_local_trajectory_invariance_microcase():
         [substream(8, SHUFFLE_STREAM, 0, 0)],
         record_trajectory=True,
     )
-    assert len(fedgs.trajectory) == len(fedavg.trajectory)
-    for a, b in zip(fedgs.trajectory, fedavg.trajectory):
+    assert len(fedgs.trajectory[0]) == len(fedavg.trajectory[0])
+    for a, b in zip(fedgs.trajectory[0], fedavg.trajectory[0]):
         assert np.array_equal(a, b)
-    # and the reports DO differ (scaling went somewhere)
-    assert any(eta > 1.0 for eta in fedgs.etas)
-    assert not np.array_equal(fedgs.report.cumulative_gradient, fedavg.report.cumulative_gradient)
+    # and the cumulative gradients DO differ (scaling went somewhere)
+    assert any(eta > 1.0 for eta in fedgs.etas[0])
+    assert not np.array_equal(fedgs.cumulative_gradient[0], fedavg.cumulative_gradient[0])
 
 
 def test_strategy_config_validation():

@@ -338,14 +338,14 @@ class TestStackedKernel:
 
         monkeypatch.setattr(fl, "backward", recording_backward)
         epochs, batch = 2, 3
-        (result,) = fl.run_client_round(
+        result = fl.run_client_round(
             init_params(ArchDescriptor(), 0),
             [dataset],
             fl.StrategyConfig(kind="fedavg", batch_size=batch, local_epochs=epochs),
             OptimizerConfig(kind="sgd", learning_rate=0.01),
             [np.random.default_rng(0)],
         )
-        assert result.report.steps == math.ceil(len(dataset) / batch) * epochs == 6
+        assert result.steps_this_round[0] == math.ceil(len(dataset) / batch) * epochs == 6
         assert seen == [3, 3, 1] * epochs
 
 
