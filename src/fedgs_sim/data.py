@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .masks import ShapeMismatchError
 from .pgm import write_gray_pgm, write_mask_pgm
 from .rng import DATA_STREAM, substream
 
@@ -71,12 +72,37 @@ class ClientDataSpec:
 
 @dataclass(frozen=True)
 class ClientData:
-    """One client's samples: row i of each array is sample i."""
+    """One client's samples: row i of each array is sample i.
 
-    images: np.ndarray  # (n, H, W) float64
-    masks: np.ndarray  # (n, H, W) uint8; generate_client_dataset makes them read-only
+    Construction checks the stacks and makes both read-only: the δ and group
+    tables a run builds once, and every kernel call, rely on data that is
+    well formed and never changes.
+    """
+
+    images: np.ndarray  # (n, H, W) float64, n >= 1, H and W >= 3, finite
+    masks: np.ndarray  # (n, H, W) uint8 of 0s and 1s
     is_small: np.ndarray  # (n,) bool, the construction-time ground truth
     seed_offset: int
+
+    def __post_init__(self) -> None:
+        images, masks, client = self.images, self.masks, f"client {self.seed_offset}"
+        if images.dtype != np.float64 or images.ndim != 3 or not len(images) or min(images.shape[1:]) < 3:
+            raise ValueError(
+                f"{client}: images must be a non-empty (n, H, W) float64 stack with H and W >= 3, "
+                f"got {images.dtype} of shape {images.shape}"
+            )
+        # NaN propagates through min and max: two scalars check every pixel
+        # without a temporary of the stack's size
+        if not np.isfinite([images.min(), images.max()]).all():
+            raise ValueError(f"{client}: images contain non-finite values")
+        if masks.shape != images.shape:
+            raise ShapeMismatchError(f"{client}: mask stack {masks.shape} != image stack {images.shape}")
+        if masks.dtype != np.uint8 or masks.max() > 1:
+            raise ValueError(f"{client}: masks must be a uint8 stack of 0s and 1s, got {masks.dtype}")
+        if self.is_small.shape != (len(images),):
+            raise ShapeMismatchError(f"{client}: is_small of shape {self.is_small.shape} for {len(images)} samples")
+        images.flags.writeable = False
+        masks.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.images)
@@ -145,7 +171,6 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> Clien
             "fall below lesion_intensity - 5*noise_std",
             stacklevel=2,
         )
-    masks.flags.writeable = False  # difficulty tables built once per run rely on this
     return ClientData(images=images, masks=masks, is_small=is_small, seed_offset=spec.seed_offset)
 
 
@@ -161,8 +186,8 @@ def build_federation(specs: list[ClientDataSpec], experiment_seed: int) -> Feder
     return Federation(clients=datasets[:-1], test_set=datasets[-1])
 
 
-def dump_samples(out_dir: str | Path, dataset: ClientData, manifest_name: str = "manifest.txt") -> None:
-    """Write img_####.pgm / msk_####.pgm pairs plus a manifest.
+def dump_samples(out_dir: str | Path, dataset: ClientData) -> None:
+    """Write img_####.pgm / msk_####.pgm pairs plus manifest.txt.
 
     Manifest lines are "<sample id> <client> <is_small 0|1>". Images are
     clamped to [0, 1] for the 8-bit dump; masks round-trip exactly.
@@ -174,7 +199,7 @@ def dump_samples(out_dir: str | Path, dataset: ClientData, manifest_name: str = 
         write_gray_pgm(out / f"img_{i:04d}.pgm", image)
         write_mask_pgm(out / f"msk_{i:04d}.pgm", mask)
         lines.append(f"{i:04d} {dataset.seed_offset} {int(is_small)}")
-    (out / manifest_name).write_text("\n".join(lines) + "\n")
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
 def dump_federation(out_dir: str | Path, federation: Federation) -> None:

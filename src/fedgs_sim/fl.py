@@ -80,7 +80,6 @@ class ClientState:
     optimizer: OptimizerState  # moments (K, P)
     steps_this_round: np.ndarray  # (K,) local steps taken by each client
     etas: list[list[float]]  # each client's eta per local step
-    trajectory: list[list[np.ndarray]] | None = None  # each client's params after each step, when recorded
 
     @classmethod
     def start(cls, global_params: np.ndarray, n_clients: int, optimizer_cfg: OptimizerConfig) -> "ClientState":
@@ -131,16 +130,6 @@ def _kernel_calls(shapes: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return calls
 
 
-def _blame(exc: ValueError, clients: Sequence[int], datasets, picks, params: np.ndarray, step: int) -> ValueError:
-    """A shared backward call's error, attributed to the first of its clients whose batch fails alone."""
-    for k, row in zip(clients, params):
-        try:
-            backward(row, datasets[k].images[picks[k]], datasets[k].masks[picks[k]])
-        except ValueError as solo:
-            return type(solo)(f"client {k}: {solo} at local step {step}")
-    return exc
-
-
 def local_iteration(
     state: ClientState,
     datasets: Sequence[ClientData],
@@ -182,10 +171,7 @@ def local_iteration(
         clients = [active[j] for j in at]
         images = np.concatenate([datasets[k].images[picks[k]] for k in clients])
         masks = np.concatenate([datasets[k].masks[picks[k]] for k in clients])
-        try:
-            grad[at] = backward(params[at], images, masks)
-        except ValueError as exc:
-            raise _blame(exc, clients, datasets, picks, params[at], step) from exc
+        grad[at] = backward(params[at], images, masks)
     optimizer = state.optimizer
     if optimizer.m is not None:
         optimizer = replace(optimizer, m=optimizer.m[rows], v=optimizer.v[rows])
@@ -220,7 +206,6 @@ def run_client_round(
     optimizer_cfg: OptimizerConfig,
     rngs: Sequence[np.random.Generator],
     client_deltas: Sequence[np.ndarray | None] | None = None,
-    record_trajectory: bool = False,
 ) -> ClientState:
     """Run local_epochs epochs of batched training on every client, in lockstep.
 
@@ -230,11 +215,10 @@ def run_client_round(
     so that fedgs/fedavg trajectories stay comparable. Local step i advances
     every client that still has an i-th batch, so clients of unequal sizes
     drop out as their batches run out. client_deltas[k] is
-    sample_deltas(datasets[k], strategy), built here when omitted; each
-    batch takes its deltas in the epoch's shuffled order. Returns the
-    cohort's state at round end; row k is bitwise what client k computes
-    alone. With record_trajectory, state.trajectory[k] holds client k's
-    parameters after each of its local steps.
+    sample_deltas(datasets[k], strategy), built here when omitted: an array
+    under fedgs and None under fedavg. Each batch takes its deltas in the
+    epoch's shuffled order. Returns the cohort's state at round end; row k
+    is bitwise what client k computes alone.
     """
     if not datasets:
         raise EmptyFederationError("need at least one client")
@@ -244,9 +228,11 @@ def run_client_round(
         client_deltas = [sample_deltas(dataset, strategy) for dataset in datasets]
     elif len(client_deltas) != len(datasets):
         raise ValueError("need one delta list per client")
-    for dataset, deltas in zip(datasets, client_deltas):
-        if not dataset:
-            raise ValueError("client dataset must be non-empty")
+    fedgs = strategy.kind == "fedgs"
+    for k, (dataset, deltas) in enumerate(zip(datasets, client_deltas)):
+        if (deltas is None) == fedgs:
+            need = "an array" if fedgs else "None"
+            raise ValueError(f"client {k}: {strategy.kind} needs {need} for its deltas, got {type(deltas).__name__}")
         if deltas is not None and len(deltas) != len(dataset):
             raise ValueError(f"{len(deltas)} deltas for a client of {len(dataset)} samples")
 
@@ -258,15 +244,9 @@ def run_client_round(
         schedules.append([order[i : i + size] for order in orders for i in range(0, len(order), size)])
 
     state = ClientState.start(global_params, len(datasets), optimizer_cfg)
-    if record_trajectory:
-        state.trajectory = [[] for _ in datasets]
     for step in range(max(len(schedule) for schedule in schedules)):
         picks = [schedule[step] if step < len(schedule) else None for schedule in schedules]
         state = local_iteration(state, datasets, picks, strategy, client_deltas)
-        if state.trajectory is not None:
-            for k, idx in enumerate(picks):
-                if idx is not None:
-                    state.trajectory[k].append(state.params[k].copy())
     return state
 
 

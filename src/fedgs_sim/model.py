@@ -25,14 +25,11 @@ DICE_SMOOTHING = 1.0
 
 @dataclass(frozen=True)
 class ArchDescriptor:
-    """Shape of the model: in_channels -> hidden_channels -> 1, 3x3 kernels."""
+    """Shape of the model: 1 -> hidden_channels -> 1 channels, 3x3 kernels."""
 
-    in_channels: int = 1
     hidden_channels: int = 4
 
     def __post_init__(self) -> None:
-        if self.in_channels != 1:
-            raise ValueError("only single-channel images are supported")
         if self.hidden_channels < 1:
             raise ValueError("hidden_channels must be >= 1")
 
@@ -74,7 +71,7 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
     """Deterministic init: kernels uniform in +-1/sqrt(fan_in), biases zero."""
     rng = substream(seed, INIT_STREAM)
     c = arch.hidden_channels
-    bound1 = 1.0 / np.sqrt(9.0 * arch.in_channels)
+    bound1 = 1.0 / np.sqrt(9.0)
     bound2 = 1.0 / np.sqrt(9.0 * c)
     params = np.zeros(arch.param_count, dtype=np.float64)
     params[: 9 * c] = rng.uniform(-bound1, bound1, size=9 * c)
@@ -163,13 +160,13 @@ def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor):
     return _conv2(params, a1, arch), a1
 
 
-def forward(params: np.ndarray, images: np.ndarray, arch: ArchDescriptor | None = None) -> np.ndarray:
+def forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Per-pixel foreground probabilities, shaped like the input (H x W, or N x H x W).
 
     Rejects non-finite parameters: a diverged model would otherwise score as
     an all-background prediction, since NaN never clears a threshold.
     """
-    arch = arch or infer_arch(params)
+    arch = infer_arch(params)
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
@@ -192,9 +189,7 @@ def dice_loss(pred: np.ndarray, mask: np.ndarray) -> float:
     return 1.0 - (2.0 * intersection + DICE_SMOOTHING) / (total + DICE_SMOOTHING)
 
 
-def backward(
-    params: np.ndarray, images: np.ndarray, masks: np.ndarray, arch: ArchDescriptor | None = None
-) -> np.ndarray:
+def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Analytic gradient of dice_loss(forward(params, image), mask) w.r.t. params.
 
     Takes one image and mask, or (N, H, W) stacks of them, and returns the
@@ -217,7 +212,7 @@ def backward(
       "out"     the guarded flat accumulator of z2
     prob, m (later g2) and the gradient are arrays of their own.
     """
-    arch = arch or infer_arch(params)
+    arch = infer_arch(params)
     rows = params.reshape(-1, params.shape[-1])
     groups = len(rows)
     x = _as_stack(images)

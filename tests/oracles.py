@@ -2,7 +2,9 @@
 
 Everything here is written from the definitions (shift-stacks, flood fill,
 central differences) rather than calling the code paths under test, so the
-tests compare two genuinely different routes to the same answer.
+tests compare two genuinely different routes to the same answer. The one
+exception, TrajectoryRecorder, observes the code under test without
+changing what it computes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+from fedgs_sim import fl
 
 SQUARE3_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 CROSS3_OFFSETS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
@@ -122,3 +126,29 @@ def weighted_rows(rows: np.ndarray, weights) -> np.ndarray:
     for row, weight in zip(rows, weights):
         out += (weight / total) * row
     return out
+
+
+class TrajectoryRecorder:
+    """Each client's local parameter trajectory, seen through the fedgs_sim.fl.local_iteration seam.
+
+    After every local_iteration call it keeps (picks, state.params.copy()).
+    Client k's trajectory is row k of the snapshots whose picks[k] is not
+    None: its parameters after each of its own local steps.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.steps: list[tuple[list, np.ndarray]] = []
+        step = fl.local_iteration
+
+        def recording(state, datasets, picks, *rest):
+            state = step(state, datasets, picks, *rest)
+            self.steps.append((list(picks), state.params.copy()))
+            return state
+
+        monkeypatch.setattr(fl, "local_iteration", recording)
+
+    def take(self) -> list[list[np.ndarray]]:
+        """Each client's trajectory over the steps recorded since the last take, which it clears."""
+        steps, self.steps = self.steps, []
+        clients = len(steps[0][0]) if steps else 0
+        return [[params[k] for picks, params in steps if picks[k] is not None] for k in range(clients)]

@@ -21,7 +21,7 @@ from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_f
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
 from fedgs_sim.model import ArchDescriptor, OptimizerConfig, backward, dice_loss, forward, init_params
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
-from oracles import rasterize_disk
+from oracles import TrajectoryRecorder, rasterize_disk
 from test_model import smooth_fixtures
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -107,8 +107,9 @@ def test_criterion_1_fedavg_reduction_equivalence():
     assert elapsed < 10.0
 
 
-def test_criterion_2_local_trajectory_invariance():
+def test_criterion_2_local_trajectory_invariance(monkeypatch):
     """Per-iteration local params are bitwise strategy-independent, 3 seeds."""
+    recorder = TrajectoryRecorder(monkeypatch)
     start = time.perf_counter()
     mismatches = 0
     iterations = 0
@@ -118,7 +119,7 @@ def test_criterion_2_local_trajectory_invariance():
         global_params = init_params(ArchDescriptor(), seed)
         for round_index in range(3):
             for client_index, dataset in enumerate(datasets):
-                results = {}
+                trajectories = {}
                 for kind in ("fedgs", "fedavg"):
                     strategy = StrategyConfig(
                         kind=kind,
@@ -126,15 +127,16 @@ def test_criterion_2_local_trajectory_invariance():
                         local_epochs=2,
                         difficulty=DESK_DIFFICULTY if kind == "fedgs" else None,
                     )
-                    results[kind] = run_client_round(
+                    run_client_round(
                         global_params,
                         [dataset],
                         strategy,
                         ADAMW,
                         [substream(seed, SHUFFLE_STREAM, round_index, client_index)],
-                        record_trajectory=True,
                     )
-                for a, b in zip(results["fedgs"].trajectory[0], results["fedavg"].trajectory[0]):
+                    (trajectories[kind],) = recorder.take()
+                assert len(trajectories["fedgs"]) == len(trajectories["fedavg"]) > 0
+                for a, b in zip(trajectories["fedgs"], trajectories["fedavg"]):
                     iterations += 1
                     if not np.array_equal(a, b):
                         mismatches += 1
@@ -146,6 +148,7 @@ def test_criterion_2_local_trajectory_invariance():
                 ADAMW,
                 [substream(seed, SHUFFLE_STREAM, round_index, c) for c in range(len(datasets))],
             )
+            recorder.take()  # the shared round's steps are not compared
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 30.0
     report(2, "local-trajectory invariance", ok, f"{iterations} iterations bitwise equal, {elapsed:.1f}s")

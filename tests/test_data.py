@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from fedgs_sim.data import (
+    ClientData,
     ClientDataSpec,
     InfeasibleSpecError,
     build_federation,
     dump_samples,
     generate_client_dataset,
 )
-from fedgs_sim.masks import DifficultyConfig, difficulty_factor
+from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, difficulty_factor
 from fedgs_sim.pgm import read_mask_pgm
 
 
@@ -119,7 +120,46 @@ class TestGeneration:
             dataset.masks[0, 5, 5] = 1
         with pytest.raises(ValueError, match="read-only"):
             dataset.masks[1] = 0
-        assert dataset.images.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.images[0, 5, 5] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.images[2] += 1.0
+
+
+def _with_pixel(value):
+    def corrupt(images, masks, is_small):
+        images[1, 2, 3] = value
+        return images, masks, is_small
+
+    return corrupt
+
+
+# (bad input, the error it raises, a fragment of its message), each applied
+# to a well-formed 4-sample 8x8 client
+BAD_CLIENT_DATA = {
+    "nan-pixel": (_with_pixel(np.nan), ValueError, "non-finite"),
+    "plus-inf-pixel": (_with_pixel(np.inf), ValueError, "non-finite"),
+    "minus-inf-pixel": (_with_pixel(-np.inf), ValueError, "non-finite"),
+    "float32-images": (lambda i, m, s: (i.astype(np.float32), m, s), ValueError, "float64"),
+    "no-samples": (lambda i, m, s: (i[:0], m[:0], s[:0]), ValueError, "non-empty"),
+    "2x2-images": (lambda i, m, s: (i[:, :2, :2], m[:, :2, :2], s), ValueError, "H and W >= 3"),
+    "mask-cell-2": (lambda i, m, s: (i, np.where(m == 1, np.uint8(2), m), s), ValueError, "0s and 1s"),
+    "int64-masks": (lambda i, m, s: (i, m.astype(np.int64), s), ValueError, "uint8"),
+    "mask-shape": (lambda i, m, s: (i, m[:, :, :7], s), ShapeMismatchError, r"mask stack \(4, 8, 7\)"),
+    "is-small-length": (lambda i, m, s: (i, m, s[:3]), ShapeMismatchError, "is_small of shape"),
+}
+
+
+@pytest.mark.parametrize("corrupt, error, message", BAD_CLIENT_DATA.values(), ids=BAD_CLIENT_DATA.keys())
+def test_client_data_rejects_bad_input_at_construction(corrupt, error, message):
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(4, 8, 8))
+    masks = (images > 0).astype(np.uint8)
+    is_small = np.zeros(4, dtype=bool)
+    well_formed = ClientData(images.copy(), masks.copy(), is_small, seed_offset=6)
+    assert not well_formed.images.flags.writeable and not well_formed.masks.flags.writeable
+    with pytest.raises(error, match=f"client 6: .*{message}"):
+        ClientData(*corrupt(images, masks, is_small), seed_offset=6)
 
 
 class TestFederation:

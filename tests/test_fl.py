@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import weighted_rows
+from oracles import TrajectoryRecorder, weighted_rows
 
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.fl import (
@@ -178,7 +178,8 @@ class TestRunClientRound:
             )
             assert np.allclose(result.cumulative_gradient[0], params - result.params[0], rtol=0, atol=1e-13)
 
-    def test_trajectory_recording(self):
+    def test_trajectory_recording(self, monkeypatch):
+        recorder = TrajectoryRecorder(monkeypatch)
         params = init_params(ArchDescriptor(), 9)
         dataset = make_dataset(n=8)
         result = run_client_round(
@@ -187,10 +188,10 @@ class TestRunClientRound:
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
             SGD,
             [substream(2, SHUFFLE_STREAM, 0, 0)],
-            record_trajectory=True,
         )
-        assert len(result.trajectory[0]) == result.steps_this_round[0]
-        assert np.array_equal(result.trajectory[0][-1], result.params[0])
+        (trajectory,) = recorder.take()
+        assert len(trajectory) == result.steps_this_round[0] == 4
+        assert np.array_equal(trajectory[-1], result.params[0])
 
     def test_etas_read_each_batch_deltas_in_shuffled_order(self):
         # 7 samples, batches of 3: the last batch of each epoch holds one sample
@@ -220,6 +221,23 @@ class TestRunClientRound:
         with pytest.raises(ValueError, match="one delta list per client"):
             run_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], client_deltas=[])
 
+    @pytest.mark.parametrize(
+        "strategy, deltas, message",
+        [
+            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None, "client 0: fedgs needs an array"),
+            (StrategyConfig(kind="fedavg"), np.ones(4), "client 0: fedavg needs None"),
+        ],
+        ids=["fedgs-none", "fedavg-array"],
+    )
+    def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas, message):
+        def no_kernel_call(*args):
+            raise AssertionError("backward ran")
+
+        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
+        params = init_params(ArchDescriptor(), 0)
+        with pytest.raises(ValueError, match=message):
+            run_client_round(params, [make_dataset(n=4)], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [deltas])
+
     def test_sample_deltas_score_fedgs_only(self):
         dataset = make_dataset(n=5, small_fraction=0.5)
         fedgs = StrategyConfig(kind="fedgs", difficulty=DIFFICULTY)
@@ -231,34 +249,31 @@ class TestLockstep:
     """A cohort's clients advance together; each must compute what it computes alone."""
 
     @staticmethod
-    def solo_and_cohort(datasets, strategy, optimizer_cfg, seed):
+    def solo_and_cohort(monkeypatch, datasets, strategy, optimizer_cfg, seed):
+        """The cohort's round state, after asserting it bitwise equal to each client's solo run."""
+        recorder = TrajectoryRecorder(monkeypatch)
         params = init_params(ArchDescriptor(), seed)
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
-        cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams(), record_trajectory=True)
-        solo = [
-            run_client_round(params, [dataset], strategy, optimizer_cfg, [rng], record_trajectory=True)
-            for dataset, rng in zip(datasets, streams())
-        ]
-        return cohort, solo
-
-    @staticmethod
-    def assert_bitwise_equal(cohort, solo):
+        cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams())
+        trajectories = recorder.take()
         # row k of the cohort's state is client k; each solo state has one row
-        assert len(cohort.params) == len(cohort.steps_this_round) == len(solo)
-        for k, b in enumerate(solo):
+        assert len(cohort.params) == len(cohort.steps_this_round) == len(trajectories) == len(datasets)
+        for k, (dataset, rng) in enumerate(zip(datasets, streams())):
+            b = run_client_round(params, [dataset], strategy, optimizer_cfg, [rng])
+            (solo_trajectory,) = recorder.take()
             assert cohort.steps_this_round[k] == b.steps_this_round[0] == len(b.etas[0])
+            assert len(trajectories[k]) == len(solo_trajectory) == b.steps_this_round[0]
             assert np.array_equal(cohort.params[k], b.params[0])
             assert np.array_equal(cohort.cumulative_gradient[k], b.cumulative_gradient[0])
             assert cohort.etas[k] == b.etas[0]
-            assert len(cohort.trajectory[k]) == len(b.trajectory[0])
-            assert all(np.array_equal(x, y) for x, y in zip(cohort.trajectory[k], b.trajectory[0]))
+            assert all(np.array_equal(x, y) for x, y in zip(trajectories[k], solo_trajectory))
+        return cohort
 
-    def test_64_clients_match_their_solo_runs(self):
+    def test_64_clients_match_their_solo_runs(self, monkeypatch):
         # 64 x 2 images of 32x32 per step fill two kernel calls
         datasets = [make_dataset(n=4, small_fraction=0.5, offset=c + 1) for c in range(64)]
         strategy = StrategyConfig(kind="fedgs", batch_size=2, local_epochs=2, difficulty=DIFFICULTY)
-        cohort, solo = self.solo_and_cohort(datasets, strategy, ADAMW, seed=3)
-        self.assert_bitwise_equal(cohort, solo)
+        cohort = self.solo_and_cohort(monkeypatch, datasets, strategy, ADAMW, seed=3)
         assert any(eta > 1.0 for etas in cohort.etas for eta in etas)
 
     def test_unequal_clients_with_short_and_missing_batches(self, monkeypatch):
@@ -272,8 +287,7 @@ class TestLockstep:
             return backward(params, images, masks)
 
         monkeypatch.setattr("fedgs_sim.fl.backward", recording_backward)
-        cohort, solo = self.solo_and_cohort(datasets, strategy, ADAMW, seed=5)
-        self.assert_bitwise_equal(cohort, solo)
+        cohort = self.solo_and_cohort(monkeypatch, datasets, strategy, ADAMW, seed=5)
         assert cohort.steps_this_round.tolist() == [6, 4, 6]
         # the cohort's calls, (clients, images) per call: clients whose batches
         # share a shape share a call, and a client with no batch left sits out
@@ -281,17 +295,10 @@ class TestLockstep:
         cohort_calls = [(shape[0], n) for shape, n in calls[: sum(map(len, per_step))]]
         assert cohort_calls == [call for step in per_step for call in step]
 
-    def test_sgd_cohort_matches_solo_runs(self):
+    def test_sgd_cohort_matches_solo_runs(self, monkeypatch):
         datasets = [make_dataset(n=n, offset=c + 1) for c, n in enumerate((5, 8))]
         strategy = StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2)
-        self.assert_bitwise_equal(*self.solo_and_cohort(datasets, strategy, SGD, seed=6))
-
-    def test_nan_in_a_client_dataset_names_the_client(self):
-        datasets = [make_dataset(n=4, offset=c + 1) for c in range(3)]
-        datasets[2].images[1, 5, 5] = np.nan
-        streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(3)]
-        with pytest.raises(ValueError, match=r"client 2: image contains non-finite values at local step 1"):
-            run_client_round(init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams)
+        self.solo_and_cohort(monkeypatch, datasets, strategy, SGD, seed=6)
 
     def test_divergence_names_the_diverging_client(self, monkeypatch):
         def poisoned_step(state, params, grad):
@@ -509,9 +516,10 @@ class TestRunRound:
             run_round(params, [make_dataset()], StrategyConfig(kind="fedavg"), SGD, [])
 
 
-def test_local_trajectory_invariance_microcase():
+def test_local_trajectory_invariance_microcase(monkeypatch):
     # identical inputs and streams: every per-iteration parameter vector is
     # bitwise equal between the two accumulation modes
+    recorder = TrajectoryRecorder(monkeypatch)
     params = init_params(ArchDescriptor(), 21)
     dataset = make_dataset(n=10, small_fraction=0.5, offset=4)
     fedgs = run_client_round(
@@ -520,18 +528,18 @@ def test_local_trajectory_invariance_microcase():
         StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DIFFICULTY),
         ADAMW,
         [substream(8, SHUFFLE_STREAM, 0, 0)],
-        record_trajectory=True,
     )
+    (fedgs_trajectory,) = recorder.take()
     fedavg = run_client_round(
         params,
         [dataset],
         StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
         ADAMW,
         [substream(8, SHUFFLE_STREAM, 0, 0)],
-        record_trajectory=True,
     )
-    assert len(fedgs.trajectory[0]) == len(fedavg.trajectory[0])
-    for a, b in zip(fedgs.trajectory[0], fedavg.trajectory[0]):
+    (fedavg_trajectory,) = recorder.take()
+    assert len(fedgs_trajectory) == len(fedavg_trajectory) == 6
+    for a, b in zip(fedgs_trajectory, fedavg_trajectory):
         assert np.array_equal(a, b)
     # and the cumulative gradients DO differ (scaling went somewhere)
     assert any(eta > 1.0 for eta in fedgs.etas[0])

@@ -220,11 +220,6 @@ class TestEvaluate:
         assert scored == calls  # one dice_score call per forward chunk
         assert report.dice == 1.0
 
-    def test_rejects_empty_test_set(self):
-        empty = ClientData(np.zeros((0, 8, 8)), np.zeros((0, 8, 8), np.uint8), np.zeros(0, bool), seed_offset=0)
-        with pytest.raises(ValueError):
-            evaluate(np.zeros(77), empty, [])
-
     def test_rejects_groups_of_another_length(self):
         samples = self.samples_for(disk_mask(2.5))
         with pytest.raises(ValueError, match="2 group tags for 1 test samples"):
