@@ -11,7 +11,8 @@ samples exactly.
 Generation is deterministic: sample i of client c uses the stream keyed by
 (experiment_seed, DATA_STREAM, c, i), with a fixed draw order (small-or-large
 coin, lesion count, then radius/center-row/center-col per lesion, then the
-noise field).
+noise field). Each image is drawn in float64 and stored as float32, the dtype
+the model's kernel computes in.
 """
 
 from __future__ import annotations
@@ -79,16 +80,16 @@ class ClientData:
     well formed and never changes.
     """
 
-    images: np.ndarray  # (n, H, W) float64, n >= 1, H and W >= 3, finite
+    images: np.ndarray  # (n, H, W) float32, n >= 1, H and W >= 3, finite
     masks: np.ndarray  # (n, H, W) uint8 of 0s and 1s
     is_small: np.ndarray  # (n,) bool, the construction-time ground truth
     seed_offset: int
 
     def __post_init__(self) -> None:
         images, masks, client = self.images, self.masks, f"client {self.seed_offset}"
-        if images.dtype != np.float64 or images.ndim != 3 or not len(images) or min(images.shape[1:]) < 3:
+        if images.dtype != np.float32 or images.ndim != 3 or not len(images) or min(images.shape[1:]) < 3:
             raise ValueError(
-                f"{client}: images must be a non-empty (n, H, W) float64 stack with H and W >= 3, "
+                f"{client}: images must be a non-empty (n, H, W) float32 stack with H and W >= 3, "
                 f"got {images.dtype} of shape {images.shape}"
             )
         # NaN propagates through min and max: two scalars check every pixel
@@ -137,7 +138,7 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> Clien
     """Generate the client's samples; bit-identical across runs for the same inputs."""
     _check_feasible(spec)
     height, width = spec.image_size
-    images = np.empty((spec.n_samples, height, width))
+    images = np.empty((spec.n_samples, height, width), dtype=np.float32)
     masks = np.zeros((spec.n_samples, height, width), dtype=np.uint8)
     is_small = np.empty(spec.n_samples, dtype=bool)
     bad_pixels = 0
@@ -156,10 +157,10 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> Clien
             cx = int(rng.integers(margin, width - margin))
             _stamp_disk(mask, cy, cx, radius)
 
-        image = images[index]
-        image[:] = rng.normal(0.0, spec.noise_std, size=(height, width))
+        image = rng.normal(0.0, spec.noise_std, size=(height, width))
         fg = mask == 1
         image[fg] += spec.lesion_intensity
+        images[index] = image
         foreground_pixels += int(fg.sum())
         bad_pixels += int((image[fg] < spec.lesion_intensity - 5.0 * spec.noise_std).sum())
 

@@ -146,15 +146,22 @@ def local_iteration(
     and one optimizer step updates every training client's row. Under fedgs
     the decrement added to a client's cumulative gradient is scaled by the
     eta of client_deltas[k][picks[k]] (client_deltas[k] is its sample_deltas);
-    under fedavg eta is 1. A non-finite gradient or updated parameter vector
-    raises DivergenceError naming the client and the step.
+    under fedavg eta is 1. An active client's deltas must be an array under
+    fedgs and None under fedavg, checked before any kernel call. A non-finite
+    gradient or updated parameter vector raises DivergenceError naming the
+    client and the step.
     """
     if len(picks) != len(state.params):
         raise ValueError(f"{len(picks)} batches for a cohort of {len(state.params)} clients")
     active = [k for k, idx in enumerate(picks) if idx is not None]
     if not active:
         raise ValueError("no client has a batch")
+    fedgs = strategy.kind == "fedgs"
     for k in active:
+        if (client_deltas[k] is None) == fedgs:
+            need = "an array" if fedgs else "None"
+            got = type(client_deltas[k]).__name__
+            raise ValueError(f"client {k}: {strategy.kind} needs {need} for its deltas, got {got}")
         if not len(picks[k]):
             raise ValueError("batch must be non-empty")
         if len(picks[k]) > strategy.batch_size:
@@ -183,7 +190,6 @@ def local_iteration(
             raise DivergenceError(f"client {client}: non-finite {what} at local step {step}")
 
     # eta is 1 under fedavg; short final batches use their true length as N
-    fedgs = strategy.kind == "fedgs"
     etas = [batch_scaling_factor(client_deltas[k][picks[k]], len(picks[k])) if fedgs else 1.0 for k in active]
     for k, eta in zip(active, etas):
         state.etas[k].append(eta)
@@ -228,11 +234,7 @@ def run_client_round(
         client_deltas = [sample_deltas(dataset, strategy) for dataset in datasets]
     elif len(client_deltas) != len(datasets):
         raise ValueError("need one delta list per client")
-    fedgs = strategy.kind == "fedgs"
-    for k, (dataset, deltas) in enumerate(zip(datasets, client_deltas)):
-        if (deltas is None) == fedgs:
-            need = "an array" if fedgs else "None"
-            raise ValueError(f"client {k}: {strategy.kind} needs {need} for its deltas, got {type(deltas).__name__}")
+    for dataset, deltas in zip(datasets, client_deltas):
         if deltas is not None and len(deltas) != len(dataset):
             raise ValueError(f"{len(deltas)} deltas for a client of {len(dataset)} samples")
 

@@ -6,7 +6,10 @@ federated layer can treat models as plain vectors. The backward pass is written
 out by hand and checked against finite differences in the test suite. forward
 and backward take one image or an (N, H, W) stack; backward returns the mean
 of the samples' gradients, and also takes (K, P) parameter rows, one per
-client, to train K clients' batches in one call.
+client, to train K clients' batches in one call. Both compute in float32 on a
+float32 stack (the client data's dtype) and in float64 on any other; the
+parameters and the gradient stay float64 either way, as master weights do in
+mixed-precision training.
 """
 
 from __future__ import annotations
@@ -82,13 +85,14 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
 # Pixels per kernel call that callers fill their stacks up to: four 64x64
 # images. The kernel's work memory holds 15 planes per stacked image at the
 # default 4 hidden channels, and no pad cells, so a call of this size keeps
-# at most 1.97 MB of it.
+# at most 1.97 MB of it on a float64 stack and 0.985 MB on a float32 one.
 KERNEL_PIXELS = 16384
 
 
 def _as_stack(images: np.ndarray) -> np.ndarray:
-    """A 2-D image or an (N, H, W) stack as a validated float64 (N, H, W) stack."""
-    x = np.asarray(images, dtype=np.float64)
+    """A 2-D image or an (N, H, W) stack as a validated (N, H, W) stack: float32 kept, anything else float64."""
+    x = np.asarray(images)
+    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
     if x.ndim not in (2, 3) or x.size == 0 or x.shape[-2] < 3 or x.shape[-1] < 3:
         raise ValueError(f"image must be 2D or an (N, H, W) stack, at least 3x3, got shape {x.shape}")
     if not np.isfinite(x).all():
@@ -99,14 +103,15 @@ def _as_stack(images: np.ndarray) -> np.ndarray:
 def _conv1(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor) -> np.ndarray:
     """Hidden pre-activations z1 (K, C, N/K, H, W) of an (N, H, W) stack, in the "hidden" role.
 
-    Group k of the stack goes through row k of the (K, P) parameters. The
-    hidden layer is group-major, then channel-major, so that each group's
-    channel is one contiguous row of the matmuls.
+    Group k of the stack goes through row k of the (K, P) parameters, which
+    are in the stack's dtype. The hidden layer is group-major, then
+    channel-major, so that each group's channel is one contiguous row of the
+    matmuls.
     """
     groups, c = len(params), arch.hidden_channels
     k1, b1, _, _ = arch.unpack(params)
     n, height, width = x.shape
-    z1 = shifts.WORKSPACE.array("hidden", groups, c, n // groups, height, width)
+    z1 = shifts.WORKSPACE.array("hidden", groups, c, n // groups, height, width, dtype=x.dtype)
     np.matmul(k1.reshape(groups, c, 9), shifts.shift_stack(x, groups), out=z1.reshape(groups, c, -1))
     z1 += b1[:, :, None, None, None]
     return z1
@@ -124,11 +129,11 @@ def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor) -> np.ndarr
     """
     groups, c, per_group, height, width = a1.shape
     _, _, k2, b2 = arch.unpack(params)
-    mixed = shifts.WORKSPACE.array("nine", groups, 9, per_group, height, width)
+    mixed = shifts.WORKSPACE.array("nine", groups, 9, per_group, height, width, dtype=a1.dtype)
     flat = mixed.reshape(groups, 9, -1)
     np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=flat)
     shifts.zero_edges(mixed, -1, 0)
-    out, z2, starts = shifts.guarded("out", groups * per_group, height, width)
+    out, z2, starts = shifts.guarded("out", groups * per_group, height, width, a1.dtype)
     z2.reshape(groups, -1)[...] = b2[:, None]
     for s, start in enumerate(starts[::-1]):
         out[start : start + z2.size].reshape(groups, -1)[...] += flat[:, s]
@@ -138,9 +143,9 @@ def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor) -> np.ndarr
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) in a new array: negate, exp, +1, reciprocal.
 
-    Below z of about -709, exp(-z) overflows to inf and the result is exactly
-    0.0; above about 37 it is exactly 1.0. The overflow is the intended
-    saturation, so it warns of nothing.
+    Below z of about -709 (-88 in float32), exp(-z) overflows to inf and the
+    result is exactly 0.0; above about 37 (17) it is exactly 1.0. The overflow
+    is the intended saturation, so it warns of nothing.
     """
     p = np.negative(z)
     with np.errstate(over="ignore"):
@@ -163,14 +168,15 @@ def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor):
 def forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Per-pixel foreground probabilities, shaped like the input (H x W, or N x H x W).
 
-    Rejects non-finite parameters: a diverged model would otherwise score as
-    an all-background prediction, since NaN never clears a threshold.
+    They are float32 for a float32 input and float64 for any other. Rejects
+    non-finite parameters: a diverged model would otherwise score as an
+    all-background prediction, since NaN never clears a threshold.
     """
     arch = infer_arch(params)
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
-    z2, _ = _forward_stack(params.reshape(1, -1), x, arch)
+    z2, _ = _forward_stack(params.reshape(1, -1).astype(x.dtype, copy=False), x, arch)
     return _sigmoid(z2).reshape(np.shape(images))
 
 
@@ -198,11 +204,12 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     equal groups of consecutive images, group k is client k's batch, and row
     k of the (K, P) result is bitwise what a call on row k and group k alone
     returns. Flat (P,) parameters are the K = 1 case. The masks of the whole
-    stack are validated in one call.
+    stack are validated in one call. The pass computes in the stack's dtype,
+    float32 or float64, with the rows cast to it once; the gradient is float64.
 
-    Work memory is the shared shifts.WORKSPACE, whose four roles are each
-    overwritten in place as the pass goes on; a role is taken again only
-    once nothing reads what it held:
+    Work memory is the shared shifts.WORKSPACE, in the stack's dtype, whose
+    four roles are each overwritten in place as the pass goes on; a role is
+    taken again only once nothing reads what it held:
       "guarded" the guarded flat copy of the stack being shifted: x, then g2,
                 then x again
       "nine"    a nine-plane stack per group: x's shifts (conv1), then the
@@ -213,16 +220,16 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     prob, m (later g2) and the gradient are arrays of their own.
     """
     arch = infer_arch(params)
-    rows = params.reshape(-1, params.shape[-1])
-    groups = len(rows)
     x = _as_stack(images)
+    rows = params.reshape(-1, params.shape[-1]).astype(x.dtype, copy=False)
+    groups = len(rows)
     masks = np.asarray(masks)
     if masks.shape != np.shape(images):
         raise ShapeMismatchError(f"image shape {np.shape(images)} != mask shape {masks.shape}")
     n, height, width = x.shape
     if n % groups:
         raise ShapeMismatchError(f"a stack of {n} images does not split into {groups} equal groups")
-    m = validate_mask(masks.reshape(-1, width)).reshape(x.shape).astype(np.float64)
+    m = validate_mask(masks.reshape(-1, width)).reshape(x.shape).astype(x.dtype)
     z2, a1 = _forward_stack(rows, x, arch)
     prob = _sigmoid(z2)
 

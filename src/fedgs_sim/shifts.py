@@ -19,30 +19,33 @@ class Workspace:
     temporaries. Allocated afresh on every call, they come back from the
     operating system as new pages each time, and the page faults cost more
     than the arithmetic on them. model.backward lists which role holds what.
+    Each role keeps one buffer per dtype: float32 stacks take float32 memory,
+    and a stack of any other dtype takes float64 memory.
     """
 
     def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
 
-    def array(self, role: str, *shape: int) -> np.ndarray:
-        """An uninitialised float64 array of `shape`, in the memory kept for `role`.
+    def array(self, role: str, *shape: int, dtype: np.dtype) -> np.ndarray:
+        """An uninitialised float32 or float64 array of `shape`, in the memory kept for (`role`, dtype).
 
-        A role's memory grows to the largest shape asked of it, and every
-        array taken from a role overlaps the previous one.
+        Memory grows to the largest shape asked of it, and every array taken
+        from it overlaps the previous one.
         """
+        key = (role, np.dtype(np.float32 if dtype == np.float32 else np.float64))
         size = math.prod(shape)
-        if role not in self._buffers or self._buffers[role].size < size:
-            self._buffers.pop(role, None)  # free the smaller buffer before allocating its successor
-            self._buffers[role] = np.empty(size)
-        return self._buffers[role][:size].reshape(shape)
+        if key not in self._buffers or self._buffers[key].size < size:
+            self._buffers.pop(key, None)  # free the smaller buffer before allocating its successor
+            self._buffers[key] = np.empty(size, key[1])
+        return self._buffers[key][:size].reshape(shape)
 
 
 # Kernel calls and morphology calls never nest, so one workspace serves them all.
 WORKSPACE = Workspace()
 
 
-def guarded(role: str, n: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """A flat buffer for an (N, H, W) stack, its interior, and the nine shift starts.
+def guarded(role: str, n: int, height: int, width: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """A flat buffer for an (N, H, W) stack of `dtype`, its interior, and the nine shift starts.
 
     The interior has W + 1 zeros on each side. Shift s = (di, dj), i.e.
     (h + di - 1, w + dj - 1) of every pixel, is the contiguous slice at start
@@ -51,7 +54,7 @@ def guarded(role: str, n: int, height: int, width: int) -> tuple[np.ndarray, np.
     wraps onto the next row or image.
     """
     guard = width + 1
-    buffer = WORKSPACE.array(role, n * height * width + 2 * guard)
+    buffer = WORKSPACE.array(role, n * height * width + 2 * guard, dtype=dtype)
     buffer[:guard] = buffer[-guard:] = 0.0
     return buffer, buffer[guard:-guard], [guard + (di - 1) * width + (dj - 1) for di in range(3) for dj in range(3)]
 
@@ -73,12 +76,13 @@ def shift_stack(x: np.ndarray, groups: int = 1, flip: bool = False) -> np.ndarra
     that group's images; with flip, row s holds shift 8 - s, i.e.
     (2-di, 2-dj), the order in which the transposed convolution reads its
     input, and so wraps on the opposite edges. The stack lives in the
-    workspace's "nine" role.
+    workspace's "nine" role, in float32 for a float32 stack and in float64
+    for any other.
     """
     n, height, width = x.shape
-    buffer, interior, starts = guarded("guarded", n, height, width)
+    buffer, interior, starts = guarded("guarded", n, height, width, x.dtype)
     interior[...] = x.reshape(-1)
-    out = WORKSPACE.array("nine", groups, 9, n // groups, height, width)
+    out = WORKSPACE.array("nine", groups, 9, n // groups, height, width, dtype=x.dtype)
     flat = out.reshape(groups, 9, -1)
     for s, start in enumerate(starts[::-1] if flip else starts):
         flat[:, s] = buffer[start : start + x.size].reshape(groups, -1)

@@ -14,6 +14,7 @@ from collections import deque
 import numpy as np
 
 from fedgs_sim import fl
+from fedgs_sim.rng import DATA_STREAM, substream
 
 SQUARE3_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 CROSS3_OFFSETS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
@@ -117,6 +118,31 @@ def conv_logits(params: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.n
             for dj in range(3):
                 z2 += k2[ch, di, dj] * hidden[ch, di : di + height, dj : dj + width]
     return z1, z2
+
+
+def replayed_images(spec, experiment_seed: int) -> np.ndarray:
+    """A client's (n, H, W) images in float64, by replaying the generator's documented draw order.
+
+    Per sample: the small-or-large coin, the lesion count, then radius,
+    centre row and centre column per lesion, then the noise field, to which
+    the lesion intensity is added on the union of the disks.
+    """
+    height, width = spec.image_size
+    images = np.empty((spec.n_samples, height, width))
+    for index in range(spec.n_samples):
+        rng = substream(experiment_seed, DATA_STREAM, spec.seed_offset, index)
+        small = rng.random() < spec.small_fraction
+        r_lo, r_hi = spec.small_radius_range if small else spec.large_radius_range
+        foreground = np.zeros((height, width), dtype=bool)
+        for _ in range(int(rng.integers(spec.lesions_per_image[0], spec.lesions_per_image[1] + 1))):
+            radius = float(rng.uniform(r_lo, r_hi))
+            margin = int(np.ceil(radius))
+            cy = int(rng.integers(margin, height - margin))
+            cx = int(rng.integers(margin, width - margin))
+            foreground |= rasterize_disk(height, width, cy, cx, radius).astype(bool)
+        images[index] = rng.normal(0.0, spec.noise_std, size=(height, width))
+        images[index][foreground] += spec.lesion_intensity
+    return images
 
 
 def weighted_rows(rows: np.ndarray, weights) -> np.ndarray:

@@ -358,7 +358,7 @@ def test_criterion_9_metric_properties():
     spec = desk_spec(n_samples=40, small_fraction=0.4, seed_offset=9)
     generated = generate_client_dataset(spec, 5)
     samples = ClientData(  # plus two empty samples
-        images=np.concatenate([generated.images, np.zeros((2, 16, 16))]),
+        images=np.concatenate([generated.images, np.zeros((2, 16, 16), dtype=np.float32)]),
         masks=np.concatenate([generated.masks, np.zeros((2, 16, 16), dtype=np.uint8)]),
         is_small=np.concatenate([generated.is_small, [False, False]]),
         seed_offset=9,

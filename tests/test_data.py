@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import replayed_images
 
 from fedgs_sim.data import (
     ClientData,
@@ -113,6 +114,12 @@ class TestGeneration:
             violations += int((image[fg] < spec.lesion_intensity - 5 * spec.noise_std).sum())
         assert violations <= 0.001 * foreground
 
+    @pytest.mark.parametrize("seed, offset, size", [(7, 3, (32, 32)), (2, 0, (20, 28)), (5, 11, (64, 64))])
+    def test_images_are_the_float64_draws_stored_as_float32(self, seed, offset, size):
+        spec = make_spec(n_samples=12, image_size=size, small_fraction=0.5, seed_offset=offset)
+        images = generate_client_dataset(spec, seed).images
+        assert images.dtype == np.float32
+        assert images.tobytes() == replayed_images(spec, seed).astype(np.float32).tobytes()
 
     def test_masks_are_read_only(self):
         dataset = generate_client_dataset(make_spec(n_samples=3), 4)
@@ -140,7 +147,7 @@ BAD_CLIENT_DATA = {
     "nan-pixel": (_with_pixel(np.nan), ValueError, "non-finite"),
     "plus-inf-pixel": (_with_pixel(np.inf), ValueError, "non-finite"),
     "minus-inf-pixel": (_with_pixel(-np.inf), ValueError, "non-finite"),
-    "float32-images": (lambda i, m, s: (i.astype(np.float32), m, s), ValueError, "float64"),
+    "float64-images": (lambda i, m, s: (i.astype(np.float64), m, s), ValueError, "float32"),
     "no-samples": (lambda i, m, s: (i[:0], m[:0], s[:0]), ValueError, "non-empty"),
     "2x2-images": (lambda i, m, s: (i[:, :2, :2], m[:, :2, :2], s), ValueError, "H and W >= 3"),
     "mask-cell-2": (lambda i, m, s: (i, np.where(m == 1, np.uint8(2), m), s), ValueError, "0s and 1s"),
@@ -153,7 +160,7 @@ BAD_CLIENT_DATA = {
 @pytest.mark.parametrize("corrupt, error, message", BAD_CLIENT_DATA.values(), ids=BAD_CLIENT_DATA.keys())
 def test_client_data_rejects_bad_input_at_construction(corrupt, error, message):
     rng = np.random.default_rng(0)
-    images = rng.normal(size=(4, 8, 8))
+    images = rng.normal(size=(4, 8, 8)).astype(np.float32)
     masks = (images > 0).astype(np.uint8)
     is_small = np.zeros(4, dtype=bool)
     well_formed = ClientData(images.copy(), masks.copy(), is_small, seed_offset=6)

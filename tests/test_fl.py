@@ -124,6 +124,34 @@ class TestLocalIteration:
                 fresh_state(params), [batch], [np.arange(6)], StrategyConfig(kind="fedavg", batch_size=4), [None]
             )
 
+    @pytest.mark.parametrize(
+        "strategy, deltas, message",
+        [
+            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None, "client 1: fedgs needs an array"),
+            (StrategyConfig(kind="fedavg"), np.ones(4), "client 1: fedavg needs None"),
+        ],
+        ids=["fedgs-none", "fedavg-array"],
+    )
+    def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas, message):
+        # called directly, outside run_client_round: client 0 is well formed,
+        # active client 1 has the other strategy's deltas
+        calls = []
+
+        def counting_backward(*args):
+            calls.append(args)
+            return backward(*args)
+
+        monkeypatch.setattr("fedgs_sim.fl.backward", counting_backward)
+        dataset = make_dataset(n=4)
+        state = ClientState.start(init_params(ArchDescriptor(), 0), 2, SGD)
+        picks = [np.arange(4), np.arange(4)]
+        with pytest.raises(ValueError, match=message):
+            local_iteration(state, [dataset, dataset], picks, strategy, [sample_deltas(dataset, strategy), deltas])
+        assert calls == []
+        # a client that sits the step out is not checked
+        local_iteration(state, [dataset, dataset], [picks[0], None], strategy, [sample_deltas(dataset, strategy), deltas])
+        assert len(calls) == 1
+
 
 class TestRunClientRound:
     def test_step_count(self):

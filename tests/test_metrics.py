@@ -136,7 +136,7 @@ class TestEvaluate:
         """A test set of `masks`; image i is images[i], or mask i as floats when that is None or absent."""
         images = images or [None] * len(masks)
         return ClientData(
-            images=np.stack([m.astype(np.float64) if im is None else im for m, im in zip(masks, images)]),
+            images=np.stack([m if im is None else im for m, im in zip(masks, images)], dtype=np.float32),
             masks=np.stack(masks),
             is_small=np.zeros(len(masks), dtype=bool),
             seed_offset=0,

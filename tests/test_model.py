@@ -218,9 +218,9 @@ class TestImageEdges:
     def test_stack_forward_equals_solo_calls(self, size):
         params, images, _ = edge_fixture(5, size, seed=2)
         images[2::2] *= 40.0
-        stacked = forward(params, images)
-        for image, prob in zip(images, stacked):
-            assert np.array_equal(forward(params, image), prob)
+        for stack in (images, images.astype(np.float32)):
+            for image, prob in zip(stack, forward(params, stack)):
+                assert np.array_equal(forward(params, image), prob)
 
     @pytest.mark.parametrize("size", EDGE_SIZES)
     @pytest.mark.parametrize("clients", [2, 5])
@@ -228,10 +228,49 @@ class TestImageEdges:
         batch = 2
         params, images, masks = edge_fixture(clients * batch, size, seed=clients)
         rows = np.stack([params + 0.01 * k for k in range(clients)])
-        grad = backward(rows, images, masks)
-        for k in range(clients):
-            group = slice(k * batch, (k + 1) * batch)
-            assert np.array_equal(grad[k], backward(rows[k], images[group], masks[group]))
+        for stack in (images, images.astype(np.float32)):
+            grad = backward(rows, stack, masks)
+            for k in range(clients):
+                group = slice(k * batch, (k + 1) * batch)
+                assert np.array_equal(grad[k], backward(rows[k], stack[group], masks[group]))
+
+
+# float32 keeps 24 bits of mantissa (eps 1.2e-7). The float32 pass rounds
+# every input pixel and every intermediate, and its reductions run over up to
+# 16 * 32 * 32 pixels. The bounds allow about 80 eps of the row's gradient
+# norm per gradient entry and 8 eps per probability; the largest errors on
+# these fixtures are about 1.5 eps and 1 eps.
+GRAD_RTOL_FLOAT32 = 1e-5
+PROB_ATOL_FLOAT32 = 1e-6
+
+
+class TestFloat32Kernel:
+    """A float32 stack computes in float32 and stays close to the float64 call on the same stack."""
+
+    @pytest.mark.parametrize("n, size", [(1, (8, 8)), (4, (12, 13)), (16, (32, 32))])
+    @pytest.mark.parametrize("rows", [False, True], ids=["flat", "rows"])
+    def test_backward_matches_float64_within_tolerance(self, n, size, rows):
+        params, images, masks = stack_fixture(n, seed=n, size=size)
+        if rows:  # one row per client, up to 4 clients
+            params = np.stack([params + 0.01 * k for k in range(min(4, n))])
+        exact = backward(params, images, masks)
+        grad = backward(params, images.astype(np.float32), masks)
+        assert grad.dtype == np.float64 and grad.shape == params.shape
+        for row, exact_row in zip(grad.reshape(-1, params.shape[-1]), exact.reshape(-1, params.shape[-1])):
+            assert np.abs(row - exact_row).max() <= GRAD_RTOL_FLOAT32 * np.linalg.norm(exact_row)
+
+    @pytest.mark.parametrize("n, size", [(1, (8, 8)), (4, (12, 13)), (16, (32, 32))])
+    def test_forward_matches_float64_within_tolerance(self, n, size):
+        params, images, _ = stack_fixture(n, seed=n, size=size)
+        prob = forward(params, images.astype(np.float32))
+        assert prob.dtype == np.float32 and prob.shape == images.shape
+        assert np.abs(prob - forward(params, images)).max() <= PROB_ATOL_FLOAT32
+
+    def test_images_of_other_dtypes_compute_in_float64(self):
+        params, images, masks = stack_fixture(2)
+        ints = np.rint(images * 4).astype(np.int16)
+        assert forward(params, ints).dtype == np.float64
+        assert np.array_equal(backward(params, ints, masks), backward(params, ints.astype(np.float64), masks))
 
 
 class TestStackedKernel:
@@ -288,9 +327,15 @@ class TestStackedKernel:
             backward(params, images, np.zeros(shape, dtype=np.uint8))
 
     def test_reused_work_memory_gives_the_same_results(self, monkeypatch):
-        # shapes that grow, shrink and return, with the kept work memory
-        # poisoned before each call: stale values must never leak in
-        cases = [stack_fixture(n, seed=n, size=size) for n, size in [(4, (12, 12)), (2, (16, 9)), (1, (5, 5)), (4, (12, 12))]]
+        # shapes that grow, shrink and return, in both dtypes, with the kept
+        # work memory of every (role, dtype) poisoned before each call: stale
+        # values must never leak in
+        shapes = [(4, (12, 12)), (2, (16, 9)), (1, (5, 5)), (4, (12, 12))]
+        cases = []
+        for dtype in (np.float64, np.float32, np.float64, np.float32):
+            for n, size in shapes:
+                params, images, masks = stack_fixture(n, seed=n, size=size)
+                cases.append((params, images.astype(dtype), masks))
 
         def kernel_results():
             results = []
@@ -310,13 +355,19 @@ class TestStackedKernel:
             assert np.array_equal(prob, fresh_prob)
 
     def test_work_memory_within_documented_figure(self, monkeypatch):
-        # the figure in the comment on model.KERNEL_PIXELS, for calls of that size
+        # the figures in the comment on model.KERNEL_PIXELS, for calls of that
+        # size: float64 and float32 stacks each keep work memory of their own
         monkeypatch.setattr(shifts, "WORKSPACE", shifts.Workspace())
         params = init_params(ArchDescriptor(), 0)
-        for rows, shape in [(params, (4, 64, 64)), (np.stack([params] * 4), (16, 32, 32))]:
-            assert math.prod(shape) == model.KERNEL_PIXELS
-            backward(rows, np.ones(shape), np.zeros(shape, dtype=np.uint8))
-        assert sum(buffer.nbytes for buffer in shifts.WORKSPACE._buffers.values()) <= 1.97e6
+        for dtype in (np.float64, np.float32):
+            for rows, shape in [(params, (4, 64, 64)), (np.stack([params] * 4), (16, 32, 32))]:
+                assert math.prod(shape) == model.KERNEL_PIXELS
+                backward(rows, np.ones(shape, dtype=dtype), np.zeros(shape, dtype=np.uint8))
+        kept = {np.dtype(np.float64): 0, np.dtype(np.float32): 0}
+        for buffer in shifts.WORKSPACE._buffers.values():
+            kept[buffer.dtype] += buffer.nbytes
+        assert 0 < kept[np.dtype(np.float64)] <= 1.97e6
+        assert 0 < kept[np.dtype(np.float32)] <= 0.985e6
 
     def test_forward_rejects_non_finite_params(self):
         params, images, _ = stack_fixture(2)
