@@ -33,6 +33,7 @@ from .model import (
     OptimizerConfig,
     OptimizerState,
     backward,
+    float32_overflow_row,
     init_optimizer_state,
     optimizer_step,
 )
@@ -43,7 +44,11 @@ class EmptyFederationError(ValueError):
 
 
 class DivergenceError(ValueError):
-    """A gradient, a local parameter vector or an aggregate is not finite."""
+    """A gradient, a local parameter vector or an aggregate is not finite.
+
+    A local parameter vector beyond float32's largest value, which the
+    float32 kernel cannot take, counts as diverged too.
+    """
 
 
 @dataclass(frozen=True)
@@ -147,9 +152,10 @@ def local_iteration(
     the decrement added to a client's cumulative gradient is scaled by the
     eta of client_deltas[k][picks[k]] (client_deltas[k] is its sample_deltas);
     under fedavg eta is 1. An active client's deltas must be an array under
-    fedgs and None under fedavg, checked before any kernel call. A non-finite
-    gradient or updated parameter vector raises DivergenceError naming the
-    client and the step.
+    fedgs and None under fedavg, checked before any kernel call. A parameter
+    vector that a kernel call's float32 stack cannot hold (checked before
+    that call), a non-finite gradient or a non-finite updated parameter
+    vector raises DivergenceError naming the client and the step.
     """
     if len(picks) != len(state.params):
         raise ValueError(f"{len(picks)} batches for a cohort of {len(state.params)} clients")
@@ -166,27 +172,31 @@ def local_iteration(
             raise ValueError("batch must be non-empty")
         if len(picks[k]) > strategy.batch_size:
             raise ValueError(f"batch of {len(picks[k])} exceeds configured size {strategy.batch_size}")
-    taken = set(state.steps_this_round[active].tolist())
-    if len(taken) > 1:
-        raise ValueError(f"clients on different local steps {sorted(taken)} cannot advance in lockstep")
-    step = taken.pop() + 1
+    # every client trains on most steps: a slice then indexes the cohort's
+    # rows as views
+    rows = slice(None) if len(active) == len(state.params) else np.asarray(active)
+    taken = state.steps_this_round[rows]
+    if taken.min() != taken.max():
+        raise ValueError(f"clients on different local steps {np.unique(taken).tolist()} cannot advance in lockstep")
+    step = int(taken[0]) + 1
 
-    rows = np.asarray(active)
     params = state.params[rows]
     grad = np.empty_like(params)
     for at in _kernel_calls([(len(picks[k]), *datasets[k].images.shape[1:]) for k in active]):
         clients = [active[j] for j in at]
         images = np.concatenate([datasets[k].images[picks[k]] for k in clients])
         masks = np.concatenate([datasets[k].masks[picks[k]] for k in clients])
+        row = float32_overflow_row(params[at], images.dtype)
+        if row is not None:
+            raise DivergenceError(f"client {clients[row]}: local parameters beyond float32's range at local step {step}")
         grad[at] = backward(params[at], images, masks)
     optimizer = state.optimizer
     if optimizer.m is not None:
         optimizer = replace(optimizer, m=optimizer.m[rows], v=optimizer.v[rows])
     new_params, new_opt = optimizer_step(optimizer, params, grad)
     for what, vectors in (("gradient", grad), ("local parameters", new_params)):
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            client = active[int(np.argmin(finite))]
+        if not np.isfinite(vectors).all():
+            client = active[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
             raise DivergenceError(f"client {client}: non-finite {what} at local step {step}")
 
     # eta is 1 under fedavg; short final batches use their true length as N
@@ -195,7 +205,7 @@ def local_iteration(
         state.etas[k].append(eta)
 
     decrement = params - new_params
-    state.cumulative_gradient[rows] = state.cumulative_gradient[rows] + np.asarray(etas)[:, None] * decrement
+    state.cumulative_gradient[rows] += np.asarray(etas)[:, None] * decrement
     state.params[rows] = new_params
     if new_opt.m is not None:
         state.optimizer.m[rows] = new_opt.m

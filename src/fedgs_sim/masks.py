@@ -132,7 +132,7 @@ def _morph(arr: np.ndarray, element: StructuringElement, iterations: int, reduce
     out = arr
     for _ in range(iterations):
         # zero outside the image: erosion eats into the border, dilation adds nothing there
-        out = reduce(shift_stack(out[None])[0, _ELEMENTS[element]], axis=0).reshape(arr.shape)
+        out = reduce(shift_stack(out[None])[_ELEMENTS[element]], axis=0).reshape(arr.shape)
     return out.astype(np.uint8)
 
 

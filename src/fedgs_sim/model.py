@@ -14,7 +14,7 @@ mixed-precision training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -83,10 +83,13 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
 
 
 # Pixels per kernel call that callers fill their stacks up to: four 64x64
-# images. The kernel's work memory holds 15 planes per stacked image at the
-# default 4 hidden channels, and no pad cells, so a call of this size keeps
-# at most 1.97 MB of it on a float64 stack and 0.985 MB on a float32 one.
+# images. The kernel's work memory holds 24 planes per stacked image at the
+# default 4 hidden channels (two nine-plane shift stacks, the hidden layer
+# and two guarded planes), and no pad cells, so a call of this size keeps at
+# most 3.148 MB of it on a float64 stack and 1.574 MB on a float32 one.
 KERNEL_PIXELS = 16384
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _as_stack(images: np.ndarray) -> np.ndarray:
@@ -100,44 +103,48 @@ def _as_stack(images: np.ndarray) -> np.ndarray:
     return x.reshape(-1, *x.shape[-2:])
 
 
-def _conv1(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor) -> np.ndarray:
-    """Hidden pre-activations z1 (K, C, N/K, H, W) of an (N, H, W) stack, in the "hidden" role.
+def _per_group(planes: np.ndarray, groups: int) -> np.ndarray:
+    """The (K, 9, M) view, one nine-row matrix per group, of shift-major (9, K*M) planes."""
+    return planes.reshape(9, groups, -1).transpose(1, 0, 2)
 
-    Group k of the stack goes through row k of the (K, P) parameters, which
-    are in the stack's dtype. The hidden layer is group-major, then
-    channel-major, so that each group's channel is one contiguous row of the
-    matmuls.
+
+def _conv1(k1: np.ndarray, b1: np.ndarray, planes: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
+    """Hidden pre-activations z1 (K, C, N/K, H, W) from the (9, N*H*W) shifts of an (N, H, W) stack, in the "hidden" role.
+
+    Group k of the stack goes through row k of the (K, C, 3, 3) kernels and
+    (K, C) biases, which are in the stack's dtype. The hidden layer is
+    group-major, then channel-major, so that each group's channel is one
+    contiguous row of the matmuls.
     """
-    groups, c = len(params), arch.hidden_channels
-    k1, b1, _, _ = arch.unpack(params)
-    n, height, width = x.shape
-    z1 = shifts.WORKSPACE.array("hidden", groups, c, n // groups, height, width, dtype=x.dtype)
-    np.matmul(k1.reshape(groups, c, 9), shifts.shift_stack(x, groups), out=z1.reshape(groups, c, -1))
+    groups, c = k1.shape[:2]
+    n, height, width = x_shape
+    z1 = shifts.WORKSPACE.array("hidden", groups, c, n // groups, height, width, dtype=planes.dtype)
+    np.matmul(k1.reshape(groups, c, 9), _per_group(planes, groups), out=z1.reshape(groups, c, -1))
     z1 += b1[:, :, None, None, None]
     return z1
 
 
-def _conv2(params: np.ndarray, a1: np.ndarray, arch: ArchDescriptor) -> np.ndarray:
+def _conv2(k2: np.ndarray, b2: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Output logits z2 (N, H, W) from hidden activations a1 (K, C, N/K, H, W), in the "out" role.
 
     z2 at (h, w) sums k2[:, s] . a1 at (h + di - 1, w + dj - 1) over the
-    shifts s = (di, dj). Mixing the channels first gives one plane per shift;
-    plane s, added at shift 8 - s of a guarded flat accumulator that starts
-    at b2, lands on those positions. The cells that would land outside their
-    image, on one edge row and/or column of the plane, are zeroed first, so
-    they add an exact zero to the neighbouring row or image.
+    shifts s = (di, dj). Mixing the channels first gives one shift-major
+    plane per shift, in the "nine" role; plane s, added at shift 8 - s of a
+    guarded flat accumulator that starts at b2, lands on those positions.
+    The cells that would land outside their image, on one edge row and/or
+    column of the plane, are zeroed first, so they add an exact zero to the
+    neighbouring row or image.
     """
     groups, c, per_group, height, width = a1.shape
-    _, _, k2, b2 = arch.unpack(params)
-    mixed = shifts.WORKSPACE.array("nine", groups, 9, per_group, height, width, dtype=a1.dtype)
-    flat = mixed.reshape(groups, 9, -1)
-    np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=flat)
+    mixed = shifts.WORKSPACE.array("nine", 9, groups * per_group, height, width, dtype=a1.dtype)
+    flat = mixed.reshape(9, -1)
+    np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=_per_group(flat, groups))
     shifts.zero_edges(mixed, -1, 0)
     out, z2, starts = shifts.guarded("out", groups * per_group, height, width, a1.dtype)
     z2.reshape(groups, -1)[...] = b2[:, None]
     for s, start in enumerate(starts[::-1]):
-        out[start : start + z2.size].reshape(groups, -1)[...] += flat[:, s]
-    return z2.reshape(-1, height, width)
+        out[start : start + z2.size] += flat[s]
+    return z2
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -154,15 +161,41 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(p, out=p)
 
 
-def _forward_stack(params: np.ndarray, x: np.ndarray, arch: ArchDescriptor):
-    """Output logits z2 (N, H, W) and hidden activations a1 (K, C, N/K, H, W) of a stack.
+def _forward_stack(parts: tuple[np.ndarray, ...], x: np.ndarray, role: str):
+    """Output logits z2 (N, H, W), hidden activations a1 (K, C, N/K, H, W) and x's shifts (9, N*H*W) of a stack.
 
-    Both live in the workspace; a1 in the "hidden" role, where the ReLU
+    `parts` are the unpacked (K, P) rows. All three results live in the
+    workspace: x's shifts in `role`, a1 in the "hidden" role, where the ReLU
     overwrote z1: backward needs only a1 and where it is positive.
     """
-    a1 = _conv1(params, x, arch)
+    k1, b1, k2, b2 = parts
+    planes = shifts.shift_stack(x, role)
+    a1 = _conv1(k1, b1, planes, x.shape)
     np.maximum(a1, 0.0, out=a1)
-    return _conv2(params, a1, arch), a1
+    return _conv2(k2, b2, a1), a1, planes
+
+
+def float32_overflow_row(rows: np.ndarray, dtype: np.dtype) -> int | None:
+    """The first of (K, P) parameter rows that a kernel pass on a `dtype` stack cannot hold, or None.
+
+    Only a float32 pass has such rows: a parameter beyond float32's largest
+    value would overflow in the cast of the rows to float32.
+    """
+    if dtype == np.float32 and np.abs(rows).max() > FLOAT32_MAX:
+        return int(np.argmax(np.abs(rows).max(axis=1) > FLOAT32_MAX))
+    return None
+
+
+def _kernel_rows(params: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Parameters as (K, P) rows in the kernel's dtype, rejecting rows that float32_overflow_row names."""
+    rows = params.reshape(-1, params.shape[-1])
+    row = float32_overflow_row(rows, dtype)
+    if row is not None:
+        raise ValueError(
+            f"parameter row {row} exceeds float32's largest value {FLOAT32_MAX:.8g}, "
+            "so a float32 stack cannot compute with it"
+        )
+    return rows.astype(dtype, copy=False)
 
 
 def forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -170,13 +203,14 @@ def forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
 
     They are float32 for a float32 input and float64 for any other. Rejects
     non-finite parameters: a diverged model would otherwise score as an
-    all-background prediction, since NaN never clears a threshold.
+    all-background prediction, since NaN never clears a threshold. A float32
+    input also rejects parameters beyond float32's largest value.
     """
     arch = infer_arch(params)
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
-    z2, _ = _forward_stack(params.reshape(1, -1).astype(x.dtype, copy=False), x, arch)
+    z2, _, _ = _forward_stack(arch.unpack(_kernel_rows(params, x.dtype)), x, "nine")
     return _sigmoid(z2).reshape(np.shape(images))
 
 
@@ -205,23 +239,25 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     k of the (K, P) result is bitwise what a call on row k and group k alone
     returns. Flat (P,) parameters are the K = 1 case. The masks of the whole
     stack are validated in one call. The pass computes in the stack's dtype,
-    float32 or float64, with the rows cast to it once; the gradient is float64.
+    float32 or float64, with the rows cast to it once (a float32 stack
+    rejects rows beyond float32's largest value); the gradient is float64.
 
     Work memory is the shared shifts.WORKSPACE, in the stack's dtype, whose
-    four roles are each overwritten in place as the pass goes on; a role is
-    taken again only once nothing reads what it held:
-      "guarded" the guarded flat copy of the stack being shifted: x, then g2,
-                then x again
-      "nine"    a nine-plane stack per group: x's shifts (conv1), then the
-                channel-mixed planes (conv2), then g2's flipped shifts (gk2
-                and dz1), then x's shifts again (gk1)
+    five roles are each overwritten in place as the pass goes on; a role is
+    taken again only once nothing reads what it held. Each nine-plane role
+    is shift-major, (9, N*H*W), and each stack of shifts is built once:
+      "x nine"  x's shifts: read by conv1 and again by gk1
+      "nine"    the channel-mixed planes (conv2), then g2's flipped shifts
+                (gk2 and dz1)
+      "guarded" the guarded flat copy of x, then the masks m, built in place
+                into g2, from which g2's flipped shifts are cut
       "hidden"  z1, overwritten by a1 = relu(z1), then by dz1
-      "out"     the guarded flat accumulator of z2
-    prob, m (later g2) and the gradient are arrays of their own.
+      "out"     the guarded flat accumulator of z2, then prob * m
+    prob and the gradient are arrays of their own.
     """
     arch = infer_arch(params)
     x = _as_stack(images)
-    rows = params.reshape(-1, params.shape[-1]).astype(x.dtype, copy=False)
+    rows = _kernel_rows(params, x.dtype)
     groups = len(rows)
     masks = np.asarray(masks)
     if masks.shape != np.shape(images):
@@ -229,11 +265,17 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     n, height, width = x.shape
     if n % groups:
         raise ShapeMismatchError(f"a stack of {n} images does not split into {groups} equal groups")
-    m = validate_mask(masks.reshape(-1, width)).reshape(x.shape).astype(x.dtype)
-    z2, a1 = _forward_stack(rows, x, arch)
+    valid = validate_mask(masks.reshape(-1, width))
+    parts = arch.unpack(rows)
+    z2, a1, x_shifts = _forward_stack(parts, x, "x nine")
     prob = _sigmoid(z2)
+    # z2 is read: its accumulator now takes prob * m, and the guarded copy
+    # of x, whose shifts are built, takes m
+    buffer, m, starts = shifts.guarded("guarded", n, height, width, x.dtype)
+    m[...] = valid.reshape(x.shape)
 
-    intersection = (prob * m).sum(axis=(1, 2))[:, None, None]
+    product = np.multiply(prob, m, out=shifts.WORKSPACE.array("out", *x.shape, dtype=x.dtype))
+    intersection = product.sum(axis=(1, 2))[:, None, None]
     denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + DICE_SMOOTHING)[:, None, None]
     # d(dice_loss)/dp per sample: quotient rule on (2I + eps)/(sums + eps),
     # then through the sigmoid; built in place in m's memory
@@ -244,18 +286,18 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     g2 *= 1.0 - prob
 
     c = arch.hidden_channels
-    _, _, k2, _ = arch.unpack(rows)
+    k2 = parts[2]
     a1 = a1.reshape(groups, c, -1)
     # both the second kernel's gradient and the hidden gradient read g2 at
-    # shift (2-di, 2-dj): the flipped shift stack
-    g2_shifts = shifts.shift_stack(g2, groups, flip=True)
+    # shift (2-di, 2-dj): the flipped shift stack, cut where g2 was built
+    g2_shifts = _per_group(shifts.cut_shifts(buffer, g2, starts, "nine", flip=True), groups)
     gk2 = a1 @ g2_shifts.transpose(0, 2, 1)
     active = a1 > 0.0
     dz1 = np.matmul(k2.reshape(groups, c, 9), g2_shifts, out=a1)  # a1 is not read again
     dz1 *= active
 
     grad = np.empty((groups, arch.param_count))
-    grad[:, : 9 * c] = (dz1 @ shifts.shift_stack(x, groups).transpose(0, 2, 1)).reshape(groups, -1)
+    grad[:, : 9 * c] = (dz1 @ _per_group(x_shifts, groups).transpose(0, 2, 1)).reshape(groups, -1)
     grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
     grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
     grad[:, 19 * c] = g2.reshape(groups, -1).sum(axis=1)
@@ -318,5 +360,5 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray) 
     v_hat = v / (1.0 - cfg.beta2**t)
     update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * params
     new_params = params - cfg.learning_rate * update
-    return new_params, replace(state, step=t, m=m, v=v)
+    return new_params, OptimizerState(config=cfg, step=t, m=m, v=v)
 

@@ -39,13 +39,17 @@ class Workspace:
             self._buffers[key] = np.empty(size, key[1])
         return self._buffers[key][:size].reshape(shape)
 
+    def holds(self, x: np.ndarray) -> bool:
+        """Whether x shares memory with any of the workspace's buffers."""
+        return any(np.may_share_memory(x, buffer) for buffer in self._buffers.values())
+
 
 # Kernel calls and morphology calls never nest, so one workspace serves them all.
 WORKSPACE = Workspace()
 
 
 def guarded(role: str, n: int, height: int, width: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """A flat buffer for an (N, H, W) stack of `dtype`, its interior, and the nine shift starts.
+    """A flat buffer for an (N, H, W) stack of `dtype`, its interior as an (N, H, W) view, and the nine shift starts.
 
     The interior has W + 1 zeros on each side. Shift s = (di, dj), i.e.
     (h + di - 1, w + dj - 1) of every pixel, is the contiguous slice at start
@@ -56,35 +60,53 @@ def guarded(role: str, n: int, height: int, width: int, dtype: np.dtype) -> tupl
     guard = width + 1
     buffer = WORKSPACE.array(role, n * height * width + 2 * guard, dtype=dtype)
     buffer[:guard] = buffer[-guard:] = 0.0
-    return buffer, buffer[guard:-guard], [guard + (di - 1) * width + (dj - 1) for di in range(3) for dj in range(3)]
+    interior = buffer[guard:-guard].reshape(n, height, width)
+    return buffer, interior, [guard + (di - 1) * width + (dj - 1) for di in range(3) for dj in range(3)]
 
 
 def zero_edges(planes: np.ndarray, first: int, last: int) -> None:
-    """Zero, in place, the cells of a (K, 9, N/K, H, W) shift stack that wrap across a row or image.
+    """Zero, in place, the cells of a shift-major (9, N, H, W) shift stack that wrap across a row or image.
 
     Plane s = 3*di + dj loses row `first` if di = 0, row `last` if di = 2,
     column `first` if dj = 0 and column `last` if dj = 2.
     """
-    planes[:, :3, :, first, :] = planes[:, 6:, :, last, :] = 0.0
-    planes[:, ::3, :, :, first] = planes[:, 2::3, :, :, last] = 0.0
+    planes[:3, :, first, :] = planes[6:, :, last, :] = 0.0
+    planes[::3, :, :, first] = planes[2::3, :, :, last] = 0.0
 
 
-def shift_stack(x: np.ndarray, groups: int = 1, flip: bool = False) -> np.ndarray:
-    """The nine shifts of an (N, H, W) stack of K groups, zero outside each image, as one (K, 9, N/K*H*W) array.
+def shift_stack(x: np.ndarray, role: str = "nine", flip: bool = False) -> np.ndarray:
+    """The nine shifts of an (N, H, W) stack, zero outside each image, as one shift-major (9, N*H*W) array.
 
-    A group is N/K consecutive images. Row s of group k holds shift s of
-    that group's images; with flip, row s holds shift 8 - s, i.e.
-    (2-di, 2-dj), the order in which the transposed convolution reads its
-    input, and so wraps on the opposite edges. The stack lives in the
-    workspace's "nine" role, in float32 for a float32 stack and in float64
-    for any other.
+    The stack is copied into the workspace's "guarded" role and cut_shifts
+    cuts the planes from there, into `role`: float32 planes for a float32
+    stack and float64 ones for any other. A stack that lies in the
+    workspace's own memory is copied out first, since the guards and the
+    planes may overwrite it.
     """
-    n, height, width = x.shape
-    buffer, interior, starts = guarded("guarded", n, height, width, x.dtype)
-    interior[...] = x.reshape(-1)
-    out = WORKSPACE.array("nine", groups, 9, n // groups, height, width, dtype=x.dtype)
-    flat = out.reshape(groups, 9, -1)
+    if WORKSPACE.holds(x):
+        x = x.copy()
+    buffer, interior, starts = guarded("guarded", *x.shape, x.dtype)
+    interior[...] = x
+    return cut_shifts(buffer, interior, starts, role, flip)
+
+
+def cut_shifts(
+    buffer: np.ndarray, interior: np.ndarray, starts: list[int], role: str = "nine", flip: bool = False
+) -> np.ndarray:
+    """The nine shifts of the (N, H, W) stack in a guarded buffer, as shift-major (9, N*H*W) planes in `role`.
+
+    `buffer`, `interior` and `starts` are what guarded returns, with the
+    stack written into the interior, and `role` is another role than the
+    buffer's. Row s holds shift s of every image; with flip, row s holds
+    shift 8 - s, i.e. (2-di, 2-dj), the order in which the transposed
+    convolution reads its input, and so wraps on the opposite edges. The
+    planes are in the interior's dtype. A group of N/K consecutive images
+    is columns [k*M, (k+1)*M) of every row, M = N/K*H*W, so
+    reshape(9, K, M).transpose(1, 0, 2) is the (K, 9, M) view per group.
+    """
+    out = WORKSPACE.array(role, 9, *interior.shape, dtype=interior.dtype)
+    flat = out.reshape(9, -1)
     for s, start in enumerate(starts[::-1] if flip else starts):
-        flat[:, s] = buffer[start : start + x.size].reshape(groups, -1)
+        flat[s] = buffer[start : start + interior.size]
     zero_edges(out, *((-1, 0) if flip else (0, -1)))
     return flat

@@ -2,9 +2,12 @@
 
 Everything here is written from the definitions (shift-stacks, flood fill,
 central differences) rather than calling the code paths under test, so the
-tests compare two genuinely different routes to the same answer. The one
-exception, TrajectoryRecorder, observes the code under test without
-changing what it computes.
+tests compare two genuinely different routes to the same answer. Two
+exceptions: TrajectoryRecorder observes the code under test without
+changing what it computes, and reference_forward and reference_backward
+keep the earlier group-major layout of the model's shift-and-add kernel,
+with buffers of their own, so that the kernel's results stay bit for bit
+what they were.
 """
 
 from __future__ import annotations
@@ -118,6 +121,117 @@ def conv_logits(params: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.n
             for dj in range(3):
                 z2 += k2[ch, di, dj] * hidden[ch, di : di + height, dj : dj + width]
     return z1, z2
+
+
+def _group_shifts(x: np.ndarray, groups: int, flip: bool = False) -> np.ndarray:
+    """Group-major (K, 9, N/K*H*W) shifts of an (N, H, W) stack, zero outside each image, in new arrays.
+
+    Each shift is a slice of a flat copy of the stack guarded by W + 1 zeros
+    on each side, with the row and column that wrap across an image zeroed.
+    With flip, row s holds shift 8 - s.
+    """
+    n, height, width = x.shape
+    guard = width + 1
+    buffer = np.zeros(x.size + 2 * guard, x.dtype)
+    buffer[guard:-guard] = x.reshape(-1)
+    starts = [guard + (di - 1) * width + (dj - 1) for di in range(3) for dj in range(3)]
+    planes = np.empty((groups, 9, n // groups, height, width), x.dtype)
+    flat = planes.reshape(groups, 9, -1)
+    for s, start in enumerate(starts[::-1] if flip else starts):
+        flat[:, s] = buffer[start : start + x.size].reshape(groups, -1)
+    _zero_group_edges(planes, *((-1, 0) if flip else (0, -1)))
+    return flat
+
+
+def _zero_group_edges(planes: np.ndarray, first: int, last: int) -> None:
+    planes[:, :3, :, first, :] = planes[:, 6:, :, last, :] = 0.0
+    planes[:, ::3, :, :, first] = planes[:, 2::3, :, :, last] = 0.0
+
+
+def _reference_logits(rows: np.ndarray, x: np.ndarray):
+    """Output logits z2 (N, H, W) and hidden activations a1 (K, C, N/K*H*W) of the group-major kernel."""
+    groups, c = len(rows), (rows.shape[1] - 1) // 19
+    k1, b1 = rows[:, : 9 * c].reshape(groups, c, 9), rows[:, 9 * c : 10 * c]
+    k2, b2 = rows[:, 10 * c : 19 * c].reshape(groups, c, 9), rows[:, 19 * c]
+    n, height, width = x.shape
+    a1 = np.matmul(k1, _group_shifts(x, groups))
+    a1 += b1[:, :, None]
+    np.maximum(a1, 0.0, out=a1)
+    mixed = np.matmul(k2.transpose(0, 2, 1), a1).reshape(groups, 9, n // groups, height, width)
+    _zero_group_edges(mixed, -1, 0)
+    flat = mixed.reshape(groups, 9, -1)
+    guard = width + 1
+    out = np.zeros(x.size + 2 * guard, x.dtype)
+    z2 = out[guard:-guard]
+    z2.reshape(groups, -1)[...] = b2[:, None]
+    starts = [guard + (di - 1) * width + (dj - 1) for di in range(3) for dj in range(3)]
+    for s, start in enumerate(starts[::-1]):
+        out[start : start + z2.size].reshape(groups, -1)[...] += flat[:, s]
+    return z2.reshape(n, height, width), a1
+
+
+def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    p = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(p, out=p)
+    p += 1.0
+    return np.reciprocal(p, out=p)
+
+
+def _reference_stack(images: np.ndarray) -> np.ndarray:
+    x = np.asarray(images)
+    x = x if x.dtype == np.float32 else x.astype(np.float64)
+    return x.reshape(-1, *x.shape[-2:])
+
+
+def reference_forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """model.forward as the group-major shift-and-add kernel computed it, for valid input.
+
+    The kernel computes in float32 on a float32 stack and in float64 on any
+    other, with the parameters cast once.
+    """
+    x = _reference_stack(images)
+    z2, _ = _reference_logits(params.reshape(1, -1).astype(x.dtype), x)
+    return _reference_sigmoid(z2).reshape(np.shape(images))
+
+
+def reference_backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """model.backward as the group-major shift-and-add kernel computed it, for valid input.
+
+    (P,) or (K, P) parameters; group k of the stack's K equal groups trains
+    row k. Every intermediate is a new array, so this shares no work memory
+    with the package.
+    """
+    x = _reference_stack(images)
+    rows = params.reshape(-1, params.shape[-1]).astype(x.dtype)
+    groups, c = len(rows), (rows.shape[1] - 1) // 19
+    k2 = rows[:, 10 * c : 19 * c].reshape(groups, c, 9)
+    n = len(x)
+    m = np.asarray(masks).reshape(x.shape).astype(x.dtype)
+    z2, a1 = _reference_logits(rows, x)
+    prob = _reference_sigmoid(z2)
+
+    intersection = (prob * m).sum(axis=(1, 2))[:, None, None]
+    denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + 1.0)[:, None, None]
+    g2 = m
+    g2 *= -2.0 / denom
+    g2 += (2.0 * intersection + 1.0) / denom**2
+    g2 *= prob
+    g2 *= 1.0 - prob
+
+    g2_shifts = _group_shifts(g2, groups, flip=True)
+    gk2 = a1 @ g2_shifts.transpose(0, 2, 1)
+    active = a1 > 0.0
+    dz1 = np.matmul(k2, g2_shifts)
+    dz1 *= active
+
+    grad = np.empty((groups, rows.shape[1]))
+    grad[:, : 9 * c] = (dz1 @ _group_shifts(x, groups).transpose(0, 2, 1)).reshape(groups, -1)
+    grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
+    grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
+    grad[:, 19 * c] = g2.reshape(groups, -1).sum(axis=1)
+    grad /= n // groups
+    return grad.reshape(params.shape)
 
 
 def replayed_images(spec, experiment_seed: int) -> np.ndarray:

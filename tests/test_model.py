@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import conv_logits
+from oracles import conv_logits, reference_backward, reference_forward
 
 from fedgs_sim import fl, model, shifts
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
@@ -235,6 +235,97 @@ class TestImageEdges:
                 assert np.array_equal(grad[k], backward(rows[k], stack[group], masks[group]))
 
 
+class TestReferenceKernel:
+    """forward and backward are bit for bit the group-major shift-and-add kernel of tests/oracles.py."""
+
+    @staticmethod
+    def assert_same_bits(result, reference):
+        assert result.dtype == reference.dtype and result.shape == reference.shape
+        assert np.array_equal(result, reference)
+        assert result.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", EDGE_SIZES + [(8, 5)])
+    @pytest.mark.parametrize("groups", [1, 4, 64])
+    @pytest.mark.parametrize("hidden", [1, 4])
+    def test_kernel_equals_reference(self, dtype, size, groups, hidden):
+        batch = 2
+        _, images, masks = edge_fixture(groups * batch, size, seed=groups + hidden)
+        images[2::3] *= 40.0  # saturates some sigmoids
+        rng = np.random.default_rng(hidden)
+        rows = np.stack([init_params(ArchDescriptor(hidden), k) for k in range(groups)])
+        rows += rng.normal(0.0, 0.2, rows.shape)
+        stack = images.astype(dtype)
+        self.assert_same_bits(backward(rows, stack, masks), reference_backward(rows, stack, masks))
+        self.assert_same_bits(forward(rows[0], stack), reference_forward(rows[0], stack))
+        if groups == 1:  # flat parameters and a single image
+            self.assert_same_bits(backward(rows[0], stack, masks), reference_backward(rows[0], stack, masks))
+            self.assert_same_bits(backward(rows[0], stack[0], masks[0]), reference_backward(rows[0], stack[0], masks[0]))
+            self.assert_same_bits(forward(rows[0], stack[0]), reference_forward(rows[0], stack[0]))
+
+    def test_each_shift_stack_is_built_once(self, monkeypatch):
+        # backward builds x's shifts (read by conv1 and by the first kernel's
+        # gradient) and g2's flipped shifts; forward builds x's shifts alone
+        built = []
+        cut = shifts.cut_shifts
+
+        def counting(buffer, interior, starts, role="nine", flip=False):
+            built.append((interior.shape, role, flip))
+            return cut(buffer, interior, starts, role, flip)
+
+        monkeypatch.setattr(shifts, "cut_shifts", counting)
+        params, images, masks = stack_fixture(8, size=(9, 11))
+        rows = np.stack([params, params + 0.01])
+        for stack in (images, images.astype(np.float32)):
+            for p in (params, rows):
+                built.clear()
+                backward(p, stack, masks)
+                assert built == [((8, 9, 11), "x nine", False), ((8, 9, 11), "nine", True)]
+            built.clear()
+            forward(params, stack)
+            assert built == [((8, 9, 11), "nine", False)]
+
+
+def reference_shifts(x, flip=False):
+    """The (9, N*H*W) shifts of an (N, H, W) stack, from a zero-padded copy."""
+    n, height, width = x.shape
+    padded = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1)))
+    planes = [padded[:, di : di + height, dj : dj + width].reshape(-1) for di in range(3) for dj in range(3)]
+    return np.stack(planes[::-1] if flip else planes)
+
+
+class TestShiftStack:
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_stack_in_the_workspace_gives_its_own_shifts(self, flip):
+        # a stack built in the guarded interior, and views that overlap it
+        # or the planes' role, are read before anything overwrites them
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(4, 5, 6))
+        views = {
+            "interior": lambda interior: interior,
+            "later images": lambda interior: interior[1:],
+            "earlier images": lambda interior: interior[:3],
+            "inner columns": lambda interior: interior[:, :, 1:-1],
+            "reversed rows": lambda interior: interior[:, ::-1],
+        }
+        for name, view in views.items():
+            _, interior, _ = shifts.guarded("guarded", 4, 5, 6, stack.dtype)
+            interior[...] = stack
+            x = view(interior)
+            expected = reference_shifts(x.copy(), flip)
+            assert np.array_equal(shifts.shift_stack(x, flip=flip), expected), name
+        planes = shifts.WORKSPACE.array("nine", 9, 4, 5, 6, dtype=stack.dtype)
+        planes[...] = stack
+        assert np.array_equal(shifts.shift_stack(planes[3], flip=flip), reference_shifts(stack, flip))
+
+    def test_float32_stack_gives_float32_planes_in_the_workspace(self):
+        stack = np.random.default_rng(5).normal(size=(2, 4, 3)).astype(np.float32)
+        assert not shifts.WORKSPACE.holds(stack)
+        planes = shifts.shift_stack(stack)
+        assert planes.dtype == np.float32 and shifts.WORKSPACE.holds(planes)
+        assert np.array_equal(planes, reference_shifts(stack).astype(np.float32))
+
+
 # float32 keeps 24 bits of mantissa (eps 1.2e-7). The float32 pass rounds
 # every input pixel and every intermediate, and its reductions run over up to
 # 16 * 32 * 32 pixels. The bounds allow about 80 eps of the row's gradient
@@ -265,6 +356,24 @@ class TestFloat32Kernel:
         prob = forward(params, images.astype(np.float32))
         assert prob.dtype == np.float32 and prob.shape == images.shape
         assert np.abs(prob - forward(params, images)).max() <= PROB_ATOL_FLOAT32
+
+    def test_parameters_beyond_float32_range_are_rejected_before_the_cast(self):
+        # 1e39 is finite in float64 but would overflow to inf in the float32
+        # cast of the rows
+        params, images, masks = stack_fixture(2, size=(8, 8))
+        params[0] = 1e39
+        stack = images.astype(np.float32)
+        limit = r"float32's largest value 3.4028235e\+38"
+        with pytest.raises(ValueError, match=rf"^parameter row 0 exceeds {limit}"):
+            backward(params, stack, masks)
+        with pytest.raises(ValueError, match=limit):
+            forward(params, stack)
+        rows = np.stack([params, params])
+        rows[0, 0] = 0.5
+        with pytest.raises(ValueError, match=rf"^parameter row 1 exceeds {limit}"):
+            backward(rows, stack, masks)
+        # a float64 stack holds them
+        assert np.isfinite(backward(params, images, masks)).all()
 
     def test_images_of_other_dtypes_compute_in_float64(self):
         params, images, masks = stack_fixture(2)
@@ -366,8 +475,8 @@ class TestStackedKernel:
         kept = {np.dtype(np.float64): 0, np.dtype(np.float32): 0}
         for buffer in shifts.WORKSPACE._buffers.values():
             kept[buffer.dtype] += buffer.nbytes
-        assert 0 < kept[np.dtype(np.float64)] <= 1.97e6
-        assert 0 < kept[np.dtype(np.float32)] <= 0.985e6
+        assert 0 < kept[np.dtype(np.float64)] <= 3.148e6
+        assert 0 < kept[np.dtype(np.float32)] <= 1.574e6
 
     def test_forward_rejects_non_finite_params(self):
         params, images, _ = stack_fixture(2)
