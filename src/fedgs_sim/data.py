@@ -128,10 +128,12 @@ def _check_feasible(spec: ClientDataSpec) -> None:
 
 
 def _stamp_disk(mask: np.ndarray, cy: int, cx: int, radius: float) -> None:
-    height, width = mask.shape
-    rows = np.arange(height)[:, None] - cy
-    cols = np.arange(width)[None, :] - cx
-    mask[rows * rows + cols * cols <= radius * radius] = 1
+    """Set the pixels within `radius` of (cy, cx), working only in the disk's bounding box."""
+    reach = math.floor(radius)
+    top, left = max(cy - reach, 0), max(cx - reach, 0)
+    rows = np.arange(top, min(cy + reach + 1, mask.shape[0]))[:, None] - cy
+    cols = np.arange(left, min(cx + reach + 1, mask.shape[1]))[None, :] - cx
+    mask[top : top + rows.shape[0], left : left + cols.shape[1]][rows * rows + cols * cols <= radius * radius] = 1
 
 
 def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> ClientData:
@@ -158,11 +160,11 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> Clien
             _stamp_disk(mask, cy, cx, radius)
 
         image = rng.normal(0.0, spec.noise_std, size=(height, width))
-        fg = mask == 1
-        image[fg] += spec.lesion_intensity
+        fg = mask.view(bool)
+        np.add(image, spec.lesion_intensity, out=image, where=fg)
         images[index] = image
-        foreground_pixels += int(fg.sum())
-        bad_pixels += int((image[fg] < spec.lesion_intensity - 5.0 * spec.noise_std).sum())
+        foreground_pixels += np.count_nonzero(fg)
+        bad_pixels += np.count_nonzero(fg & (image < spec.lesion_intensity - 5.0 * spec.noise_std))
 
     # Sanity flag, not a failure: lesion pixels should essentially always sit
     # above intensity - 5 sigma; more than 0.1% violations suggests a bad spec.

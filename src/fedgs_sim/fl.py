@@ -30,10 +30,10 @@ from .data import ClientData
 from .masks import DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
 from .model import (
     KERNEL_PIXELS,
+    KernelOverflowError,
     OptimizerConfig,
     OptimizerState,
     backward,
-    float32_overflow_row,
     init_optimizer_state,
     optimizer_step,
 )
@@ -46,8 +46,8 @@ class EmptyFederationError(ValueError):
 class DivergenceError(ValueError):
     """A gradient, a local parameter vector or an aggregate is not finite.
 
-    A local parameter vector beyond float32's largest value, which the
-    float32 kernel cannot take, counts as diverged too.
+    A local parameter vector that overflows the kernel's dtype, float32 for
+    client data, counts as diverged too.
     """
 
 
@@ -109,13 +109,13 @@ class RoundStats:
 def sample_deltas(dataset: ClientData, strategy: StrategyConfig) -> np.ndarray | None:
     """Each sample's difficulty factor delta under fedgs, as an (n,) array in dataset order.
 
-    Masks are read-only, so a run scores each client's dataset once and every
-    batch indexes its deltas from this array. Under fedavg eta is 1 whatever
-    the masks, and the result is None.
+    Masks are read-only, so a run scores each client's mask stack once, in
+    one difficulty_factor call, and every batch indexes its deltas from this
+    array. Under fedavg eta is 1 whatever the masks, and the result is None.
     """
     if strategy.kind != "fedgs":
         return None
-    return np.array([difficulty_factor(mask, strategy.difficulty).delta for mask in dataset.masks])
+    return difficulty_factor(dataset.masks, strategy.difficulty).delta
 
 
 def _kernel_calls(shapes: Sequence[tuple[int, ...]]) -> list[list[int]]:
@@ -153,9 +153,9 @@ def local_iteration(
     eta of client_deltas[k][picks[k]] (client_deltas[k] is its sample_deltas);
     under fedavg eta is 1. An active client's deltas must be an array under
     fedgs and None under fedavg, checked before any kernel call. A parameter
-    vector that a kernel call's float32 stack cannot hold (checked before
-    that call), a non-finite gradient or a non-finite updated parameter
-    vector raises DivergenceError naming the client and the step.
+    vector that overflows the kernel's dtype, a non-finite gradient or a
+    non-finite updated parameter vector raises DivergenceError naming the
+    client and the step.
     """
     if len(picks) != len(state.params):
         raise ValueError(f"{len(picks)} batches for a cohort of {len(state.params)} clients")
@@ -186,10 +186,12 @@ def local_iteration(
         clients = [active[j] for j in at]
         images = np.concatenate([datasets[k].images[picks[k]] for k in clients])
         masks = np.concatenate([datasets[k].masks[picks[k]] for k in clients])
-        row = float32_overflow_row(params[at], images.dtype)
-        if row is not None:
-            raise DivergenceError(f"client {clients[row]}: local parameters beyond float32's range at local step {step}")
-        grad[at] = backward(params[at], images, masks)
+        try:
+            grad[at] = backward(params[at], images, masks)
+        except KernelOverflowError as exc:
+            raise DivergenceError(
+                f"client {clients[exc.row]}: local parameters overflow {exc.dtype} in the kernel at local step {step}"
+            ) from exc
     optimizer = state.optimizer
     if optimizer.m is not None:
         optimizer = replace(optimizer, m=optimizer.m[rows], v=optimizer.v[rows])

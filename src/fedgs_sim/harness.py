@@ -25,7 +25,7 @@ from .data import Federation, build_federation
 from .fl import DivergenceError, run_round, sample_deltas
 from .masks import delta_from_inverse_area, raw_difficulty
 from .metrics import evaluate, sample_groups
-from .model import ArchDescriptor, init_params
+from .model import ArchDescriptor, KernelOverflowError, init_params
 from .rng import SHUFFLE_STREAM, substream
 
 CSV_VERSION_LINE = "# fedgs-sim v1"
@@ -73,9 +73,9 @@ def _run_one(
         start = time.perf_counter()
         try:
             params, stats = run_round(params, federation.clients, strategy, cfg.optimizer, streams, client_deltas)
-        except DivergenceError as exc:
+            report = evaluate(params, federation.test_set, groups)
+        except (DivergenceError, KernelOverflowError) as exc:
             raise DivergenceError(f"seed {seed}, strategy {strategy_kind}, round {round_index}: {exc}") from exc
-        report = evaluate(params, federation.test_set, groups)
         wall_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             ResultRow(

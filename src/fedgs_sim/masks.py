@@ -1,8 +1,10 @@
 """Binary mask analysis: lesion size, small-lesion classification, difficulty factors.
 
-Masks are 2D numpy arrays with values in {0, 1} (uint8 or bool). The difficulty
-factor of a mask is computed from its inverse relative area, i.e. total pixel
-count divided by foreground pixel count: small lesions have large inverse areas.
+Masks are 2D numpy arrays with values in {0, 1} (uint8 or bool), and
+validate_mask, erode, dilate and difficulty_factor also take (N, H, W) stacks
+of them: a 2D mask is the N = 1 case of one stack path. The difficulty factor
+of a mask is computed from its inverse relative area, i.e. total pixel count
+divided by foreground pixel count: small lesions have large inverse areas.
 Batches of difficulty factors combine into a gradient scaling factor eta >= 1.
 """
 
@@ -87,27 +89,49 @@ class ComponentLabeling:
 
 @dataclass(frozen=True)
 class DifficultyResult:
-    """Outcome of difficulty estimation for one mask.
+    """Outcome of difficulty estimation for an (N, H, W) stack of masks: (N,) arrays, entry i for mask i.
 
-    inverse_area is None for empty masks. delta is 0 whenever is_small is False
-    and always lies in [0, 1).
+    inverse_area is NaN where a mask is empty. delta is 0 wherever is_small
+    is False and always lies in [0, 1). A 2D mask gives a float, a bool and
+    a float.
     """
 
-    inverse_area: float | None
-    is_small: bool
-    delta: float
+    inverse_area: np.ndarray
+    is_small: np.ndarray
+    delta: np.ndarray
 
 
 def validate_mask(mask: np.ndarray) -> np.ndarray:
-    """Check that `mask` is a 2D {0,1} grid; returns it as a uint8 array."""
+    """Check that `mask` is a 2D {0,1} grid, or an (N, H, W) stack of them; returns it as uint8.
+
+    A uint8 mask comes back uncopied and a bool one as a uint8 view of it;
+    a mask of any other dtype is converted.
+    """
     arr = np.asarray(mask)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"mask must be a non-empty 2D grid, got shape {arr.shape}")
+    if arr.ndim not in (2, 3) or 0 in arr.shape:
+        raise ValueError(f"mask must be a non-empty 2D grid or (N, H, W) stack, got shape {arr.shape}")
     if arr.dtype == bool:
-        return arr.astype(np.uint8)
-    if not ((arr == 0) | (arr == 1)).all():
+        return arr.view(np.uint8)
+    if arr.max() > 1 if arr.dtype == np.uint8 else not ((arr == 0) | (arr == 1)).all():
         raise ValueError("mask cells must all be 0 or 1")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=False)
+
+
+def _one_mask(inverse_areas: Callable[[np.ndarray], np.ndarray], mask: np.ndarray) -> float:
+    """`inverse_areas` of a 2D mask, scored as a stack of one; raises EmptyMaskError for an empty mask."""
+    arr = validate_mask(mask)
+    if arr.ndim != 2:
+        raise ValueError(f"expected one 2D mask, got shape {arr.shape}")
+    value = float(inverse_areas(arr[None])[0])
+    if math.isnan(value):
+        raise EmptyMaskError("mask has no foreground pixels")
+    return value
+
+
+def _whole_mask_areas(stack: np.ndarray) -> np.ndarray:
+    """H*W over each mask's foreground count, for a valid (N, H, W) stack; NaN where a mask is empty."""
+    counts = np.count_nonzero(stack.view(bool), axis=(1, 2))
+    return np.where(counts > 0, stack[0].size / np.maximum(counts, 1), np.nan)
 
 
 def inverse_relative_area(mask: np.ndarray) -> float:
@@ -116,28 +140,24 @@ def inverse_relative_area(mask: np.ndarray) -> float:
     Raises EmptyMaskError when the mask has no foreground (the ratio would
     divide by zero); callers decide how to handle empty masks.
     """
-    arr = validate_mask(mask)
-    foreground = int(arr.sum())
-    if foreground == 0:
-        raise EmptyMaskError("mask has no foreground pixels")
-    return arr.size / foreground
+    return _one_mask(_whole_mask_areas, mask)
 
 
 def _morph(arr: np.ndarray, element: StructuringElement, iterations: int, reduce: Callable) -> np.ndarray:
-    """`iterations` rounds of `reduce` (min: erode, max: dilate) over the element's shifts of a valid mask."""
+    """A new array: `iterations` rounds of `reduce` (min: erode, max: dilate) over a valid mask or stack's shifts."""
     if element not in _ELEMENTS:
         raise ValueError(f"unknown structuring element {element!r}")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    out = arr
+    out = arr.reshape(-1, *arr.shape[-2:])
     for _ in range(iterations):
-        # zero outside the image: erosion eats into the border, dilation adds nothing there
-        out = reduce(shift_stack(out[None])[_ELEMENTS[element]], axis=0).reshape(arr.shape)
-    return out.astype(np.uint8)
+        # zero outside each image: erosion eats into the border, dilation adds nothing there
+        out = reduce(shift_stack(out)[_ELEMENTS[element]], axis=0).reshape(out.shape)
+    return out.reshape(arr.shape) if iterations else arr.copy()
 
 
 def erode(mask: np.ndarray, element: StructuringElement = "square3", iterations: int = 1) -> np.ndarray:
-    """Standard binary erosion, `iterations` times. 0 iterations is the identity.
+    """Standard binary erosion of a mask or an (N, H, W) stack, `iterations` times. 0 iterations is the identity.
 
     A pixel survives iff every shift in the element lands on foreground.
     Pixels outside the image count as background, so foreground touching the
@@ -151,20 +171,25 @@ def dilate(mask: np.ndarray, element: StructuringElement = "square3", iterations
     return _morph(validate_mask(mask), element, iterations, np.max)
 
 
-def _label(arr: np.ndarray, connectivity: int) -> ComponentLabeling:
-    """Run-based two-scan labeling of a valid mask (He, Chao & Suzuki, IEEE TIP 17(5), 2008).
+def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
+    """Run-based two-scan labeling of a valid (N, H, W) stack (He, Chao & Suzuki, IEEE TIP 17(5), 2008).
 
-    A run is a maximal horizontal stretch of foreground in one row. Runs are
-    found in raster order and joined by union-find with the runs of the row
-    above whose columns overlap theirs (widened by one for 8-connectivity).
+    Returns `paint`, each component's area and each component's image;
+    paint(table) is the (N, H, W) stack of table[label], label 0 being the
+    background. The images are labelled as one raster with a zero row after
+    each, so no component spans two images and each image's components are
+    a contiguous range of labels. A run is a maximal horizontal stretch of
+    foreground in one row. Runs are found in raster order and joined by
+    union-find with the runs of the row above whose columns overlap theirs
+    (widened by one for 8-connectivity).
     Every set is rooted at its first run, i.e. at its first pixel in raster
-    order, so numbering the roots in order numbers the components as
-    scipy.ndimage.label does.
+    order, so numbering the roots in order numbers each image's components
+    as scipy.ndimage.label does.
     """
-    height, width = arr.shape
+    n, height, width = stack.shape
     stride = width + 2  # one zero column on each side keeps every run inside its row
-    padded = np.zeros((height, stride), dtype=np.uint8)
-    padded[:, 1:-1] = arr
+    padded = np.zeros((n, height + 1, stride), dtype=np.uint8)
+    padded[:, :height, 1:-1] = stack
     flat = padded.reshape(-1)
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     starts, ends = changes[0::2], changes[1::2]  # flat positions; ends are one past a run
@@ -180,63 +205,100 @@ def _label(arr: np.ndarray, connectivity: int) -> ComponentLabeling:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
                 parent[b] = b = parent[parent[b]]
-            parent[max(a, b)] = min(a, b)
+            parent[a if a > b else b] = b if a > b else a  # the later root joins the earlier one
     # roots number the components in order; a parent comes earlier, so its label is known
     run_labels: list[int] = []
-    n = 0
+    roots: list[int] = []
     for run, up in enumerate(parent):
-        n += up == run
-        run_labels.append(n if up == run else run_labels[up])
-    labels = np.zeros(flat.size, dtype=np.int32)
-    for start, end, label in zip(starts.tolist(), ends.tolist(), run_labels):
-        labels[start:end] = label
-    areas = np.bincount(run_labels, weights=ends - starts, minlength=n + 1).tolist()
-    component_areas = [(label, int(areas[label])) for label in range(1, n + 1)]
-    return ComponentLabeling(labels=labels.reshape(height, stride)[:, 1:-1], component_areas=component_areas)
+        if up == run:
+            roots.append(run)
+        run_labels.append(len(roots) if up == run else run_labels[up])
+    lengths, run_labels = ends - starts, np.array(run_labels, dtype=np.intp)
+
+    def paint(table: np.ndarray) -> np.ndarray:
+        out = np.full(flat.size, table[0], dtype=table.dtype)
+        out[flat.view(bool)] = np.repeat(table[run_labels], lengths)  # the runs cover the foreground in raster order
+        return out.reshape(n, height + 1, stride)[:, :height, 1:-1]
+
+    areas = np.bincount(run_labels, weights=lengths, minlength=len(roots) + 1)[1:]
+    # each component's image: the boundaries at or before its first run (no integer division: code pages)
+    images = np.searchsorted(np.arange(1, n) * (stride * (height + 1)), starts[roots], side="right")
+    return paint, areas, images
 
 
 def label_components(mask: np.ndarray, connectivity: int = 8) -> ComponentLabeling:
-    """Label connected foreground components under 4- or 8-connectivity.
+    """Label connected foreground components of a mask or an (N, H, W) stack under 4- or 8-connectivity.
 
     Every foreground pixel gets exactly one label in 1..n; background stays
-    0. Components are numbered in raster order of their first pixel.
+    0. Components are numbered in raster order of their first pixel, image
+    after image, and none spans two images.
     """
     arr = validate_mask(mask)
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    return _label(arr, connectivity)
+    paint, areas, _ = _label(arr.reshape(-1, *arr.shape[-2:]), connectivity)
+    labels = paint(np.arange(len(areas) + 1, dtype=np.int32)).reshape(arr.shape)
+    return ComponentLabeling(labels=labels, component_areas=list(enumerate(map(int, areas), start=1)))
+
+
+# Masks that blob_split scores in one pass: as many as fill this many pixels
+# (at least one), a kernel call's worth. Morphology keeps 10 bytes of uint8
+# work memory per pixel (a guarded copy and nine shift planes), so a pass
+# keeps 0.16 MB of it. Four times as many pixels scored blob_eval's 240 test
+# masks a few ms faster, but raised the sweep's peak memory by about 0.5 MB.
+BLOB_SPLIT_PIXELS = 16384
+
+
+def _smallest_lesion_areas(stack: np.ndarray, cfg: DifficultyConfig) -> np.ndarray:
+    """smallest_lesion_inverse_area of each mask of a valid (N, H, W) stack; NaN where a mask is empty.
+
+    The stack is scored BLOB_SPLIT_PIXELS at a time: one erosion, one
+    labelling and one reconstruction per chunk.
+    """
+    n, height, width = stack.shape
+    element, iterations = cfg.structuring_element, cfg.erosion_iterations
+    estimated = np.full(n, np.nan)
+    per_chunk = max(1, BLOB_SPLIT_PIXELS // (height * width))
+    for begin in range(0, n, per_chunk):
+        arr = stack[begin : begin + per_chunk]
+        base = _morph(arr, element, iterations, np.min)
+        fallback = ~base.any(axis=(1, 2))  # erosion emptied the mask (or it was empty)
+        base[fallback] = arr[fallback]
+        paint, areas, images = _label(base, cfg.connectivity)
+        # each image's smallest component, the lowest label among equal areas, from its contiguous
+        # run of labels (no sort: numpy's sorting code alone adds 0.13 MB to a run's peak memory)
+        firsts = np.flatnonzero(images != np.concatenate(([-1], images[:-1])))
+        least = np.zeros(len(arr))
+        least[images[firsts]] = np.minimum.reduceat(areas, firsts)
+        candidates = np.flatnonzero(areas == least[images])
+        smallest = candidates[images[candidates] != np.concatenate(([-1], images[candidates[:-1]]))]
+        estimated[begin + images[smallest]] = areas[smallest]
+        rebuild = smallest[~fallback[images[smallest]]] if iterations else smallest[:0]
+        if len(rebuild):
+            # dilate each smallest eroded component back and keep what lies in the mask
+            chosen = np.zeros(len(areas) + 1, dtype=np.uint8)
+            chosen[rebuild + 1] = 1
+            reconstructed = _morph(paint(chosen), element, iterations, np.max)
+            reconstructed &= arr
+            counts = np.count_nonzero(reconstructed.view(bool), axis=(1, 2))
+            estimated[begin + images[rebuild]] = counts[images[rebuild]]
+    return height * width / estimated
 
 
 def smallest_lesion_inverse_area(mask: np.ndarray, cfg: DifficultyConfig) -> float:
     """Inverse area of the smallest distinct lesion after separating attached ones.
 
     Erodes the mask (detaching lesions joined by thin bridges), labels the
-    eroded components, and takes the smallest. Its pre-erosion area is estimated
-    by dilating that component once per erosion iteration with the same element
-    and intersecting with the original mask. If erosion empties the mask
-    entirely, classification falls back to the components of the un-eroded mask
-    so that tiny lesions are not dropped.
+    eroded components, and takes the smallest, the first in raster order
+    among equal areas. Its pre-erosion area is estimated by dilating that
+    component once per erosion iteration with the same element and
+    intersecting with the original mask. If erosion empties the mask
+    entirely, classification falls back to the components of the un-eroded
+    mask so that tiny lesions are not dropped.
 
     Raises EmptyMaskError for an empty input mask.
     """
-    arr = validate_mask(mask)
-    if arr.sum() == 0:
-        raise EmptyMaskError("mask has no foreground pixels")
-
-    eroded = _morph(arr, cfg.structuring_element, cfg.erosion_iterations, np.min)
-    use_fallback = eroded.sum() == 0
-    base = arr if use_fallback else eroded
-
-    labeling = _label(base, cfg.connectivity)
-    smallest_label, smallest_area = min(labeling.component_areas, key=lambda la: la[1])
-
-    if use_fallback or cfg.erosion_iterations == 0:
-        estimated_area = smallest_area
-    else:
-        component = (labeling.labels == smallest_label).astype(np.uint8)
-        reconstructed = _morph(component, cfg.structuring_element, cfg.erosion_iterations, np.max)
-        estimated_area = int((reconstructed & arr).sum())
-    return arr.size / estimated_area
+    return _one_mask(lambda stack: _smallest_lesion_areas(stack, cfg), mask)
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -266,22 +328,22 @@ def delta_from_inverse_area(inverse_area: float, log_base: float, threshold: flo
     return is_small, delta
 
 
-def difficulty_factor(mask: np.ndarray, cfg: DifficultyConfig) -> DifficultyResult:
-    """Difficulty of segmenting `mask`, in [0, 1); empty masks score 0.
+def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyResult:
+    """Difficulty of segmenting each mask of an (N, H, W) stack, in [0, 1); empty masks score 0.
 
     The inverse area is taken from the whole mask or from the smallest
     separated lesion depending on cfg.regime. An empty mask has no lesion and
-    therefore no small-lesion difficulty.
+    therefore no small-lesion difficulty. The stack is validated once; a 2D
+    mask is scored as a stack of one and gives a result of scalars.
     """
-    try:
-        if cfg.regime == "whole_mask":
-            inverse_area = inverse_relative_area(mask)
-        else:
-            inverse_area = smallest_lesion_inverse_area(mask, cfg)
-    except EmptyMaskError:
-        return DifficultyResult(inverse_area=None, is_small=False, delta=0.0)
-    is_small, delta = delta_from_inverse_area(inverse_area, cfg.log_base, cfg.threshold)
-    return DifficultyResult(inverse_area=inverse_area, is_small=is_small, delta=delta)
+    arr = validate_mask(masks)
+    stack = arr.reshape(-1, *arr.shape[-2:])
+    inverse_area = _whole_mask_areas(stack) if cfg.regime == "whole_mask" else _smallest_lesion_areas(stack, cfg)
+    is_small = inverse_area >= cfg.threshold  # False where empty: NaN compares False
+    delta = np.array([delta_from_inverse_area(a, cfg.log_base, cfg.threshold)[1] for a in inverse_area.tolist()])
+    if arr.ndim == 2:
+        return DifficultyResult(float(inverse_area[0]), bool(is_small[0]), float(delta[0]))
+    return DifficultyResult(inverse_area, is_small, delta)
 
 
 def batch_scaling_factor(deltas: Sequence[float], batch_size: int) -> float:

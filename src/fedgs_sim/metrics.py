@@ -29,19 +29,13 @@ class EvalReport:
     n_empty: int
 
 
-def _validated(masks: np.ndarray) -> np.ndarray:
-    """A mask, or an (N, H, W) stack validated in one call on its (N*H, W) view, as bool."""
-    arr = np.asarray(masks)
-    return validate_mask(arr.reshape(-1, arr.shape[-1]) if arr.ndim == 3 else arr).reshape(arr.shape).astype(bool)
-
-
 def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float | np.ndarray:
     """2|P∩G| / (|P|+|G|); 1.0 when both masks are empty.
 
     Two (N, H, W) stacks score image by image: entry i of the (N,) result is
     dice_score(pred_mask[i], gt_mask[i]).
     """
-    p, g = _validated(pred_mask), _validated(gt_mask)
+    p, g = validate_mask(pred_mask).view(bool), validate_mask(gt_mask).view(bool)
     if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
     total = p.sum(axis=(-2, -1)) + g.sum(axis=(-2, -1))
@@ -52,18 +46,11 @@ def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float | np.ndarray
 def sample_groups(test_set: ClientData, difficulty: DifficultyConfig) -> list[str]:
     """Tag each sample "empty", "small" or "large" by its ground-truth mask.
 
-    Masks never change during a run, so a run tags its test set once and
-    passes the tags to every evaluate call.
+    Masks never change during a run, so a run tags its test set once, in
+    one difficulty_factor call, and passes the tags to every evaluate call.
     """
-    groups = []
-    for mask in test_set.masks:
-        if mask.sum() == 0:
-            groups.append("empty")
-        elif difficulty_factor(mask, difficulty).is_small:
-            groups.append("small")
-        else:
-            groups.append("large")
-    return groups
+    result = difficulty_factor(test_set.masks, difficulty)
+    return np.where(np.isnan(result.inverse_area), "empty", np.where(result.is_small, "small", "large")).tolist()
 
 
 def evaluate(
@@ -77,7 +64,7 @@ def evaluate(
     `groups` is sample_groups(test_set, difficulty). The test set is
     forwarded KERNEL_PIXELS // (H*W) images at a time (at least one), so a
     call's work memory is no larger than a training step's; each chunk's
-    predictions are scored in one dice_score call.
+    bool predictions are scored in one dice_score call.
     """
     if len(groups) != len(test_set):
         raise ValueError(f"{len(groups)} group tags for {len(test_set)} test samples")
@@ -86,7 +73,7 @@ def evaluate(
     scores = []
     for start in range(0, len(test_set), chunk_size):
         chunk = slice(start, start + chunk_size)
-        preds = (forward(params, test_set.images[chunk]) >= threshold).astype(np.uint8)
+        preds = forward(params, test_set.images[chunk]) >= threshold
         scores.append(dice_score(preds, test_set.masks[chunk]))
 
     values = np.concatenate(scores)

@@ -26,6 +26,14 @@ from .rng import INIT_STREAM, substream
 DICE_SMOOTHING = 1.0
 
 
+class KernelOverflowError(ValueError):
+    """A finite parameter row `row` overflowed `dtype` in the kernel or in the cast to it: its logits are not finite."""
+
+    def __init__(self, row: int, dtype: np.dtype) -> None:
+        self.row, self.dtype = row, np.dtype(dtype)
+        super().__init__(f"parameter row {row} overflows {self.dtype} in the kernel: its logits are not finite")
+
+
 @dataclass(frozen=True)
 class ArchDescriptor:
     """Shape of the model: 1 -> hidden_channels -> 1 channels, 3x3 kernels."""
@@ -88,8 +96,6 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
 # and two guarded planes), and no pad cells, so a call of this size keeps at
 # most 3.148 MB of it on a float64 stack and 1.574 MB on a float32 one.
 KERNEL_PIXELS = 16384
-
-FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _as_stack(images: np.ndarray) -> np.ndarray:
@@ -175,27 +181,18 @@ def _forward_stack(parts: tuple[np.ndarray, ...], x: np.ndarray, role: str):
     return _conv2(k2, b2, a1), a1, planes
 
 
-def float32_overflow_row(rows: np.ndarray, dtype: np.dtype) -> int | None:
-    """The first of (K, P) parameter rows that a kernel pass on a `dtype` stack cannot hold, or None.
+def _check_logits(z2: np.ndarray, rows: np.ndarray) -> None:
+    """Raise KernelOverflowError if a finite parameter row gave non-finite logits z2 (N, H, W).
 
-    Only a float32 pass has such rows: a parameter beyond float32's largest
-    value would overflow in the cast of the rows to float32.
+    One isfinite pass checks every logit. The kernel runs with overflow warnings off, so an overflow
+    surfaces here by name, not as NaN probabilities that score as background. Non-finite rows are no
+    overflow: they are the caller's.
     """
-    if dtype == np.float32 and np.abs(rows).max() > FLOAT32_MAX:
-        return int(np.argmax(np.abs(rows).max(axis=1) > FLOAT32_MAX))
-    return None
-
-
-def _kernel_rows(params: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Parameters as (K, P) rows in the kernel's dtype, rejecting rows that float32_overflow_row names."""
-    rows = params.reshape(-1, params.shape[-1])
-    row = float32_overflow_row(rows, dtype)
-    if row is not None:
-        raise ValueError(
-            f"parameter row {row} exceeds float32's largest value {FLOAT32_MAX:.8g}, "
-            "so a float32 stack cannot compute with it"
-        )
-    return rows.astype(dtype, copy=False)
+    if np.isfinite(z2).all():
+        return
+    overflowed = ~np.isfinite(z2).reshape(len(rows), -1).all(axis=1) & np.isfinite(rows).all(axis=1)
+    if overflowed.any():
+        raise KernelOverflowError(int(np.argmax(overflowed)), z2.dtype)
 
 
 def forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -203,14 +200,18 @@ def forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
 
     They are float32 for a float32 input and float64 for any other. Rejects
     non-finite parameters: a diverged model would otherwise score as an
-    all-background prediction, since NaN never clears a threshold. A float32
-    input also rejects parameters beyond float32's largest value.
+    all-background prediction, since NaN never clears a threshold. For the
+    same reason, parameters that overflow the input's dtype inside the
+    kernel raise KernelOverflowError.
     """
     arch = infer_arch(params)
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
-    z2, _, _ = _forward_stack(arch.unpack(_kernel_rows(params, x.dtype)), x, "nine")
+    rows = params.reshape(-1, params.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2, _, _ = _forward_stack(arch.unpack(rows.astype(x.dtype, copy=False)), x, "nine")
+    _check_logits(z2, rows)
     return _sigmoid(z2).reshape(np.shape(images))
 
 
@@ -239,8 +240,9 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     k of the (K, P) result is bitwise what a call on row k and group k alone
     returns. Flat (P,) parameters are the K = 1 case. The masks of the whole
     stack are validated in one call. The pass computes in the stack's dtype,
-    float32 or float64, with the rows cast to it once (a float32 stack
-    rejects rows beyond float32's largest value); the gradient is float64.
+    float32 or float64, with the rows cast to it once; the gradient is
+    float64. Finite rows whose logits overflow the stack's dtype raise
+    KernelOverflowError; non-finite rows give a non-finite gradient.
 
     Work memory is the shared shifts.WORKSPACE, in the stack's dtype, whose
     five roles are each overwritten in place as the pass goes on; a role is
@@ -257,7 +259,7 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     """
     arch = infer_arch(params)
     x = _as_stack(images)
-    rows = _kernel_rows(params, x.dtype)
+    rows = params.reshape(-1, params.shape[-1])
     groups = len(rows)
     masks = np.asarray(masks)
     if masks.shape != np.shape(images):
@@ -265,43 +267,45 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     n, height, width = x.shape
     if n % groups:
         raise ShapeMismatchError(f"a stack of {n} images does not split into {groups} equal groups")
-    valid = validate_mask(masks.reshape(-1, width))
-    parts = arch.unpack(rows)
-    z2, a1, x_shifts = _forward_stack(parts, x, "x nine")
-    prob = _sigmoid(z2)
-    # z2 is read: its accumulator now takes prob * m, and the guarded copy
-    # of x, whose shifts are built, takes m
-    buffer, m, starts = shifts.guarded("guarded", n, height, width, x.dtype)
-    m[...] = valid.reshape(x.shape)
+    valid = validate_mask(masks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = arch.unpack(rows.astype(x.dtype, copy=False))
+        z2, a1, x_shifts = _forward_stack(parts, x, "x nine")
+        _check_logits(z2, rows)
+        prob = _sigmoid(z2)
+        # z2 is read: its accumulator now takes prob * m, and the guarded copy
+        # of x, whose shifts are built, takes m
+        buffer, m, starts = shifts.guarded("guarded", n, height, width, x.dtype)
+        m[...] = valid.reshape(x.shape)
 
-    product = np.multiply(prob, m, out=shifts.WORKSPACE.array("out", *x.shape, dtype=x.dtype))
-    intersection = product.sum(axis=(1, 2))[:, None, None]
-    denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + DICE_SMOOTHING)[:, None, None]
-    # d(dice_loss)/dp per sample: quotient rule on (2I + eps)/(sums + eps),
-    # then through the sigmoid; built in place in m's memory
-    g2 = m
-    g2 *= -2.0 / denom
-    g2 += (2.0 * intersection + DICE_SMOOTHING) / denom**2
-    g2 *= prob
-    g2 *= 1.0 - prob
+        product = np.multiply(prob, m, out=shifts.WORKSPACE.array("out", *x.shape, dtype=x.dtype))
+        intersection = product.sum(axis=(1, 2))[:, None, None]
+        denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + DICE_SMOOTHING)[:, None, None]
+        # d(dice_loss)/dp per sample: quotient rule on (2I + eps)/(sums + eps),
+        # then through the sigmoid; built in place in m's memory
+        g2 = m
+        g2 *= -2.0 / denom
+        g2 += (2.0 * intersection + DICE_SMOOTHING) / denom**2
+        g2 *= prob
+        g2 *= 1.0 - prob
 
-    c = arch.hidden_channels
-    k2 = parts[2]
-    a1 = a1.reshape(groups, c, -1)
-    # both the second kernel's gradient and the hidden gradient read g2 at
-    # shift (2-di, 2-dj): the flipped shift stack, cut where g2 was built
-    g2_shifts = _per_group(shifts.cut_shifts(buffer, g2, starts, "nine", flip=True), groups)
-    gk2 = a1 @ g2_shifts.transpose(0, 2, 1)
-    active = a1 > 0.0
-    dz1 = np.matmul(k2.reshape(groups, c, 9), g2_shifts, out=a1)  # a1 is not read again
-    dz1 *= active
+        c = arch.hidden_channels
+        k2 = parts[2]
+        a1 = a1.reshape(groups, c, -1)
+        # both the second kernel's gradient and the hidden gradient read g2 at
+        # shift (2-di, 2-dj): the flipped shift stack, cut where g2 was built
+        g2_shifts = _per_group(shifts.cut_shifts(buffer, g2, starts, "nine", flip=True), groups)
+        gk2 = a1 @ g2_shifts.transpose(0, 2, 1)
+        active = a1 > 0.0
+        dz1 = np.matmul(k2.reshape(groups, c, 9), g2_shifts, out=a1)  # a1 is not read again
+        dz1 *= active
 
-    grad = np.empty((groups, arch.param_count))
-    grad[:, : 9 * c] = (dz1 @ _per_group(x_shifts, groups).transpose(0, 2, 1)).reshape(groups, -1)
-    grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
-    grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
-    grad[:, 19 * c] = g2.reshape(groups, -1).sum(axis=1)
-    grad /= n // groups
+        grad = np.empty((groups, arch.param_count))
+        grad[:, : 9 * c] = (dz1 @ _per_group(x_shifts, groups).transpose(0, 2, 1)).reshape(groups, -1)
+        grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
+        grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
+        grad[:, 19 * c] = g2.reshape(groups, -1).sum(axis=1)
+        grad /= n // groups
     return grad.reshape(params.shape)
 
 

@@ -17,5 +17,5 @@ SHUFFLE_STREAM = 2  # per-round batch shuffling, keyed (round, client)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by (seed, key)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    """Generator for the stream identified by (seed, key): what default_rng builds from its SeedSequence."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key))))

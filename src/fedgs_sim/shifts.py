@@ -20,19 +20,20 @@ class Workspace:
     operating system as new pages each time, and the page faults cost more
     than the arithmetic on them. model.backward lists which role holds what.
     Each role keeps one buffer per dtype: float32 stacks take float32 memory,
-    and a stack of any other dtype takes float64 memory.
+    uint8 mask stacks uint8 memory, and a stack of any other dtype float64
+    memory.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def array(self, role: str, *shape: int, dtype: np.dtype) -> np.ndarray:
-        """An uninitialised float32 or float64 array of `shape`, in the memory kept for (`role`, dtype).
+        """An uninitialised float32, uint8 or float64 array of `shape`, in the memory kept for (`role`, dtype).
 
         Memory grows to the largest shape asked of it, and every array taken
         from it overlaps the previous one.
         """
-        key = (role, np.dtype(np.float32 if dtype == np.float32 else np.float64))
+        key = (role, np.dtype(dtype if dtype in (np.float32, np.uint8) else np.float64))
         size = math.prod(shape)
         if key not in self._buffers or self._buffers[key].size < size:
             self._buffers.pop(key, None)  # free the smaller buffer before allocating its successor
@@ -78,10 +79,10 @@ def shift_stack(x: np.ndarray, role: str = "nine", flip: bool = False) -> np.nda
     """The nine shifts of an (N, H, W) stack, zero outside each image, as one shift-major (9, N*H*W) array.
 
     The stack is copied into the workspace's "guarded" role and cut_shifts
-    cuts the planes from there, into `role`: float32 planes for a float32
-    stack and float64 ones for any other. A stack that lies in the
-    workspace's own memory is copied out first, since the guards and the
-    planes may overwrite it.
+    cuts the planes from there, into `role`: float32 or uint8 planes for a
+    stack of that dtype and float64 ones for any other. A stack that lies
+    in the workspace's own memory is copied out first, since the guards and
+    the planes may overwrite it.
     """
     if WORKSPACE.holds(x):
         x = x.copy()

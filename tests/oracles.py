@@ -2,21 +2,26 @@
 
 Everything here is written from the definitions (shift-stacks, flood fill,
 central differences) rather than calling the code paths under test, so the
-tests compare two genuinely different routes to the same answer. Two
+tests compare two genuinely different routes to the same answer. Three
 exceptions: TrajectoryRecorder observes the code under test without
-changing what it computes, and reference_forward and reference_backward
+changing what it computes; reference_forward and reference_backward
 keep the earlier group-major layout of the model's shift-and-add kernel,
 with buffers of their own, so that the kernel's results stay bit for bit
-what they were.
+what they were; and reference_difficulty keeps the earlier mask-at-a-time
+difficulty path (its labeling copied as it was, its erosion and dilation
+the definitions above), so that every delta, inverse area and small-lesion
+tag of the stack path stays bit for bit what it was.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 from fedgs_sim import fl
+from fedgs_sim.masks import DifficultyConfig
 from fedgs_sim.rng import DATA_STREAM, substream
 
 SQUARE3_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
@@ -94,6 +99,104 @@ def smallest_lesion_estimate(mask: np.ndarray, offsets=SQUARE3_OFFSETS, iteratio
         return int(comp_mask.sum())
     reconstructed = shift_dilate(comp_mask, offsets, iterations)
     return int((reconstructed.astype(bool) & mask.astype(bool)).sum())
+
+
+def _reference_validate(mask: np.ndarray) -> np.ndarray:
+    arr = np.asarray(mask)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"mask must be a non-empty 2D grid, got shape {arr.shape}")
+    if arr.dtype == bool:
+        return arr.astype(np.uint8)
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("mask cells must all be 0 or 1")
+    return arr.astype(np.uint8)
+
+
+def _reference_morph(arr: np.ndarray, element: str, iterations: int, reduce) -> np.ndarray:
+    offsets = {"square3": SQUARE3_OFFSETS, "cross3": CROSS3_OFFSETS}[element]
+    return (shift_erode if reduce is np.min else shift_dilate)(arr, offsets, iterations)
+
+
+def _reference_label(arr: np.ndarray, connectivity: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The earlier one-mask run-based labeling: (labels, [(label, area), ...])."""
+    height, width = arr.shape
+    stride = width + 2  # one zero column on each side keeps every run inside its row
+    padded = np.zeros((height, stride), dtype=np.uint8)
+    padded[:, 1:-1] = arr
+    flat = padded.reshape(-1)
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    starts, ends = changes[0::2], changes[1::2]  # flat positions; ends are one past a run
+    # the runs of the row above that touch run r are the contiguous range first[r]:stop[r]
+    reach = connectivity == 8
+    first = np.searchsorted(ends, starts - (stride + reach), side="right").tolist()
+    stop = np.searchsorted(starts, ends - (stride - reach), side="left").tolist()
+    parent = list(range(len(first)))
+    for run in range(len(parent)):
+        for touched in range(first[run], stop[run]):
+            a, b = touched, run
+            while parent[a] != a:  # find, halving the path
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[max(a, b)] = min(a, b)
+    # roots number the components in order; a parent comes earlier, so its label is known
+    run_labels: list[int] = []
+    n = 0
+    for run, up in enumerate(parent):
+        n += up == run
+        run_labels.append(n if up == run else run_labels[up])
+    labels = np.zeros(flat.size, dtype=np.int32)
+    for start, end, label in zip(starts.tolist(), ends.tolist(), run_labels):
+        labels[start:end] = label
+    areas = np.bincount(run_labels, weights=ends - starts, minlength=n + 1).tolist()
+    component_areas = [(label, int(areas[label])) for label in range(1, n + 1)]
+    return labels.reshape(height, stride)[:, 1:-1], component_areas
+
+
+def reference_inverse_relative_area(mask: np.ndarray) -> float | None:
+    """The earlier whole-mask inverse area of one mask; None for an empty mask."""
+    arr = _reference_validate(mask)
+    foreground = int(arr.sum())
+    if foreground == 0:
+        return None
+    return arr.size / foreground
+
+
+def reference_smallest_lesion_inverse_area(mask: np.ndarray, cfg: DifficultyConfig) -> float | None:
+    """The earlier blob_split inverse area of one mask; None for an empty mask."""
+    arr = _reference_validate(mask)
+    if arr.sum() == 0:
+        return None
+
+    eroded = _reference_morph(arr, cfg.structuring_element, cfg.erosion_iterations, np.min)
+    use_fallback = eroded.sum() == 0
+    base = arr if use_fallback else eroded
+
+    labels, component_areas = _reference_label(base, cfg.connectivity)
+    smallest_label, smallest_area = min(component_areas, key=lambda la: la[1])
+
+    if use_fallback or cfg.erosion_iterations == 0:
+        estimated_area = smallest_area
+    else:
+        component = (labels == smallest_label).astype(np.uint8)
+        reconstructed = _reference_morph(component, cfg.structuring_element, cfg.erosion_iterations, np.max)
+        estimated_area = int((reconstructed & arr).sum())
+    return arr.size / estimated_area
+
+
+def reference_difficulty(mask: np.ndarray, cfg: DifficultyConfig) -> tuple[float | None, bool, float]:
+    """The earlier per-mask difficulty_factor: (inverse area or None if empty, is_small, delta)."""
+    if cfg.regime == "whole_mask":
+        inverse_area = reference_inverse_relative_area(mask)
+    else:
+        inverse_area = reference_smallest_lesion_inverse_area(mask, cfg)
+    if inverse_area is None:
+        return None, False, 0.0
+    is_small = inverse_area >= cfg.threshold
+    if not is_small:
+        return inverse_area, False, 0.0
+    log_value = math.log(inverse_area) / math.log(cfg.log_base)
+    return inverse_area, True, min(math.tanh(log_value * log_value), math.nextafter(1.0, 0.0))
 
 
 def conv_logits(params: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
-from oracles import replayed_images
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import rasterize_disk, replayed_images
 
 from fedgs_sim.data import (
     ClientData,
     ClientDataSpec,
     InfeasibleSpecError,
+    _stamp_disk,
     build_federation,
     dump_samples,
     generate_client_dataset,
 )
+from fedgs_sim.rng import DATA_STREAM, substream
 from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, difficulty_factor
 from fedgs_sim.pgm import read_mask_pgm
 
@@ -120,6 +124,23 @@ class TestGeneration:
         images = generate_client_dataset(spec, seed).images
         assert images.dtype == np.float32
         assert images.tobytes() == replayed_images(spec, seed).astype(np.float32).tobytes()
+
+    @given(
+        st.integers(1, 20), st.integers(1, 20), st.integers(-3, 22), st.integers(-3, 22), st.floats(0.0, 9.0), st.integers(0, 9)
+    )
+    def test_stamp_sets_the_disk_on_top_of_what_is_there(self, height, width, cy, cx, radius, seed):
+        # stamping works in the disk's bounding box only, clipped to the frame
+        mask = (np.random.default_rng(seed).random((height, width)) < 0.2).astype(np.uint8)
+        expected = mask | rasterize_disk(height, width, cy, cx, radius)
+        _stamp_disk(mask, cy, cx, radius)
+        assert mask.dtype == np.uint8 and np.array_equal(mask, expected)
+
+    @pytest.mark.parametrize("key", [(DATA_STREAM, 3, 0), (DATA_STREAM, 0, 17), (0,)])
+    def test_substream_is_the_default_rng_stream(self, key):
+        expected = np.random.default_rng(np.random.SeedSequence(811, spawn_key=key))
+        rng = substream(811, *key)
+        assert rng.random(5).tolist() == expected.random(5).tolist()
+        assert rng.normal(size=7).tobytes() == expected.normal(size=7).tobytes()
 
     def test_masks_are_read_only(self):
         dataset = generate_client_dataset(make_spec(n_samples=3), 4)

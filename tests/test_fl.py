@@ -496,22 +496,32 @@ class TestRunRound:
                 [substream(0, SHUFFLE_STREAM, 0, c) for c in range(2)],
             )
 
-    def test_parameters_beyond_float32_range_raise_naming_the_client(self, monkeypatch):
-        # client images are float32, and 1e39 has no float32 value
-        limit = "local parameters beyond float32's range"
+    def test_parameters_beyond_float32_range_raise_naming_the_client(self):
+        # client images are float32, and 1e39 has no float32 value: it casts
+        # to inf, and the kernel's logits are not finite
+        message = "local parameters overflow float32 in the kernel at local step 1"
         params = init_params(ArchDescriptor(), 17)
         params[0] = 1e39
-        with pytest.raises(DivergenceError, match=rf"^client 0: {limit} at local step 1$"):
+        with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
             run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
-        # in a cohort, before the kernel call that would take them
-        calls = []
-        monkeypatch.setattr("fedgs_sim.fl.backward", lambda *args: calls.append(args))
+        # in a cohort
         state = ClientState.start(init_params(ArchDescriptor(), 17), 3, SGD)
         state.params[1, 4] = -1e39
         batch = make_dataset(n=4)
-        with pytest.raises(DivergenceError, match=rf"^client 1: {limit} at local step 1$"):
+        with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
             local_iteration(state, [batch] * 3, [np.arange(4)] * 3, StrategyConfig(kind="fedavg"), [None] * 3)
-        assert calls == []
+
+    def test_parameters_that_overflow_inside_the_kernel_raise_naming_the_client(self):
+        # far inside float32's range, but the float32 kernel's logits overflow
+        message = "local parameters overflow float32 in the kernel at local step 1"
+        params = init_params(ArchDescriptor(), 17) * 1e20
+        with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
+            run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
+        state = ClientState.start(init_params(ArchDescriptor(), 17), 3, SGD)
+        state.params[1] *= 1e20
+        batch = make_dataset(n=4)
+        with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
+            local_iteration(state, [batch] * 3, [np.arange(4)] * 3, StrategyConfig(kind="fedavg"), [None] * 3)
 
     def test_non_finite_local_parameters_raise(self, monkeypatch):
         monkeypatch.setattr("fedgs_sim.fl.optimizer_step", lambda state, params, grad: (params * np.nan, state))

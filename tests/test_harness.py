@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedgs_sim.config import parse_config
+from fedgs_sim.fl import DivergenceError
 from fedgs_sim.harness import (
     CSV_VERSION_LINE,
     emit_difficulty_curve,
@@ -129,12 +130,14 @@ class TestRunExperiment:
 
         from fedgs_sim import fl, metrics
 
-        calls = []
+        # each call scores a whole (N, H, W) mask stack: count the masks
+        scored = []
 
         def counted(fn):
-            def wrapper(*args):
-                calls.append(args)
-                return fn(*args)
+            def wrapper(masks, cfg):
+                assert np.ndim(masks) == 3
+                scored.append(len(masks))
+                return fn(masks, cfg)
 
             return wrapper
 
@@ -143,10 +146,24 @@ class TestRunExperiment:
         n_train = sum(spec.n_samples for spec in tiny_cfg.training_specs)
         n_test = tiny_cfg.test_spec.n_samples
         for strategy, expected in (("fedgs", n_train + n_test), ("fedavg", n_test)):
-            calls.clear()
+            scored.clear()
             cfg = dataclasses.replace(tiny_cfg, seeds=(1,), strategies=(strategy,), rounds=rounds, local_epochs=epochs)
             run_experiment(cfg)
-            assert len(calls) == expected, strategy
+            assert sum(scored) == expected, strategy
+
+    def test_overflow_in_evaluation_names_seed_strategy_and_round(self, tiny_cfg, monkeypatch):
+        from fedgs_sim import harness
+
+        real = harness.run_round
+
+        def overflowing_round(params, *args):
+            new_global, stats = real(params, *args)
+            return new_global * 1e20, stats
+
+        monkeypatch.setattr(harness, "run_round", overflowing_round)
+        message = r"^seed 1, strategy fedgs, round 0: parameter row 0 overflows float32 in the kernel"
+        with pytest.raises(DivergenceError, match=message):
+            run_experiment(tiny_cfg)
 
     def test_federation_is_built_once_per_seed(self, tiny_cfg, monkeypatch):
         from fedgs_sim import harness

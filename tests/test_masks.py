@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fedgs_sim.masks import (
     label_components,
     raw_difficulty,
     smallest_lesion_inverse_area,
+    validate_mask,
 )
 from oracles import (
     CROSS3_OFFSETS,
@@ -29,10 +31,15 @@ from oracles import (
     SQUARE3_OFFSETS,
     flood_fill_components,
     rasterize_disk,
+    reference_difficulty,
+    reference_inverse_relative_area,
+    reference_smallest_lesion_inverse_area,
     shift_dilate,
     shift_erode,
     smallest_lesion_estimate,
 )
+
+from fedgs_sim import shifts
 
 # tanh((log_l a)^2) computed with mpmath at 50 digits before the build
 TANH_ONE = 0.7615941559557649
@@ -44,6 +51,51 @@ RAW_L100 = {
 }
 
 small_masks = arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=st.integers(0, 1))
+
+
+@st.composite
+def mask_stacks(draw, max_n=6, max_side=14):
+    """(N, H, W) uint8 stacks whose masks are empty, pixel noise, or unions of rectangles.
+
+    Noise gives many one-pixel components (area ties, and masks that
+    erosion empties); rectangles give lesions that survive erosion, equal
+    sizes that tie after it, and lesions touching the border.
+    """
+    n, height, width = draw(st.integers(1, max_n)), draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    stack = np.zeros((n, height, width), dtype=np.uint8)
+    for mask in stack:
+        kind = draw(st.sampled_from(["empty", "noise", "rectangles"]))
+        if kind == "noise":
+            mask[...] = draw(arrays(np.uint8, (height, width), elements=st.integers(0, 1)))
+        elif kind == "rectangles":
+            for _ in range(draw(st.integers(1, 4))):
+                top, left = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+                mask[top : top + draw(st.integers(1, 6)), left : left + draw(st.integers(1, 6))] = 1
+    return stack
+
+
+difficulty_configs = st.builds(
+    DifficultyConfig,
+    log_base=st.floats(1.5, 1000.0),
+    threshold=st.floats(1.0, 200.0),
+    regime=st.sampled_from(["whole_mask", "blob_split"]),
+    erosion_iterations=st.integers(0, 2),
+    structuring_element=st.sampled_from(["square3", "cross3"]),
+    connectivity=st.sampled_from([4, 8]),
+)
+
+
+def assert_matches_reference(stack, cfg):
+    """difficulty_factor of the stack, and of each mask alone, equals the earlier per-mask path bit for bit."""
+    result = difficulty_factor(stack, cfg)
+    assert result.inverse_area.shape == result.is_small.shape == result.delta.shape == (len(stack),)
+    for i, mask in enumerate(stack):
+        inverse_area, is_small, delta = reference_difficulty(mask, cfg)
+        expected_area = math.nan if inverse_area is None else inverse_area
+        single = difficulty_factor(mask, cfg)
+        for got in ((result.inverse_area[i], result.is_small[i], result.delta[i]), astuple(single)):
+            assert got[0] == expected_area or math.isnan(got[0]) and math.isnan(expected_area)
+            assert got[1:] == (is_small, delta)
 
 
 def blob_cfg(**kwargs) -> DifficultyConfig:
@@ -173,6 +225,21 @@ class TestLabelComponents:
         assert np.array_equal(labeling.labels, expected)
         assert labeling.component_areas == [(label, len(c)) for label, c in enumerate(reference, start=1)]
 
+    @settings(max_examples=50, deadline=None)
+    @given(mask_stacks(), st.sampled_from([4, 8]))
+    def test_stack_numbers_each_image_after_the_one_before(self, stack, connectivity):
+        labeling = label_components(stack, connectivity)
+        assert labeling.labels.shape == stack.shape
+        offset = 0
+        for mask, labels in zip(stack, labeling.labels):
+            alone = label_components(mask, connectivity)
+            assert np.array_equal(labels, np.where(alone.labels > 0, alone.labels + offset, 0))
+            assert labeling.component_areas[offset : offset + alone.n_components] == [
+                (label + offset, area) for label, area in alone.component_areas
+            ]
+            offset += alone.n_components
+        assert labeling.n_components == offset
+
     def test_raster_order_of_first_pixel(self):
         # two runs of row 0 that meet in row 1 are one component, numbered by
         # its first pixel (0, 5); a bar that starts further left, a row lower,
@@ -294,7 +361,7 @@ class TestDifficultyFactor:
         for regime in ("whole_mask", "blob_split"):
             cfg = DifficultyConfig(log_base=100.0, threshold=150.0, regime=regime)
             result = difficulty_factor(np.zeros((16, 16), dtype=np.uint8), cfg)
-            assert result.inverse_area is None
+            assert math.isnan(result.inverse_area)
             assert not result.is_small
             assert result.delta == 0.0
 
@@ -329,6 +396,119 @@ class TestDifficultyFactor:
             DifficultyConfig(connectivity=6)
         with pytest.raises(ValueError):
             DifficultyConfig(regime="diagonal")
+
+
+class TestStackPath:
+    """difficulty_factor scores an (N, H, W) stack at once, bit for bit as the earlier per-mask path did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask_stacks(), difficulty_configs, st.integers(1, 7))
+    def test_stack_equals_reference_per_mask_path(self, stack, cfg, per_chunk):
+        # chunks of per_chunk masks, so that stacks cross chunk boundaries
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(masks, "BLOB_SPLIT_PIXELS", per_chunk * stack[0].size)
+            assert_matches_reference(stack, cfg)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 100])
+    @pytest.mark.parametrize("iterations", [0, 1, 2])
+    def test_ties_borders_fallbacks_and_empties(self, per_chunk, iterations):
+        cases = []
+        for diagonal_first in (True, False):  # equal eroded areas, rebuilt to 14 and 12 pixels
+            mask = np.zeros((16, 16), dtype=np.uint8)
+            diagonal, bar = (1, 9) if diagonal_first else (9, 1)
+            mask[diagonal : diagonal + 3, 2:5] = mask[diagonal + 1 : diagonal + 4, 3:6] = 1
+            mask[bar : bar + 3, 8:12] = 1
+            cases.append(mask)
+        border = np.zeros((16, 16), dtype=np.uint8)
+        border[:4, :5] = border[10:, 12:] = border[6:9, 6:9] = 1  # lesions in two corners and one inside
+        cases.append(border)
+        wipeout = np.zeros((16, 16), dtype=np.uint8)
+        wipeout[2, 2] = wipeout[7, 7] = wipeout[12, 3:5] = 1  # erosion empties it: the raw components decide
+        cases.append(wipeout)
+        cases.append(np.zeros((16, 16), dtype=np.uint8))
+        twins = np.zeros((16, 16), dtype=np.uint8)
+        twins[1:5, 1:5] = twins[9:13, 9:13] = 1  # two equal squares: the first in raster order
+        cases.append(twins)
+        stack = np.stack(cases + cases[::-1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(masks, "BLOB_SPLIT_PIXELS", per_chunk * 256)
+            for element in ("square3", "cross3"):
+                for connectivity in (4, 8):
+                    cfg = blob_cfg(threshold=5.0, erosion_iterations=iterations, structuring_element=element, connectivity=connectivity)
+                    assert_matches_reference(stack, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_stacks(max_n=1), difficulty_configs)
+    def test_one_mask_wrappers_equal_reference(self, stack, cfg):
+        mask = stack[0]
+        expected = reference_smallest_lesion_inverse_area(mask, cfg)
+        if expected is None:
+            for score in (inverse_relative_area, lambda m: smallest_lesion_inverse_area(m, cfg)):
+                with pytest.raises(EmptyMaskError):
+                    score(mask)
+        else:
+            assert smallest_lesion_inverse_area(mask, cfg) == expected
+            assert inverse_relative_area(mask) == reference_inverse_relative_area(mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_stacks(), st.sampled_from(["square3", "cross3"]), st.integers(0, 2))
+    def test_morphology_of_a_stack_is_per_mask(self, stack, element, iterations):
+        offsets = SQUARE3_OFFSETS if element == "square3" else CROSS3_OFFSETS
+        eroded, dilated = erode(stack, element, iterations), dilate(stack, element, iterations)
+        assert eroded.dtype == dilated.dtype == np.uint8 and eroded.shape == dilated.shape == stack.shape
+        for mask, e, d in zip(stack, eroded, dilated):
+            assert np.array_equal(e, shift_erode(mask, offsets, iterations))
+            assert np.array_equal(d, shift_dilate(mask, offsets, iterations))
+
+    def test_blob_eval_test_set_work_memory_within_kernel_figure(self, monkeypatch):
+        # 240 64x64 masks, the blob_eval workload's test center, scored in
+        # one call keep no more uint8 work memory than the kernel's float32
+        # figure (model.KERNEL_PIXELS)
+        rng = np.random.default_rng(0)
+        stack = np.zeros((240, 64, 64), dtype=np.uint8)
+        for mask in stack:
+            for _ in range(2):
+                mask |= rasterize_disk(64, 64, *rng.integers(10, 54, size=2), rng.uniform(2.0, 9.0))
+        monkeypatch.setattr(shifts, "WORKSPACE", shifts.Workspace())
+        result = difficulty_factor(stack, blob_cfg(threshold=52.0))
+        assert result.delta.shape == (240,) and result.is_small.any() and not result.is_small.all()
+        kept = [buffer for buffer in shifts.WORKSPACE._buffers.values()]
+        assert {buffer.dtype for buffer in kept} == {np.dtype(np.uint8)}
+        assert 0 < sum(buffer.nbytes for buffer in kept) <= 1.574e6
+
+    def test_validates_the_stack_once(self, monkeypatch):
+        calls = []
+        validate = masks.validate_mask
+
+        def counted(mask):
+            calls.append(np.shape(mask))
+            return validate(mask)
+
+        monkeypatch.setattr(masks, "validate_mask", counted)
+        stack = np.stack([build_attached_pair()] * 3)
+        difficulty_factor(stack, blob_cfg())
+        assert calls == [stack.shape]
+
+
+class TestValidateMask:
+    def test_uint8_comes_back_uncopied_and_bool_as_a_view(self):
+        stack = np.zeros((3, 4, 5), dtype=np.uint8)
+        assert validate_mask(stack) is stack
+        flags = stack.astype(bool)
+        view = validate_mask(flags)
+        assert view.dtype == np.uint8 and np.shares_memory(view, flags)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_rejects_cells_other_than_0_and_1(self, dtype):
+        stack = np.zeros((2, 3, 3), dtype=dtype)
+        stack[1, 2, 2] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            validate_mask(stack)
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 3), (3, 0), (2, 0, 3), (1, 2, 3, 4)])
+    def test_rejects_shapes_that_are_no_mask_or_stack(self, shape):
+        with pytest.raises(ValueError, match="non-empty 2D grid"):
+            validate_mask(np.zeros(shape, dtype=np.uint8))
 
 
 class TestBatchScaling:

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from fedgs_sim.data import ClientData
 from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, validate_mask
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
-from fedgs_sim.model import ArchDescriptor, forward
+from fedgs_sim.model import ArchDescriptor, KernelOverflowError, forward, init_params
 
 DIFFICULTY = DifficultyConfig(log_base=100.0, threshold=13.0, regime="whole_mask")
 
@@ -115,7 +115,7 @@ class TestDiceStacks:
 
         monkeypatch.setattr(metrics, "validate_mask", recording_validate)
         dice_score(*self.stacks(5, 6, 4, 3))
-        assert shapes == [(24, 3), (24, 3)]  # each (N, H, W) stack as its (N*H, W) view
+        assert shapes == [(6, 4, 3), (6, 4, 3)]  # each (N, H, W) stack in one call
 
     @pytest.mark.parametrize("image", [0, 2, 4])
     @pytest.mark.parametrize("side", ["pred", "gt"])
@@ -150,6 +150,12 @@ class TestEvaluate:
         report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.dice == report.dice_s == report.dice_l == 1.0
         assert (report.n_small, report.n_large, report.n_empty) == (1, 1, 0)
+
+    def test_model_that_overflows_float32_raises_instead_of_scoring_background(self):
+        samples = self.samples_for(disk_mask(2.5), disk_mask(9.0))
+        params = init_params(ArchDescriptor(), 0) * 1e20
+        with pytest.raises(KernelOverflowError, match="overflows float32 in the kernel"):
+            evaluate(params, samples, sample_groups(samples, DIFFICULTY))
 
     def test_all_empty_masks_leave_groups_absent(self):
         params = passthrough_params()

@@ -7,9 +7,10 @@ from oracles import conv_logits, reference_backward, reference_forward
 
 from fedgs_sim import fl, model, shifts
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
-from fedgs_sim.masks import ShapeMismatchError
+from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, difficulty_factor, dilate
 from fedgs_sim.model import (
     ArchDescriptor,
+    KernelOverflowError,
     OptimizerConfig,
     OptimizerState,
     backward,
@@ -357,22 +358,44 @@ class TestFloat32Kernel:
         assert prob.dtype == np.float32 and prob.shape == images.shape
         assert np.abs(prob - forward(params, images)).max() <= PROB_ATOL_FLOAT32
 
-    def test_parameters_beyond_float32_range_are_rejected_before_the_cast(self):
-        # 1e39 is finite in float64 but would overflow to inf in the float32
-        # cast of the rows
+    def test_parameters_beyond_float32_range_raise_naming_the_row(self):
+        # 1e39 is finite in float64 but casts to inf in float32, and the
+        # logits it gives are not finite
         params, images, masks = stack_fixture(2, size=(8, 8))
         params[0] = 1e39
         stack = images.astype(np.float32)
-        limit = r"float32's largest value 3.4028235e\+38"
-        with pytest.raises(ValueError, match=rf"^parameter row 0 exceeds {limit}"):
+        message = "overflows float32 in the kernel: its logits are not finite"
+        with pytest.raises(KernelOverflowError, match=rf"^parameter row 0 {message}$"):
             backward(params, stack, masks)
-        with pytest.raises(ValueError, match=limit):
+        with pytest.raises(KernelOverflowError, match=message):
             forward(params, stack)
         rows = np.stack([params, params])
         rows[0, 0] = 0.5
-        with pytest.raises(ValueError, match=rf"^parameter row 1 exceeds {limit}"):
+        with pytest.raises(KernelOverflowError, match=rf"^parameter row 1 {message}$"):
             backward(rows, stack, masks)
         # a float64 stack holds them
+        assert np.isfinite(backward(params, images, masks)).all()
+
+    def test_parameters_that_overflow_inside_the_kernel_raise_naming_float32(self):
+        # 1e20 times the initial parameters is far inside float32's range,
+        # but the logits of the second convolution are not: without the
+        # check, forward returned NaN probabilities that score as background
+        params = init_params(ArchDescriptor(), 0) * 1e20
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(2, 8, 8))
+        masks = (rng.random((2, 8, 8)) < 0.3).astype(np.uint8)
+        stack = images.astype(np.float32)
+        message = r"^parameter row 0 overflows float32 in the kernel: its logits are not finite$"
+        with pytest.raises(KernelOverflowError, match=message):
+            forward(params, stack)
+        with pytest.raises(KernelOverflowError, match=message):
+            backward(params, stack, masks)
+        rows = np.stack([params / 1e20, params])
+        with pytest.raises(KernelOverflowError, match=r"^parameter row 1 overflows float32") as raised:
+            backward(rows, np.concatenate([stack, stack]), np.concatenate([masks, masks]))
+        assert isinstance(raised.value, ValueError) and raised.value.row == 1
+        # the float64 stack holds them
+        assert np.isfinite(forward(params, images)).all()
         assert np.isfinite(backward(params, images, masks)).all()
 
     def test_images_of_other_dtypes_compute_in_float64(self):
@@ -438,7 +461,9 @@ class TestStackedKernel:
     def test_reused_work_memory_gives_the_same_results(self, monkeypatch):
         # shapes that grow, shrink and return, in both dtypes, with the kept
         # work memory of every (role, dtype) poisoned before each call: stale
-        # values must never leak in
+        # values must never leak in. The masks' blob_split difficulty and
+        # dilation run on the uint8 work memory between kernel calls; integer
+        # buffers are poisoned with 0xFF, since NaN has no integer value
         shapes = [(4, (12, 12)), (2, (16, 9)), (1, (5, 5)), (4, (12, 12))]
         cases = []
         for dtype in (np.float64, np.float32, np.float64, np.float32):
@@ -446,22 +471,29 @@ class TestStackedKernel:
                 params, images, masks = stack_fixture(n, seed=n, size=size)
                 cases.append((params, images.astype(dtype), masks))
 
+        blob = DifficultyConfig(regime="blob_split", threshold=4.0)
+
+        def results_of(params, images, masks):
+            deltas = difficulty_factor(masks, blob).delta
+            return backward(params, images, masks), forward(params, images), deltas, dilate(masks)
+
         def kernel_results():
             results = []
-            for params, images, masks in cases:
+            for case in cases:
                 for buffer in shifts.WORKSPACE._buffers.values():
-                    buffer.fill(np.nan)
-                results.append((backward(params, images, masks), forward(params, images)))
+                    buffer.fill(np.nan if buffer.dtype.kind == "f" else 0xFF)
+                results.append(results_of(*case))
             return results
 
         # a new workspace starts with empty work memory
         with monkeypatch.context() as patch:
             patch.setattr(shifts, "WORKSPACE", shifts.Workspace())
-            fresh = [(backward(*case), forward(*case[:2])) for case in cases]
-        assert len(fresh) == len(cases)
-        for (grad, prob), (fresh_grad, fresh_prob) in zip(kernel_results(), fresh):
-            assert np.array_equal(grad, fresh_grad)
-            assert np.array_equal(prob, fresh_prob)
+            fresh = [results_of(*case) for case in cases]
+            assert np.dtype(np.uint8) in {buffer.dtype for buffer in shifts.WORKSPACE._buffers.values()}
+        assert len(fresh) == len(cases) and all(deltas[1:].all() for _, _, deltas, _ in fresh)
+        for got, expected in zip(kernel_results(), fresh):
+            for value, fresh_value in zip(got, expected):
+                assert np.array_equal(value, fresh_value)
 
     def test_work_memory_within_documented_figure(self, monkeypatch):
         # the figures in the comment on model.KERNEL_PIXELS, for calls of that
