@@ -2,15 +2,17 @@
 
 Everything here is written from the definitions (shift-stacks, flood fill,
 central differences) rather than calling the code paths under test, so the
-tests compare two genuinely different routes to the same answer. Three
+tests compare two genuinely different routes to the same answer. Four
 exceptions: TrajectoryRecorder observes the code under test without
-changing what it computes; reference_forward and reference_backward
-keep the earlier group-major layout of the model's shift-and-add kernel,
-with buffers of their own, so that the kernel's results stay bit for bit
-what they were; and reference_difficulty keeps the earlier mask-at-a-time
-difficulty path (its labeling copied as it was, its erosion and dilation
-the definitions above), so that every delta, inverse area and small-lesion
-tag of the stack path stays bit for bit what it was.
+changing what it computes; reference_round takes each sample's delta from
+the package's one-mask difficulty_factor; reference_forward and
+reference_backward keep the earlier group-major layout of the model's
+shift-and-add kernel, with buffers of their own, so that the kernel's
+results stay bit for bit what they were; and reference_difficulty keeps
+the earlier mask-at-a-time difficulty path (its labeling copied as it was,
+its erosion and dilation the definitions above), so that every delta,
+inverse area and small-lesion tag of the stack path stays bit for bit what
+it was.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from fedgs_sim import fl
-from fedgs_sim.masks import DifficultyConfig
+from fedgs_sim.masks import DifficultyConfig, difficulty_factor
 from fedgs_sim.rng import DATA_STREAM, substream
 
 SQUARE3_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
@@ -369,6 +371,61 @@ def weighted_rows(rows: np.ndarray, weights) -> np.ndarray:
     for row, weight in zip(rows, weights):
         out += (weight / total) * row
     return out
+
+
+def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
+    """fl.run_round by its documented semantics, client by client and batch by batch.
+
+    Each client starts from the global parameters with zero moments and, per
+    epoch, takes its batches of at most B samples from rngs[k].permutation.
+    Per batch: the reference gradient, SGD or AdamW written out, the
+    decrement (before - after), and eta = 1 + (2/N) * (sum of the batch's
+    per-mask deltas, left to right) under fedgs, 1 under fedavg. FedGS
+    subtracts the step-weighted mean of the eta-scaled decrement sums;
+    FedAvg takes the sample-weighted mean of the final parameters.
+    Returns (new global parameters, steps_total, mean eta, max eta).
+    """
+    opt, size = optimizer_cfg, strategy.batch_size
+    finals, cumulative, steps, etas = [], [], [], []
+    for dataset, rng in zip(datasets, rngs):
+        if strategy.kind == "fedgs":
+            deltas = [difficulty_factor(mask, strategy.difficulty).delta for mask in dataset.masks]
+        params = np.array(global_params, dtype=np.float64)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        cum = np.zeros_like(params)
+        t = 0
+        for _ in range(strategy.local_epochs):
+            order = rng.permutation(len(dataset))
+            for start in range(0, len(order), size):
+                batch = order[start : start + size]
+                grad = reference_backward(params, dataset.images[batch], dataset.masks[batch])
+                if opt.kind == "sgd":
+                    new_params = params - opt.learning_rate * grad
+                else:
+                    t += 1
+                    m = opt.beta1 * m + (1.0 - opt.beta1) * grad
+                    v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+                    m_hat = m / (1.0 - opt.beta1**t)
+                    v_hat = v / (1.0 - opt.beta2**t)
+                    update = m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * params
+                    new_params = params - opt.learning_rate * update
+                eta = 1.0
+                if strategy.kind == "fedgs":
+                    total = 0.0
+                    for i in batch:
+                        total += deltas[i]
+                    eta = 1.0 + (2.0 / len(batch)) * total
+                cum += eta * (params - new_params)
+                params = new_params
+                etas.append(eta)
+        finals.append(params)
+        cumulative.append(cum)
+        steps.append(strategy.local_epochs * -(-len(dataset) // size))
+    if strategy.kind == "fedgs":
+        new_global = global_params - weighted_rows(np.array(cumulative), steps)
+    else:
+        new_global = weighted_rows(np.array(finals), [len(dataset) for dataset in datasets])
+    return new_global, sum(steps), float(np.mean(etas)), max(etas)
 
 
 class TrajectoryRecorder:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import TrajectoryRecorder, weighted_rows
+from oracles import TrajectoryRecorder, reference_round, weighted_rows
 
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.fl import (
@@ -569,6 +569,48 @@ class TestRunRound:
         params = init_params(ArchDescriptor(), 0)
         with pytest.raises(ValueError):
             run_round(params, [make_dataset()], StrategyConfig(kind="fedavg"), SGD, [])
+
+
+class TestReferenceRound:
+    """run_round against tests/oracles.py::reference_round, a client-at-a-time loop written from the definitions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        clients=st.lists(
+            st.tuples(st.integers(1, 9), st.sampled_from([(10, 10), (12, 16), (16, 16)])), min_size=1, max_size=5
+        ),
+        batch_size=st.integers(1, 4),
+        epochs=st.integers(1, 2),
+        kind=st.sampled_from(["fedgs", "fedavg"]),
+        regime=st.sampled_from(["whole_mask", "blob_split"]),
+        optimizer_cfg=st.sampled_from([SGD, OptimizerConfig(kind="adamw", learning_rate=0.01)]),
+        seed=st.integers(0, 1000),
+    )
+    def test_run_round_is_the_reference_round_bitwise(
+        self, clients, batch_size, epochs, kind, regime, optimizer_cfg, seed
+    ):
+        datasets = [
+            generate_client_dataset(
+                ClientDataSpec(
+                    n_samples=n,
+                    image_size=size,
+                    small_fraction=0.5,
+                    small_radius_range=(1.0, 1.5),
+                    large_radius_range=(2.5, 3.5),
+                    seed_offset=c + 1,
+                ),
+                seed,
+            )
+            for c, (n, size) in enumerate(clients)
+        ]
+        difficulty = DifficultyConfig(log_base=100.0, threshold=13.0, regime=regime) if kind == "fedgs" else None
+        strategy = StrategyConfig(kind=kind, batch_size=batch_size, local_epochs=epochs, difficulty=difficulty)
+        params = init_params(ArchDescriptor(), seed)
+        streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(clients))]
+        new_global, stats = run_round(params, datasets, strategy, optimizer_cfg, streams())
+        expected, steps_total, mean_eta, max_eta = reference_round(params, datasets, strategy, optimizer_cfg, streams())
+        assert np.array_equal(new_global, expected)
+        assert (stats.steps_total, stats.mean_eta, stats.max_eta) == (steps_total, mean_eta, max_eta)
 
 
 def test_local_trajectory_invariance_microcase(monkeypatch):
