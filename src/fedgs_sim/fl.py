@@ -13,9 +13,11 @@ making the aggregate a pseudo-gradient: subtracting it moves the global model
 toward the clients, and with eta = 1 the cumulative gradient telescopes to
 (global params) - (final local params).
 
-The clients of a round train in lockstep: local step i advances every client
-that still has an i-th batch, with their batches gathered into shared kernel
-calls. Each client's numbers are bitwise those it would compute alone.
+A round plans each client's batches and their etas before its first kernel
+call. Its clients then train in lockstep: local step i advances every client
+that still has an i-th batch, in shared kernel calls, and scales each
+decrement by the planned eta; the step never sees the strategy. Each
+client's numbers are bitwise those it would compute alone.
 """
 
 from __future__ import annotations
@@ -139,39 +141,28 @@ def local_iteration(
     state: ClientState,
     datasets: Sequence[ClientData],
     picks: Sequence[np.ndarray | None],
-    strategy: StrategyConfig,
-    client_deltas: Sequence[np.ndarray | None],
+    etas: Sequence[float | None],
 ) -> ClientState:
     """One lockstep local step: client k trains on samples picks[k] of datasets[k]; returns the updated state.
 
     Clients whose picks are None sit the step out; the others must all be on
     the same local step. Each client's optimizer update uses the plain mean
-    Dice-loss gradient of its batch regardless of strategy. Batches of one
-    shape share backward calls, each call's stack gathered just before it,
-    and one optimizer step updates every training client's row. Under fedgs
-    the decrement added to a client's cumulative gradient is scaled by the
-    eta of client_deltas[k][picks[k]] (client_deltas[k] is its sample_deltas);
-    under fedavg eta is 1. An active client's deltas must be an array under
-    fedgs and None under fedavg, checked before any kernel call. A parameter
-    vector that overflows the kernel's dtype, a non-finite gradient or a
-    non-finite updated parameter vector raises DivergenceError naming the
-    client and the step.
+    Dice-loss gradient of its batch. Batches of one shape share backward
+    calls, each call's stack gathered just before it, and one optimizer step
+    updates every training client's row. The decrement added to client k's
+    cumulative gradient is scaled by etas[k], its batch's eta, which the
+    round fixes in advance; the step itself never sees the strategy. A
+    parameter vector that overflows the kernel's dtype, a non-finite
+    gradient or a non-finite updated parameter vector raises DivergenceError
+    naming the client and the step.
     """
-    if len(picks) != len(state.params):
-        raise ValueError(f"{len(picks)} batches for a cohort of {len(state.params)} clients")
+    if not len(picks) == len(etas) == len(state.params):
+        raise ValueError(f"{len(picks)} batches and {len(etas)} etas for a cohort of {len(state.params)} clients")
     active = [k for k, idx in enumerate(picks) if idx is not None]
     if not active:
         raise ValueError("no client has a batch")
-    fedgs = strategy.kind == "fedgs"
-    for k in active:
-        if (client_deltas[k] is None) == fedgs:
-            need = "an array" if fedgs else "None"
-            got = type(client_deltas[k]).__name__
-            raise ValueError(f"client {k}: {strategy.kind} needs {need} for its deltas, got {got}")
-        if not len(picks[k]):
-            raise ValueError("batch must be non-empty")
-        if len(picks[k]) > strategy.batch_size:
-            raise ValueError(f"batch of {len(picks[k])} exceeds configured size {strategy.batch_size}")
+    if not all(len(picks[k]) for k in active):
+        raise ValueError("batch must be non-empty")
     # every client trains on most steps: a slice then indexes the cohort's
     # rows as views
     rows = slice(None) if len(active) == len(state.params) else np.asarray(active)
@@ -201,13 +192,10 @@ def local_iteration(
             client = active[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
             raise DivergenceError(f"client {client}: non-finite {what} at local step {step}")
 
-    # eta is 1 under fedavg; short final batches use their true length as N
-    etas = [batch_scaling_factor(client_deltas[k][picks[k]], len(picks[k])) if fedgs else 1.0 for k in active]
-    for k, eta in zip(active, etas):
-        state.etas[k].append(eta)
-
+    for k in active:
+        state.etas[k].append(etas[k])
     decrement = params - new_params
-    state.cumulative_gradient[rows] += np.asarray(etas)[:, None] * decrement
+    state.cumulative_gradient[rows] += np.asarray([etas[k] for k in active])[:, None] * decrement
     state.params[rows] = new_params
     if new_opt.m is not None:
         state.optimizer.m[rows] = new_opt.m
@@ -230,13 +218,16 @@ def run_client_round(
     Every client starts fresh from the global snapshot: parameters copied,
     cumulative gradient zeroed, optimizer moments reinitialized. Client k
     shuffles each epoch from rngs[k], which must not depend on the strategy
-    so that fedgs/fedavg trajectories stay comparable. Local step i advances
-    every client that still has an i-th batch, so clients of unequal sizes
-    drop out as their batches run out. client_deltas[k] is
-    sample_deltas(datasets[k], strategy), built here when omitted: an array
-    under fedgs and None under fedavg. Each batch takes its deltas in the
-    epoch's shuffled order. Returns the cohort's state at round end; row k
-    is bitwise what client k computes alone.
+    so that fedgs/fedavg trajectories stay comparable. Before any kernel
+    call the round checks client_deltas and plans each client's batches of
+    at most batch_size samples with their etas: batch_scaling_factor of the
+    batch's deltas, in the epoch's shuffled order, under fedgs and 1 under
+    fedavg. client_deltas[k] is sample_deltas(datasets[k], strategy), built
+    here when omitted: a 1-D array of one delta per sample under fedgs and
+    None under fedavg. Local step i advances every client that still has an
+    i-th batch, so clients of unequal sizes drop out as their batches run
+    out. Returns the cohort's state at round end; row k is bitwise what
+    client k computes alone.
     """
     if not datasets:
         raise EmptyFederationError("need at least one client")
@@ -246,21 +237,27 @@ def run_client_round(
         client_deltas = [sample_deltas(dataset, strategy) for dataset in datasets]
     elif len(client_deltas) != len(datasets):
         raise ValueError("need one delta list per client")
-    for dataset, deltas in zip(datasets, client_deltas):
-        if deltas is not None and len(deltas) != len(dataset):
-            raise ValueError(f"{len(deltas)} deltas for a client of {len(dataset)} samples")
+    fedgs = strategy.kind == "fedgs"
+    for k, (dataset, deltas) in enumerate(zip(datasets, client_deltas)):
+        if (deltas is None) == fedgs:
+            need = "an array" if fedgs else "None"
+            raise ValueError(f"client {k}: {strategy.kind} needs {need} for its deltas, got {type(deltas).__name__}")
+        if fedgs and not (isinstance(deltas, np.ndarray) and deltas.shape == (len(dataset),)):
+            got = f"{type(deltas).__name__} of shape {np.shape(deltas)}"
+            raise ValueError(f"client {k}: fedgs needs a 1-D array of {len(dataset)} deltas, got {got}")
 
-    # each client's batches over all its epochs, as sample indices
+    # each client's (batch, eta) pairs over its epochs; a short batch's N is its length
     size = strategy.batch_size
-    schedules = []
-    for dataset, rng in zip(datasets, rngs):
+    plans = []
+    for dataset, deltas, rng in zip(datasets, client_deltas, rngs):
         orders = [rng.permutation(len(dataset)) for _ in range(strategy.local_epochs)]
-        schedules.append([order[i : i + size] for order in orders for i in range(0, len(order), size)])
+        batches = [order[i : i + size] for order in orders for i in range(0, len(order), size)]
+        plans.append([(batch, batch_scaling_factor(deltas[batch], len(batch)) if fedgs else 1.0) for batch in batches])
 
     state = ClientState.start(global_params, len(datasets), optimizer_cfg)
-    for step in range(max(len(schedule) for schedule in schedules)):
-        picks = [schedule[step] if step < len(schedule) else None for schedule in schedules]
-        state = local_iteration(state, datasets, picks, strategy, client_deltas)
+    for step in range(max(len(plan) for plan in plans)):
+        picks, etas = zip(*(plan[step] if step < len(plan) else (None, None) for plan in plans))
+        state = local_iteration(state, datasets, picks, etas)
     return state
 
 

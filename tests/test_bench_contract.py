@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from fedgs_sim import fl
 from fedgs_sim.cli import main
+from fedgs_sim.config import parse_config
 from test_harness import TINY_CONFIG
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -57,3 +59,25 @@ def test_every_traced_site_runs_in_a_two_strategy_sweep(tmp_path, monkeypatch, r
     assert main(["run", "--config", str(tmp_path / "tiny.ini"), "--out", str(tmp_path / "out")]) == 0
     idle = [f"{m}.{a}" for m, a, _ in traced_sites() if calls[f"{m}.{a}"] == 0]
     assert not idle, f"traced sites with no calls: {idle}"
+
+
+def test_a_fedgs_round_scores_each_batch_once_as_a_python_float(tmp_path, monkeypatch):
+    # the traced benchmark counts amplified batches from each result of
+    # fl.batch_scaling_factor: one call per scheduled batch, returning a float
+    etas = []
+    original = fl.batch_scaling_factor
+
+    def recording(deltas, batch_size):
+        etas.append(original(deltas, batch_size))
+        return etas[-1]
+
+    monkeypatch.setattr(fl, "batch_scaling_factor", recording)
+    config = TINY_CONFIG.replace("seeds = 1 2\nrounds = 3", "seeds = 1\nrounds = 1")
+    config = config.replace("batch_size = 4\nlocal_epochs = 1", "batch_size = 3\nlocal_epochs = 2")
+    assert "rounds = 1" in config and "batch_size = 3" in config
+    (tmp_path / "tiny.ini").write_text(config)
+    cfg = parse_config(tmp_path / "tiny.ini")
+    assert main(["run", "--config", str(tmp_path / "tiny.ini"), "--out", str(tmp_path / "out")]) == 0
+    batches = sum(-(-spec.n_samples // cfg.batch_size) * cfg.local_epochs for spec in cfg.training_specs)
+    assert len(etas) == batches == 12
+    assert all(type(eta) is float for eta in etas)

@@ -20,7 +20,7 @@ from fedgs_sim.fl import (
     run_round,
     sample_deltas,
 )
-from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
+from fedgs_sim.masks import BadBatchError, DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
 from fedgs_sim.model import OptimizerConfig, backward, init_params, ArchDescriptor
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 
@@ -49,13 +49,22 @@ def make_dataset(n=8, small_fraction=0.0, offset=1, seed=0):
     return generate_client_dataset(small_spec(n_samples=n, small_fraction=small_fraction, seed_offset=offset), seed)
 
 
+def no_kernel_call(*args):
+    raise AssertionError("backward ran")
+
+
 def fresh_state(params, optimizer_cfg=SGD):
     return ClientState.start(params, 1, optimizer_cfg)
 
 
 def solo_step(state, dataset, idx, strategy):
-    """local_iteration on a one-client cohort training on samples idx, seen as that client's row."""
-    state = local_iteration(state, [dataset], [idx], strategy, [sample_deltas(dataset, strategy)])
+    """local_iteration on a one-client cohort training on samples idx, seen as that client's row.
+
+    The batch's eta is the one run_client_round plans for it under `strategy`.
+    """
+    deltas = sample_deltas(dataset, strategy)
+    eta = 1.0 if deltas is None else batch_scaling_factor(deltas[idx], len(idx))
+    state = local_iteration(state, [dataset], [idx], [eta])
     return SimpleNamespace(
         params=state.params[0],
         cumulative_gradient=state.cumulative_gradient[0],
@@ -115,42 +124,6 @@ class TestLocalIteration:
             fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         )
         assert state.etas == [1.0]
-
-    def test_rejects_oversized_batch(self):
-        params = init_params(ArchDescriptor(), 0)
-        batch = make_dataset(n=6)
-        with pytest.raises(ValueError):
-            local_iteration(
-                fresh_state(params), [batch], [np.arange(6)], StrategyConfig(kind="fedavg", batch_size=4), [None]
-            )
-
-    @pytest.mark.parametrize(
-        "strategy, deltas, message",
-        [
-            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None, "client 1: fedgs needs an array"),
-            (StrategyConfig(kind="fedavg"), np.ones(4), "client 1: fedavg needs None"),
-        ],
-        ids=["fedgs-none", "fedavg-array"],
-    )
-    def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas, message):
-        # called directly, outside run_client_round: client 0 is well formed,
-        # active client 1 has the other strategy's deltas
-        calls = []
-
-        def counting_backward(*args):
-            calls.append(args)
-            return backward(*args)
-
-        monkeypatch.setattr("fedgs_sim.fl.backward", counting_backward)
-        dataset = make_dataset(n=4)
-        state = ClientState.start(init_params(ArchDescriptor(), 0), 2, SGD)
-        picks = [np.arange(4), np.arange(4)]
-        with pytest.raises(ValueError, match=message):
-            local_iteration(state, [dataset, dataset], picks, strategy, [sample_deltas(dataset, strategy), deltas])
-        assert calls == []
-        # a client that sits the step out is not checked
-        local_iteration(state, [dataset, dataset], [picks[0], None], strategy, [sample_deltas(dataset, strategy), deltas])
-        assert len(calls) == 1
 
 
 class TestRunClientRound:
@@ -244,27 +217,64 @@ class TestRunClientRound:
         params = init_params(ArchDescriptor(), 0)
         dataset = make_dataset(n=4)
         strategy = StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
-        with pytest.raises(ValueError, match="3 deltas for a client of 4 samples"):
-            run_client_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [[0.0] * 3])
+        message = r"client 0: fedgs needs a 1-D array of 4 deltas, got ndarray of shape \(3,\)"
+        with pytest.raises(ValueError, match=message):
+            run_client_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [np.zeros(3)])
         with pytest.raises(ValueError, match="one delta list per client"):
             run_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], client_deltas=[])
 
     @pytest.mark.parametrize(
         "strategy, deltas, message",
         [
-            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None, "client 0: fedgs needs an array"),
-            (StrategyConfig(kind="fedavg"), np.ones(4), "client 0: fedavg needs None"),
+            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None, "fedgs needs an array"),
+            (StrategyConfig(kind="fedavg"), np.ones(4), "fedavg needs None"),
         ],
         ids=["fedgs-none", "fedavg-array"],
     )
     def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas, message):
-        def no_kernel_call(*args):
-            raise AssertionError("backward ran")
-
         monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
         params = init_params(ArchDescriptor(), 0)
-        with pytest.raises(ValueError, match=message):
-            run_client_round(params, [make_dataset(n=4)], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [deltas])
+        dataset = make_dataset(n=4)
+        # alone, and as client 1 of a cohort whose client 0 is well formed
+        for cohort in ([deltas], [sample_deltas(dataset, strategy), deltas]):
+            streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(len(cohort))]
+            with pytest.raises(ValueError, match=f"client {len(cohort) - 1}: {message}"):
+                run_client_round(params, [dataset] * len(cohort), strategy, SGD, streams, cohort)
+
+    @pytest.mark.parametrize("deltas", [[0.0] * 4, np.zeros((4, 1))], ids=["list", "column"])
+    def test_rejects_deltas_that_are_not_a_1d_array_before_any_kernel_call(self, monkeypatch, deltas):
+        # both have one entry per sample, but a batch cannot index them as one delta per sample
+        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
+        strategy = StrategyConfig(kind="fedgs", difficulty=DIFFICULTY)
+        dataset = make_dataset(n=4)
+        streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(2)]
+        with pytest.raises(ValueError, match="client 1: fedgs needs a 1-D array of 4 deltas"):
+            run_client_round(
+                init_params(ArchDescriptor(), 0), [dataset] * 2, strategy, SGD, streams, [np.zeros(4), deltas]
+            )
+
+    @pytest.mark.parametrize("bad", [1.0, -0.1, np.nan])
+    def test_rejects_a_delta_outside_the_unit_interval_before_any_kernel_call(self, monkeypatch, bad):
+        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
+        strategy = StrategyConfig(kind="fedgs", batch_size=2, difficulty=DIFFICULTY)
+        deltas = np.array([0.0, 0.5, bad, 0.0])
+        params, stream = init_params(ArchDescriptor(), 0), substream(0, SHUFFLE_STREAM, 0, 0)
+        with pytest.raises(BadBatchError, match="outside"):
+            run_client_round(params, [make_dataset(n=4)], strategy, SGD, [stream], [deltas])
+
+    def test_scheduled_batches_hold_one_to_batch_size_samples(self, monkeypatch):
+        # the step takes its batches as given: the schedule is what bounds them
+        recorder = TrajectoryRecorder(monkeypatch)
+        datasets = [make_dataset(n=n, offset=c + 1) for c, n in enumerate((7, 4, 9, 1))]
+        streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
+        for batch_size in (1, 2, 3, 4):
+            strategy = StrategyConfig(kind="fedavg", batch_size=batch_size, local_epochs=2)
+            run_client_round(init_params(ArchDescriptor(), 0), datasets, strategy, SGD, streams)
+            steps, recorder.steps = recorder.steps, []
+            sizes = [[len(picks[k]) for picks, _ in steps if picks[k] is not None] for k in range(len(datasets))]
+            assert all(1 <= size <= batch_size for client in sizes for size in client)
+            # and every epoch covers each sample once
+            assert [sum(client) for client in sizes] == [2 * len(dataset) for dataset in datasets]
 
     def test_sample_deltas_score_fedgs_only(self):
         dataset = make_dataset(n=5, small_fraction=0.5)
@@ -344,10 +354,9 @@ class TestLockstep:
         params = init_params(ArchDescriptor(), 0)
         batch = make_dataset(n=4)
         idx = np.arange(4)
-        strategy = StrategyConfig(kind="fedavg", batch_size=4)
-        state = local_iteration(ClientState.start(params, 2, SGD), [batch, batch], [idx, None], strategy, [None, None])
+        state = local_iteration(ClientState.start(params, 2, SGD), [batch, batch], [idx, None], [1.0, None])
         with pytest.raises(ValueError, match="different local steps"):
-            local_iteration(state, [batch, batch], [idx, idx], strategy, [None, None])
+            local_iteration(state, [batch, batch], [idx, idx], [1.0, 1.0])
 
 
 class TestAggregation:
@@ -509,7 +518,7 @@ class TestRunRound:
         state.params[1, 4] = -1e39
         batch = make_dataset(n=4)
         with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
-            local_iteration(state, [batch] * 3, [np.arange(4)] * 3, StrategyConfig(kind="fedavg"), [None] * 3)
+            local_iteration(state, [batch] * 3, [np.arange(4)] * 3, [1.0] * 3)
 
     def test_parameters_that_overflow_inside_the_kernel_raise_naming_the_client(self):
         # far inside float32's range, but the float32 kernel's logits overflow
@@ -521,7 +530,7 @@ class TestRunRound:
         state.params[1] *= 1e20
         batch = make_dataset(n=4)
         with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
-            local_iteration(state, [batch] * 3, [np.arange(4)] * 3, StrategyConfig(kind="fedavg"), [None] * 3)
+            local_iteration(state, [batch] * 3, [np.arange(4)] * 3, [1.0] * 3)
 
     def test_non_finite_local_parameters_raise(self, monkeypatch):
         monkeypatch.setattr("fedgs_sim.fl.optimizer_step", lambda state, params, grad: (params * np.nan, state))
@@ -543,6 +552,7 @@ class TestRunRound:
         seed=st.integers(0, 1000),
     )
     @example(sizes=[5, 8], batch_size=4, epochs=1, seed=0)  # 2 steps each: FedGS weighs them 1:1
+    @example(sizes=[2, 1], batch_size=2, epochs=1, seed=377)  # the two means differ by only 8.7e-10
     def test_unit_eta_fedgs_is_the_step_weighted_mean(self, sizes, batch_size, epochs, seed):
         # FedGS weighs clients by local steps, FedAvg by samples; with eta = 1
         # they agree only when steps are proportional to sample counts
@@ -558,12 +568,11 @@ class TestRunRound:
         clients = [run_client_round(params, [dataset], fedavg, ADAMW, [rng]) for dataset, rng in zip(datasets, streams())]
         steps = [int(client.steps_this_round[0]) for client in clients]
         step_weighted = sum((s / sum(steps)) * client.params[0] for s, client in zip(steps, clients))
+        sample_weighted = sum((n / sum(sizes)) * client.params[0] for n, client in zip(sizes, clients))
         assert np.abs(fedgs_global - step_weighted).max() < 1e-12
-        gap = np.abs(fedgs_global - fedavg_global).max()
+        assert np.abs(fedavg_global - sample_weighted).max() < 1e-12
         if all(s * sizes[0] == steps[0] * n for s, n in zip(steps, sizes)):
-            assert gap < 1e-12
-        else:
-            assert gap > 1e-9
+            assert np.abs(fedgs_global - fedavg_global).max() < 1e-12
 
     def test_requires_matching_stream_count(self):
         params = init_params(ArchDescriptor(), 0)
