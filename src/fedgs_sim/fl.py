@@ -151,8 +151,9 @@ def local_iteration(
     calls, each call's stack gathered just before it, and one optimizer step
     updates every training client's row. The decrement added to client k's
     cumulative gradient is scaled by etas[k], its batch's eta, which the
-    round fixes in advance; the step itself never sees the strategy. A
-    parameter vector that overflows the kernel's dtype, a non-finite
+    round fixes in advance; the step itself never sees the strategy, and a
+    training client whose eta is not a float is refused before any kernel
+    call. A parameter vector that overflows the kernel's dtype, a non-finite
     gradient or a non-finite updated parameter vector raises DivergenceError
     naming the client and the step.
     """
@@ -163,6 +164,9 @@ def local_iteration(
         raise ValueError("no client has a batch")
     if not all(len(picks[k]) for k in active):
         raise ValueError("batch must be non-empty")
+    for k in active:
+        if not isinstance(etas[k], float):
+            raise ValueError(f"client {k}: eta must be a float, got {type(etas[k]).__name__}")
     # every client trains on most steps: a slice then indexes the cohort's
     # rows as views
     rows = slice(None) if len(active) == len(state.params) else np.asarray(active)

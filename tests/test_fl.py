@@ -125,6 +125,25 @@ class TestLocalIteration:
         )
         assert state.etas == [1.0]
 
+    @pytest.mark.parametrize(
+        "strategy, deltas",
+        [
+            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None),
+            (StrategyConfig(kind="fedavg"), np.ones(4)),
+        ],
+        ids=["fedgs-none", "fedavg-array"],
+    )
+    def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas):
+        # called directly, outside run_client_round: client 0 is well formed,
+        # active client 1 is handed the other strategy's deltas in place of its eta
+        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
+        params = init_params(ArchDescriptor(), 0)
+        dataset = make_dataset(n=4)
+        with pytest.raises(ValueError, match=f"client 1: eta must be a float, got {type(deltas).__name__}"):
+            local_iteration(
+                ClientState.start(params, 2, SGD), [dataset] * 2, [np.arange(4)] * 2, [1.0, deltas]
+            )
+
 
 class TestRunClientRound:
     def test_step_count(self):
