@@ -4,8 +4,9 @@ Everything here is written from the definitions (shift-stacks, flood fill,
 central differences) rather than calling the code paths under test, so the
 tests compare two genuinely different routes to the same answer. Four
 exceptions: TrajectoryRecorder observes the code under test without
-changing what it computes; reference_round takes each sample's delta from
-the package's one-mask difficulty_factor; reference_forward and
+changing what it computes; reference_experiment takes its federation and
+initial parameters from the package's generator and init_params, which
+other tests pin by replaying their draws; reference_forward and
 reference_backward keep the earlier group-major layout of the model's
 shift-and-add kernel, with buffers of their own, so that the kernel's
 results stay bit for bit what they were; and reference_difficulty keeps
@@ -23,8 +24,11 @@ from collections import deque
 import numpy as np
 
 from fedgs_sim import fl
-from fedgs_sim.masks import DifficultyConfig, difficulty_factor
-from fedgs_sim.rng import DATA_STREAM, substream
+from fedgs_sim.data import build_federation
+from fedgs_sim.harness import ResultRow
+from fedgs_sim.masks import DifficultyConfig
+from fedgs_sim.model import ArchDescriptor, init_params
+from fedgs_sim.rng import DATA_STREAM, SHUFFLE_STREAM, substream
 
 SQUARE3_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 CROSS3_OFFSETS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
@@ -380,7 +384,8 @@ def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
     epoch, takes its batches of at most B samples from rngs[k].permutation.
     Per batch: the reference gradient, SGD or AdamW written out, the
     decrement (before - after), and eta = 1 + (2/N) * (sum of the batch's
-    per-mask deltas, left to right) under fedgs, 1 under fedavg. FedGS
+    per-mask reference_difficulty deltas, left to right) under fedgs, 1
+    under fedavg. FedGS
     subtracts the step-weighted mean of the eta-scaled decrement sums;
     FedAvg takes the sample-weighted mean of the final parameters.
     Returns (new global parameters, steps_total, mean eta, max eta).
@@ -389,7 +394,7 @@ def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
     finals, cumulative, steps, etas = [], [], [], []
     for dataset, rng in zip(datasets, rngs):
         if strategy.kind == "fedgs":
-            deltas = [difficulty_factor(mask, strategy.difficulty).delta for mask in dataset.masks]
+            deltas = [reference_difficulty(mask, strategy.difficulty)[2] for mask in dataset.masks]
         params = np.array(global_params, dtype=np.float64)
         m, v = np.zeros_like(params), np.zeros_like(params)
         cum = np.zeros_like(params)
@@ -426,6 +431,63 @@ def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
     else:
         new_global = weighted_rows(np.array(finals), [len(dataset) for dataset in datasets])
     return new_global, sum(steps), float(np.mean(etas)), max(etas)
+
+
+def reference_dice(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Dice by definition: 2|P and G| / (|P| + |G|), and 1.0 when both masks are empty."""
+    p, g = pred.astype(bool), gt.astype(bool)
+    total = int(p.sum()) + int(g.sum())
+    return 1.0 if total == 0 else 2.0 * int((p & g).sum()) / total
+
+
+def reference_experiment(cfg) -> list[ResultRow]:
+    """harness.run_experiment's rows from reference parts, with wall_ms 0.0.
+
+    Per seed: the federation, reference_difficulty's tag of each test mask
+    (empty, small or large), and per strategy the seed's initial parameters.
+    Per round: reference_round on the round's shuffle streams, then each
+    test image forwarded alone by reference_forward, thresholded at 0.5 and
+    scored by reference_dice. Dice is the mean over every sample, DiceS and
+    DiceL the means over their group, or None for an empty group.
+    """
+    rows = []
+    for seed in cfg.seeds:
+        federation = build_federation(list(cfg.client_specs), seed)
+        test = federation.test_set
+        tags = []
+        for mask in test.masks:
+            inverse_area, is_small, _ = reference_difficulty(mask, cfg.difficulty)
+            tags.append("empty" if inverse_area is None else "small" if is_small else "large")
+        for kind in cfg.strategies:
+            strategy = cfg.strategy(kind)
+            params = init_params(ArchDescriptor(cfg.hidden_channels), seed)
+            for round_index in range(cfg.rounds):
+                streams = [substream(seed, SHUFFLE_STREAM, round_index, c) for c in range(len(federation.clients))]
+                params, steps_total, mean_eta, max_eta = reference_round(
+                    params, federation.clients, strategy, cfg.optimizer, streams
+                )
+                predictions = [reference_forward(params, image) >= 0.5 for image in test.images]
+                scores = np.array([reference_dice(pred, mask) for pred, mask in zip(predictions, test.masks)])
+                means = {}
+                for group in ("small", "large"):
+                    chosen = scores[[tag == group for tag in tags]]
+                    means[group] = float(chosen.mean()) if chosen.size else None
+                rows.append(
+                    ResultRow(
+                        seed=seed,
+                        strategy=kind,
+                        round=round_index,
+                        dice=float(scores.mean()),
+                        dice_s=means["small"],
+                        dice_l=means["large"],
+                        mean_eta=mean_eta,
+                        max_eta=max_eta,
+                        steps_total=steps_total,
+                        wall_ms=0.0,
+                    )
+                )
+    rows.sort(key=lambda r: (r.seed, r.strategy, r.round))
+    return rows
 
 
 class TrajectoryRecorder:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_experiment
 
 from fedgs_sim.config import parse_config
 from fedgs_sim.fl import DivergenceError
@@ -83,6 +84,27 @@ class TestRunExperiment:
         write_results_csv(run_experiment(tiny_cfg), a_path)
         write_results_csv(run_experiment(tiny_cfg), b_path)
         assert strip_wall_ms(a_path.read_text()) == strip_wall_ms(b_path.read_text())
+
+    @pytest.mark.parametrize("regime", ["whole_mask", "blob_split"])
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+    def test_rows_are_the_reference_experiment(self, tiny_cfg, regime, optimizer):
+        # every column but wall_ms, from tests/oracles.py's per-client round,
+        # per-image forward, Dice by definition and per-mask difficulty; 8 and
+        # 5 samples in batches of 3 give unequal step counts and short batches
+        import dataclasses
+
+        first, second, test = tiny_cfg.client_specs
+        cfg = dataclasses.replace(
+            tiny_cfg,
+            batch_size=3,
+            local_epochs=2,
+            difficulty=dataclasses.replace(tiny_cfg.difficulty, regime=regime),
+            optimizer=dataclasses.replace(tiny_cfg.optimizer, kind=optimizer),
+            client_specs=(first, dataclasses.replace(second, n_samples=5), test),
+        )
+        rows = [dataclasses.replace(row, wall_ms=0.0) for row in run_experiment(cfg)]
+        assert rows == reference_experiment(cfg)
+        assert any(row.max_eta > 1.0 for row in rows) and all(row.dice_s is not None for row in rows)
 
     def test_fedavg_only_leaves_eta_at_sentinel_one(self, tiny_cfg, tmp_path):
         import dataclasses
