@@ -23,22 +23,14 @@ client's numbers are bitwise those it would compute alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .data import ClientData
 from .masks import DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
-from .model import (
-    KERNEL_PIXELS,
-    KernelOverflowError,
-    OptimizerConfig,
-    OptimizerState,
-    backward,
-    init_optimizer_state,
-    optimizer_step,
-)
+from .model import KERNEL_PIXELS, KernelOverflowError, Moments, OptimizerConfig, backward, optimizer_step
 
 
 class EmptyFederationError(ValueError):
@@ -76,26 +68,28 @@ class ClientState:
     """Local training state of a cohort of K clients within one round.
 
     Row k of params, cumulative_gradient and the AdamW moments belongs to
-    client k. The clients advance in lockstep, so the optimizer's step count
-    is shared: every client still training is on the same local step. The
-    state is built afresh at every round start, and run_client_round returns
-    it at round end: the server aggregates its rows.
+    client k. The clients advance in lockstep: every client still training
+    is on the same local step, one more than its steps_this_round, and that
+    step is AdamW's. The state is built afresh at every round start, and
+    run_client_round returns it at round end: the server aggregates its rows.
     """
 
     params: np.ndarray  # (K, P)
     cumulative_gradient: np.ndarray  # (K, P)
-    optimizer: OptimizerState  # moments (K, P)
+    optimizer: OptimizerConfig
+    moments: Moments | None  # AdamW's (m, v), each (K, P); None under SGD
     steps_this_round: np.ndarray  # (K,) local steps taken by each client
     etas: list[list[float]]  # each client's eta per local step
 
     @classmethod
     def start(cls, global_params: np.ndarray, n_clients: int, optimizer_cfg: OptimizerConfig) -> "ClientState":
-        """K clients at the global snapshot: zero cumulative gradients, fresh optimizer moments."""
+        """K clients at the global snapshot: zero cumulative gradients, and zero moments under AdamW."""
         params = np.tile(np.asarray(global_params, dtype=np.float64), (n_clients, 1))
         return cls(
             params=params,
             cumulative_gradient=np.zeros_like(params),
-            optimizer=init_optimizer_state(optimizer_cfg, params.shape),
+            optimizer=optimizer_cfg,
+            moments=None if optimizer_cfg.kind == "sgd" else (np.zeros_like(params), np.zeros_like(params)),
             steps_this_round=np.zeros(n_clients, dtype=np.int64),
             etas=[[] for _ in range(n_clients)],
         )
@@ -149,7 +143,8 @@ def local_iteration(
     the same local step. Each client's optimizer update uses the plain mean
     Dice-loss gradient of its batch. Batches of one shape share backward
     calls, each call's stack gathered just before it, and one optimizer step
-    updates every training client's row. The decrement added to client k's
+    updates every training client's parameter and moment rows, AdamW's bias
+    correction at the lockstep step. The decrement added to client k's
     cumulative gradient is scaled by etas[k], its batch's eta, which the
     round fixes in advance; the step itself never sees the strategy, and a
     training client whose eta is not a float is refused before any kernel
@@ -187,10 +182,8 @@ def local_iteration(
             raise DivergenceError(
                 f"client {clients[exc.row]}: local parameters overflow {exc.dtype} in the kernel at local step {step}"
             ) from exc
-    optimizer = state.optimizer
-    if optimizer.m is not None:
-        optimizer = replace(optimizer, m=optimizer.m[rows], v=optimizer.v[rows])
-    new_params, new_opt = optimizer_step(optimizer, params, grad)
+    moments = None if state.moments is None else tuple(moment[rows] for moment in state.moments)
+    new_params, moments = optimizer_step(state.optimizer, step, params, grad, moments)
     for what, vectors in (("gradient", grad), ("local parameters", new_params)):
         if not np.isfinite(vectors).all():
             client = active[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
@@ -201,10 +194,8 @@ def local_iteration(
     decrement = params - new_params
     state.cumulative_gradient[rows] += np.asarray([etas[k] for k in active])[:, None] * decrement
     state.params[rows] = new_params
-    if new_opt.m is not None:
-        state.optimizer.m[rows] = new_opt.m
-        state.optimizer.v[rows] = new_opt.v
-    state.optimizer = replace(state.optimizer, step=new_opt.step)
+    if moments is not None:
+        state.moments[0][rows], state.moments[1][rows] = moments
     state.steps_this_round[rows] += 1
     return state
 

@@ -23,7 +23,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import Federation, build_federation
 from .fl import DivergenceError, run_round, sample_deltas
-from .masks import delta_from_inverse_area, raw_difficulty
+from .masks import DifficultyConfig, delta_from_inverse_area, raw_difficulty
 from .metrics import evaluate, sample_groups
 from .model import ArchDescriptor, KernelOverflowError, init_params
 from .rng import SHUFFLE_STREAM, substream
@@ -160,7 +160,9 @@ def emit_difficulty_curve(
 
     Emits both the raw tanh(log^2) value and the threshold-gated difficulty
     factor, for plotting the shape of the curve alongside where the gate sits.
+    log_base and threshold are checked as DifficultyConfig checks them.
     """
+    cfg = DifficultyConfig(log_base=log_base, threshold=threshold)
     if grid is None:
         grid = np.geomspace(CURVE_GRID_MIN, CURVE_GRID_MAX, 141)
     points = []
@@ -168,8 +170,8 @@ def emit_difficulty_curve(
         a_inv = float(a_inv)
         if not CURVE_GRID_MIN <= a_inv <= CURVE_GRID_MAX:
             raise ValueError(f"grid value {a_inv} outside [{CURVE_GRID_MIN}, {CURVE_GRID_MAX}]")
-        _, delta = delta_from_inverse_area(a_inv, log_base, threshold)
-        points.append(CurvePoint(inverse_area=a_inv, raw=raw_difficulty(a_inv, log_base), delta=delta))
+        _, delta = delta_from_inverse_area(a_inv, cfg.log_base, cfg.threshold)
+        points.append(CurvePoint(inverse_area=a_inv, raw=raw_difficulty(a_inv, cfg.log_base), delta=delta))
     return points
 
 

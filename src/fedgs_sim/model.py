@@ -311,7 +311,7 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Hyperparameters only; per-round state is built via init_optimizer_state."""
+    """Hyperparameters only; AdamW's moments are rows of the round's fl.ClientState."""
 
     kind: Literal["sgd", "adamw"] = "adamw"
     learning_rate: float = 0.0001
@@ -327,42 +327,30 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Optimizer with per-parameter state; moments are present only for AdamW."""
-
-    config: OptimizerConfig
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+Moments = tuple[np.ndarray, np.ndarray]
 
 
-def init_optimizer_state(config: OptimizerConfig, shape: int | tuple[int, ...]) -> OptimizerState:
-    """A fresh optimizer; AdamW's moments are zeros of the parameters' shape, (P,) or (K, P)."""
-    if config.kind == "sgd":
-        return OptimizerState(config=config)
-    zeros = np.zeros(shape, dtype=np.float64)
-    return OptimizerState(config=config, m=zeros, v=zeros.copy())
+def optimizer_step(
+    cfg: OptimizerConfig, step: int, params: np.ndarray, grad: np.ndarray, moments: Moments | None
+) -> tuple[np.ndarray, Moments | None]:
+    """Local step `step` (from 1) of the optimizer; returns (new params, new moments), in new arrays.
 
-
-def optimizer_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, OptimizerState]:
-    """One optimizer update; returns (new params, new state).
-
-    SGD: params - lr * grad. AdamW: bias-corrected Adam moments with decoupled
-    weight decay applied directly to the parameters.
+    SGD: params - lr * grad, with no moments. AdamW: the moments (m, v), of
+    the parameters' shape, (P,) or (K, P), updated and bias-corrected at
+    `step`, with decoupled weight decay applied directly to the parameters.
     """
     if params.shape != grad.shape:
         raise ShapeMismatchError(f"params shape {params.shape} != grad shape {grad.shape}")
-    cfg = state.config
     if cfg.kind == "sgd":
-        return params - cfg.learning_rate * grad, state
+        return params - cfg.learning_rate * grad, None
+    if moments is None:
+        raise ValueError("adamw needs its moments (m, v)")
+    if step < 1:
+        raise ValueError(f"adamw counts steps from 1, got step {step}")
 
-    t = state.step + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
+    m = cfg.beta1 * moments[0] + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * moments[1] + (1.0 - cfg.beta2) * grad * grad
+    m_hat = m / (1.0 - cfg.beta1**step)
+    v_hat = v / (1.0 - cfg.beta2**step)
     update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * params
-    new_params = params - cfg.learning_rate * update
-    return new_params, OptimizerState(config=cfg, step=t, m=m, v=v)
-
+    return params - cfg.learning_rate * update, (m, v)

@@ -22,6 +22,25 @@ def test_curve_command(tmp_path, capsys):
     assert len(lines) > 100
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--l", "1", "log_base must be > 1, got 1.0"),
+        ("--l", "0.5", "log_base must be > 1, got 0.5"),
+        ("--l", "nan", "log_base must be > 1, got nan"),
+        ("--tau", "0.5", "threshold must be >= 1, got 0.5"),
+        ("--tau", "nan", "threshold must be >= 1, got nan"),
+    ],
+)
+def test_curve_rejects_an_invalid_setting(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "curve.csv"
+    settings = {"--l": "100", "--tau": "150", flag: value}
+    argv = ["curve", *(item for pair in settings.items() for item in pair), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_command(tmp_path, capsys):
     cfg_path = tmp_path / "tiny.ini"
     cfg_path.write_text(TINY_CONFIG)

@@ -358,16 +358,28 @@ class TestLockstep:
         self.solo_and_cohort(monkeypatch, datasets, strategy, SGD, seed=6)
 
     def test_divergence_names_the_diverging_client(self, monkeypatch):
-        def poisoned_step(state, params, grad):
+        def poisoned_step(cfg, step, params, grad, moments):
             params = params.copy()
             params[1] = np.nan
-            return params, state
+            return params, moments
 
         monkeypatch.setattr("fedgs_sim.fl.optimizer_step", poisoned_step)
         datasets = [make_dataset(n=4, offset=c + 1) for c in range(3)]
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(3)]
         with pytest.raises(DivergenceError, match=r"^client 1: non-finite local parameters at local step 1$"):
             run_client_round(init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams)
+
+    def test_adamw_corrects_each_client_at_its_lockstep_step(self):
+        # client 1 takes its first step after client 0 took its own: both are
+        # AdamW's step 1, so equal starts and batches give equal rows
+        params = init_params(ArchDescriptor(), 0)
+        batch = make_dataset(n=4)
+        idx = np.arange(4)
+        state = local_iteration(ClientState.start(params, 2, ADAMW), [batch, batch], [idx, None], [1.0, None])
+        state = local_iteration(state, [batch, batch], [None, idx], [None, 1.0])
+        assert state.steps_this_round.tolist() == [1, 1]
+        assert np.array_equal(state.params[1], state.params[0])
+        assert np.array_equal(state.moments[0][1], state.moments[0][0])
 
     def test_clients_on_different_steps_cannot_share_a_step(self):
         params = init_params(ArchDescriptor(), 0)
@@ -552,7 +564,10 @@ class TestRunRound:
             local_iteration(state, [batch] * 3, [np.arange(4)] * 3, [1.0] * 3)
 
     def test_non_finite_local_parameters_raise(self, monkeypatch):
-        monkeypatch.setattr("fedgs_sim.fl.optimizer_step", lambda state, params, grad: (params * np.nan, state))
+        def poisoned_step(cfg, step, params, grad, moments):
+            return params * np.nan, moments
+
+        monkeypatch.setattr("fedgs_sim.fl.optimizer_step", poisoned_step)
         params = init_params(ArchDescriptor(), 15)
         with pytest.raises(DivergenceError, match=r"client 0: non-finite local parameters at local step 1"):
             run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
@@ -669,6 +684,17 @@ def test_local_trajectory_invariance_microcase(monkeypatch):
     # and the cumulative gradients DO differ (scaling went somewhere)
     assert any(eta > 1.0 for eta in fedgs.etas[0])
     assert not np.array_equal(fedgs.cumulative_gradient[0], fedavg.cumulative_gradient[0])
+
+
+def test_client_state_starts_with_zero_moments_only_under_adamw():
+    params = init_params(ArchDescriptor(), 0)
+    sgd = ClientState.start(params, 3, SGD)
+    assert sgd.optimizer is SGD and sgd.moments is None
+    adamw = ClientState.start(params, 3, ADAMW)
+    m, v = adamw.moments
+    assert adamw.optimizer is ADAMW
+    assert m.shape == v.shape == (3, params.size) and not m.any() and not v.any()
+    assert not np.shares_memory(m, v)
 
 
 def test_strategy_config_validation():

@@ -12,12 +12,10 @@ from fedgs_sim.model import (
     ArchDescriptor,
     KernelOverflowError,
     OptimizerConfig,
-    OptimizerState,
     backward,
     dice_loss,
     forward,
     infer_arch,
-    init_optimizer_state,
     init_params,
     optimizer_step,
 )
@@ -541,48 +539,56 @@ class TestStackedKernel:
         assert seen == [3, 3, 1] * epochs
 
 
+def zero_moments(n):
+    return np.zeros(n), np.zeros(n)
+
+
 class TestOptimizer:
     def test_sgd_example(self):
-        state = init_optimizer_state(OptimizerConfig(kind="sgd", learning_rate=0.1), 1)
-        new_params, _ = optimizer_step(state, np.array([1.0]), np.array([0.5]))
+        cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
+        new_params, moments = optimizer_step(cfg, 1, np.array([1.0]), np.array([0.5]), None)
         assert new_params == pytest.approx([0.95])
+        assert moments is None
 
     def test_adamw_zero_grad_no_decay_is_fixed_point(self):
         cfg = OptimizerConfig(kind="adamw", learning_rate=0.1, weight_decay=0.0)
-        state = init_optimizer_state(cfg, 3)
         params = np.array([1.0, -2.0, 3.0])
-        new_params, new_state = optimizer_step(state, params, np.zeros(3))
+        new_params, (m, v) = optimizer_step(cfg, 1, params, np.zeros(3), zero_moments(3))
         assert np.array_equal(new_params, params)
-        assert new_state.step == 1
+        assert not m.any() and not v.any()
 
     def test_adamw_zero_grad_decays_existing_moments(self):
         cfg = OptimizerConfig(kind="adamw", learning_rate=0.1, weight_decay=0.0)
-        state = OptimizerState(config=cfg, step=2, m=np.array([0.5, 0.1, -0.2]), v=np.array([0.3, 0.2, 0.1]))
-        _, new_state = optimizer_step(state, np.zeros(3), np.zeros(3))
-        assert np.allclose(new_state.m, 0.9 * state.m)
-        assert np.allclose(new_state.v, 0.999 * state.v)
-        assert new_state.step == 3
+        m, v = np.array([0.5, 0.1, -0.2]), np.array([0.3, 0.2, 0.1])
+        new_params, (new_m, new_v) = optimizer_step(cfg, 3, np.zeros(3), np.zeros(3), (m, v))
+        assert np.allclose(new_m, 0.9 * m)
+        assert np.allclose(new_v, 0.999 * v)
+        # bias-corrected at step 3; the given moments are left as they were
+        m_hat, v_hat = new_m / (1.0 - 0.9**3), new_v / (1.0 - 0.999**3)
+        assert np.allclose(new_params, -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps), rtol=0, atol=1e-15)
+        assert m.tolist() == [0.5, 0.1, -0.2] and v.tolist() == [0.3, 0.2, 0.1]
 
     def test_adamw_first_step_is_sign_like(self):
         cfg = OptimizerConfig(kind="adamw", learning_rate=0.01, weight_decay=0.0)
-        state = init_optimizer_state(cfg, 4)
         grad = np.array([0.5, -2.0, 1e-9, 0.0])
         params = np.zeros(4)
-        new_params, _ = optimizer_step(state, params, grad)
+        new_params, _ = optimizer_step(cfg, 1, params, grad, zero_moments(4))
         expected = -cfg.learning_rate * grad / (np.abs(grad) + cfg.eps)
         assert np.allclose(new_params, expected, rtol=0, atol=1e-15)
 
     def test_decoupled_weight_decay_shrinks_params(self):
         cfg = OptimizerConfig(kind="adamw", learning_rate=0.1, weight_decay=0.5)
-        state = init_optimizer_state(cfg, 1)
-        new_params, _ = optimizer_step(state, np.array([2.0]), np.zeros(1))
+        new_params, _ = optimizer_step(cfg, 1, np.array([2.0]), np.zeros(1), zero_moments(1))
         assert new_params == pytest.approx([2.0 - 0.1 * 0.5 * 2.0])
 
-    def test_moments_only_for_adamw(self):
-        sgd = init_optimizer_state(OptimizerConfig(kind="sgd", learning_rate=0.1), 5)
-        assert sgd.m is None and sgd.v is None
-        adamw = init_optimizer_state(OptimizerConfig(kind="adamw", learning_rate=0.1), 5)
-        assert adamw.m.shape == (5,) and adamw.v.shape == (5,)
+    @pytest.mark.parametrize(
+        "step, moments, message",
+        [(1, None, r"adamw needs its moments \(m, v\)"), (0, zero_moments(2), "from 1, got step 0")],
+    )
+    def test_adamw_refuses_missing_moments_or_a_step_below_one(self, step, moments, message):
+        cfg = OptimizerConfig(kind="adamw", learning_rate=0.1)
+        with pytest.raises(ValueError, match=message):
+            optimizer_step(cfg, step, np.ones(2), np.ones(2), moments)
 
 
 def test_one_sgd_step_decreases_loss():
