@@ -61,12 +61,14 @@ class ClientDataSpec:
             ("small_radius_range", self.small_radius_range),
             ("large_radius_range", self.large_radius_range),
         ):
-            if not 0.0 < r_lo <= r_hi:
+            if not 0.0 < r_lo <= r_hi < math.inf:
                 raise ValueError(f"bad {name} {(r_lo, r_hi)}")
         if not self.small_radius_range[1] < self.large_radius_range[0]:
             raise ValueError("small and large radius regimes must be disjoint")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"bad noise_std {self.noise_std}: must be finite and >= 0")
+        if not math.isfinite(self.lesion_intensity):
+            raise ValueError(f"bad lesion_intensity {self.lesion_intensity}: must be finite")
         if self.seed_offset < 0:
             raise ValueError("seed_offset must be >= 0")
 

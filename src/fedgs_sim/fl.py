@@ -14,10 +14,11 @@ toward the clients, and with eta = 1 the cumulative gradient telescopes to
 (global params) - (final local params).
 
 A round plans each client's batches and their etas before its first kernel
-call. Its clients then train in lockstep: local step i advances every client
-that still has an i-th batch, in shared kernel calls, and scales each
-decrement by the planned eta; the step never sees the strategy. Each
-client's numbers are bitwise those it would compute alone.
+call, and its ClientState holds that plan as the round's only record. Its
+clients then train in lockstep: local step i runs the i-th batch of every
+client that has one, in shared kernel calls, and scales each decrement by
+that batch's planned eta; the step never sees the strategy. Each client's
+numbers are bitwise those it would compute alone.
 """
 
 from __future__ import annotations
@@ -65,34 +66,46 @@ class StrategyConfig:
 
 @dataclass
 class ClientState:
-    """Local training state of a cohort of K clients within one round.
+    """A cohort of K clients within one round: its plan and each client's local training state.
 
-    Row k of params, cumulative_gradient and the AdamW moments belongs to
-    client k. The clients advance in lockstep: every client still training
-    is on the same local step, one more than its steps_this_round, and that
-    step is AdamW's. The state is built afresh at every round start, and
-    run_client_round returns it at round end: the server aggregates its rows.
+    Client k's plan is batches[k], index arrays into its dataset in training
+    order, and etas[k], each batch's eta as a (steps_k,) float64 array. Row k
+    of params, cumulative_gradient and the AdamW moments belongs to client k.
+    Local step i trains every client with an i-th batch, and is AdamW's step.
+    The state is built afresh at every round start, and run_client_round
+    returns it at round end: the server aggregates its rows.
     """
 
     params: np.ndarray  # (K, P)
     cumulative_gradient: np.ndarray  # (K, P)
     optimizer: OptimizerConfig
     moments: Moments | None  # AdamW's (m, v), each (K, P); None under SGD
-    steps_this_round: np.ndarray  # (K,) local steps taken by each client
-    etas: list[list[float]]  # each client's eta per local step
+    batches: list[list[np.ndarray]]  # each client's sample indices per local step
+    etas: list[np.ndarray]  # each client's eta per local step
+
+    @property
+    def steps(self) -> np.ndarray:
+        """(K,) local steps in each client's round: its batch count."""
+        return np.array([len(batches) for batches in self.batches])
 
     @classmethod
-    def start(cls, global_params: np.ndarray, n_clients: int, optimizer_cfg: OptimizerConfig) -> "ClientState":
-        """K clients at the global snapshot: zero cumulative gradients, and zero moments under AdamW."""
-        params = np.tile(np.asarray(global_params, dtype=np.float64), (n_clients, 1))
-        return cls(
-            params=params,
-            cumulative_gradient=np.zeros_like(params),
-            optimizer=optimizer_cfg,
-            moments=None if optimizer_cfg.kind == "sgd" else (np.zeros_like(params), np.zeros_like(params)),
-            steps_this_round=np.zeros(n_clients, dtype=np.int64),
-            etas=[[] for _ in range(n_clients)],
-        )
+    def start(
+        cls,
+        global_params: np.ndarray,
+        optimizer_cfg: OptimizerConfig,
+        batches: list[list[np.ndarray]],
+        etas: Sequence[Sequence[float]],
+    ) -> "ClientState":
+        """One client per plan at the global snapshot: zero cumulative gradients, and zero moments under AdamW."""
+        etas = [np.asarray(client, dtype=np.float64) for client in etas]
+        counts = [len(b) for b in batches]
+        if [e.shape for e in etas] != [(n,) for n in counts] or not all(np.isfinite(e).all() for e in etas):
+            raise ValueError(f"need one finite eta per batch of {counts}, got {[e.tolist() for e in etas]}")
+        if not all(len(batch) for client in batches for batch in client):
+            raise ValueError("batch must be non-empty")
+        params = np.tile(np.asarray(global_params, dtype=np.float64), (len(batches), 1))
+        moments = None if optimizer_cfg.kind == "sgd" else (np.zeros_like(params), np.zeros_like(params))
+        return cls(params, np.zeros_like(params), optimizer_cfg, moments, batches, etas)
 
 
 @dataclass(frozen=True)
@@ -131,44 +144,26 @@ def _kernel_calls(shapes: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return calls
 
 
-def local_iteration(
-    state: ClientState,
-    datasets: Sequence[ClientData],
-    picks: Sequence[np.ndarray | None],
-    etas: Sequence[float | None],
-) -> ClientState:
-    """One lockstep local step: client k trains on samples picks[k] of datasets[k]; returns the updated state.
+def local_iteration(state: ClientState, datasets: Sequence[ClientData], step: int) -> ClientState:
+    """Local step `step` of the round's plan: every client k with a step-th batch trains on it; returns the state.
 
-    Clients whose picks are None sit the step out; the others must all be on
-    the same local step. Each client's optimizer update uses the plain mean
-    Dice-loss gradient of its batch. Batches of one shape share backward
-    calls, each call's stack gathered just before it, and one optimizer step
-    updates every training client's parameter and moment rows, AdamW's bias
-    correction at the lockstep step. The decrement added to client k's
-    cumulative gradient is scaled by etas[k], its batch's eta, which the
-    round fixes in advance; the step itself never sees the strategy, and a
-    training client whose eta is not a float is refused before any kernel
-    call. A parameter vector that overflows the kernel's dtype, a non-finite
-    gradient or a non-finite updated parameter vector raises DivergenceError
-    naming the client and the step.
+    Steps count from 1. Each client's optimizer update uses the plain mean
+    Dice-loss gradient of its batch of datasets[k]. Batches of one shape
+    share backward calls, each call's stack gathered just before it, and one
+    optimizer step updates every training client's parameter and moment
+    rows, AdamW's bias correction at `step`. The decrement added to client
+    k's cumulative gradient is scaled by state.etas[k][step - 1], its batch's
+    planned eta; the step itself never sees the strategy. A step that no
+    client has raises ValueError. A parameter vector that overflows the
+    kernel's dtype, a non-finite gradient or a non-finite updated parameter
+    vector raises DivergenceError naming the client and the step.
     """
-    if not len(picks) == len(etas) == len(state.params):
-        raise ValueError(f"{len(picks)} batches and {len(etas)} etas for a cohort of {len(state.params)} clients")
-    active = [k for k, idx in enumerate(picks) if idx is not None]
-    if not active:
-        raise ValueError("no client has a batch")
-    if not all(len(picks[k]) for k in active):
-        raise ValueError("batch must be non-empty")
-    for k in active:
-        if not isinstance(etas[k], float):
-            raise ValueError(f"client {k}: eta must be a float, got {type(etas[k]).__name__}")
-    # every client trains on most steps: a slice then indexes the cohort's
-    # rows as views
+    active = [k for k, batches in enumerate(state.batches) if len(batches) >= step]
+    if step < 1 or not active:
+        raise ValueError(f"no client has a local step {step}")
+    picks = {k: state.batches[k][step - 1] for k in active}
+    # every client trains on most steps: a slice then indexes the cohort's rows as views
     rows = slice(None) if len(active) == len(state.params) else np.asarray(active)
-    taken = state.steps_this_round[rows]
-    if taken.min() != taken.max():
-        raise ValueError(f"clients on different local steps {np.unique(taken).tolist()} cannot advance in lockstep")
-    step = int(taken[0]) + 1
 
     params = state.params[rows]
     grad = np.empty_like(params)
@@ -189,14 +184,11 @@ def local_iteration(
             client = active[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
             raise DivergenceError(f"client {client}: non-finite {what} at local step {step}")
 
-    for k in active:
-        state.etas[k].append(etas[k])
     decrement = params - new_params
-    state.cumulative_gradient[rows] += np.asarray([etas[k] for k in active])[:, None] * decrement
+    state.cumulative_gradient[rows] += np.array([state.etas[k][step - 1] for k in active])[:, None] * decrement
     state.params[rows] = new_params
     if moments is not None:
         state.moments[0][rows], state.moments[1][rows] = moments
-    state.steps_this_round[rows] += 1
     return state
 
 
@@ -241,18 +233,17 @@ def run_client_round(
             got = f"{type(deltas).__name__} of shape {np.shape(deltas)}"
             raise ValueError(f"client {k}: fedgs needs a 1-D array of {len(dataset)} deltas, got {got}")
 
-    # each client's (batch, eta) pairs over its epochs; a short batch's N is its length
+    # each client's batches over its epochs and their etas; a short batch's N is its length
     size = strategy.batch_size
-    plans = []
+    batches, etas = [], []
     for dataset, deltas, rng in zip(datasets, client_deltas, rngs):
         orders = [rng.permutation(len(dataset)) for _ in range(strategy.local_epochs)]
-        batches = [order[i : i + size] for order in orders for i in range(0, len(order), size)]
-        plans.append([(batch, batch_scaling_factor(deltas[batch], len(batch)) if fedgs else 1.0) for batch in batches])
+        batches.append([order[i : i + size] for order in orders for i in range(0, len(order), size)])
+        etas.append([batch_scaling_factor(deltas[batch], len(batch)) if fedgs else 1.0 for batch in batches[-1]])
 
-    state = ClientState.start(global_params, len(datasets), optimizer_cfg)
-    for step in range(max(len(plan) for plan in plans)):
-        picks, etas = zip(*(plan[step] if step < len(plan) else (None, None) for plan in plans))
-        state = local_iteration(state, datasets, picks, etas)
+    state = ClientState.start(global_params, optimizer_cfg, batches, etas)
+    for step in range(1, int(state.steps.max()) + 1):
+        state = local_iteration(state, datasets, step)
     return state
 
 
@@ -313,13 +304,12 @@ def run_round(
     """
     state = run_client_round(global_params, client_datasets, strategy, optimizer_cfg, rng_streams, client_deltas)
     if strategy.kind == "fedgs":
-        aggregate = aggregate_fedgs(state.cumulative_gradient, state.steps_this_round)
+        aggregate = aggregate_fedgs(state.cumulative_gradient, state.steps)
         new_global = apply_global_update(global_params, aggregate)
     else:
         new_global = aggregate_fedavg(state.params, [len(dataset) for dataset in client_datasets])
     if not np.isfinite(new_global).all():
         raise DivergenceError("non-finite aggregate of all clients")
 
-    all_etas = [eta for etas in state.etas for eta in etas]
-    steps_total = int(state.steps_this_round.sum())
-    return new_global, RoundStats(steps_total, mean_eta=float(np.mean(all_etas)), max_eta=float(np.max(all_etas)))
+    etas = np.concatenate(state.etas)
+    return new_global, RoundStats(int(state.steps.sum()), mean_eta=float(np.mean(etas)), max_eta=float(np.max(etas)))

@@ -323,8 +323,15 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "adamw"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= beta < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 Moments = tuple[np.ndarray, np.ndarray]

@@ -493,18 +493,19 @@ def reference_experiment(cfg) -> list[ResultRow]:
 class TrajectoryRecorder:
     """Each client's local parameter trajectory, seen through the fedgs_sim.fl.local_iteration seam.
 
-    After every local_iteration call it keeps (picks, state.params.copy()).
-    Client k's trajectory is row k of the snapshots whose picks[k] is not
-    None: its parameters after each of its own local steps.
+    After every local_iteration(state, datasets, step) call it keeps (step,
+    each client's planned step count, state.params.copy()). Client k's
+    trajectory is row k of the snapshots whose step is within its plan: its
+    parameters after each of its own local steps.
     """
 
     def __init__(self, monkeypatch) -> None:
-        self.steps: list[tuple[list, np.ndarray]] = []
-        step = fl.local_iteration
+        self.steps: list[tuple[int, np.ndarray, np.ndarray]] = []
+        run_step = fl.local_iteration
 
-        def recording(state, datasets, picks, *rest):
-            state = step(state, datasets, picks, *rest)
-            self.steps.append((list(picks), state.params.copy()))
+        def recording(state, datasets, step):
+            state = run_step(state, datasets, step)
+            self.steps.append((step, state.steps, state.params.copy()))
             return state
 
         monkeypatch.setattr(fl, "local_iteration", recording)
@@ -512,5 +513,5 @@ class TrajectoryRecorder:
     def take(self) -> list[list[np.ndarray]]:
         """Each client's trajectory over the steps recorded since the last take, which it clears."""
         steps, self.steps = self.steps, []
-        clients = len(steps[0][0]) if steps else 0
-        return [[params[k] for picks, params in steps if picks[k] is not None] for k in range(clients)]
+        clients = len(steps[0][1]) if steps else 0
+        return [[params[k] for step, planned, params in steps if planned[k] >= step] for k in range(clients)]

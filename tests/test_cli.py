@@ -61,11 +61,39 @@ def test_gen_data_command(tmp_path):
     assert (out_dir / "test" / "manifest.txt").exists()
 
 
-def test_validation_error_exits_1(tmp_path, capsys):
+_BAD_SETTINGS = [
+    ("optimizer", "beta1 = 1.0"),
+    ("optimizer", "beta1 = nan"),
+    ("optimizer", "beta1 = 2.0"),
+    ("optimizer", "beta2 = -0.1"),
+    ("optimizer", "weight_decay = nan"),
+    ("optimizer", "weight_decay = -0.01"),
+    ("optimizer", "learning_rate = inf"),
+    ("optimizer", "eps = -1.0"),
+    ("optimizer", "eps = inf"),
+    ("client 1", "large_radius_range = 6.0 inf"),
+    ("client 1", "small_radius_range = nan 3.0"),
+    ("client 1", "noise_std = nan"),
+    ("client 1", "noise_std = inf"),
+    ("client 1", "lesion_intensity = inf"),
+    ("test", "lesion_intensity = nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, setting, error",
+    [("experiment", "rounds = 0", "error: rounds must be >= 1")]
+    + [(section, setting, f"error: section [{section}]: ") for section, setting in _BAD_SETTINGS],
+    ids=["rounds-0"] + [setting.replace(" = ", "-").replace(" ", "-") for _, setting in _BAD_SETTINGS],
+)
+def test_validation_error_exits_1(tmp_path, capsys, section, setting, error):
+    # every other setting is the shipped default
     bad = tmp_path / "bad.ini"
-    bad.write_text("[experiment]\nrounds = 0\n")
-    assert main(["run", "--config", str(bad)]) == 1
-    assert "error" in capsys.readouterr().err
+    bad.write_text(f"[{section}]\n{setting}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not (out / "results.csv").exists()
 
 
 def test_unknown_key_exits_1(tmp_path, capsys):

@@ -296,6 +296,7 @@ def test_literal_rules(tmp_path, section, key, text, expected):
 
 _reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=1e-9, max_value=1e3, allow_nan=False)
+_unit_interval = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)  # [0, 1)
 
 
 @st.composite
@@ -331,10 +332,10 @@ def _experiment_configs(draw):
         optimizer=OptimizerConfig(
             kind=draw(st.sampled_from(["sgd", "adamw"])),
             learning_rate=draw(_positive),
-            beta1=draw(_reals),
-            beta2=draw(_reals),
+            beta1=draw(_unit_interval),
+            beta2=draw(_unit_interval),
             eps=draw(_positive),
-            weight_decay=draw(_reals),
+            weight_decay=draw(st.floats(min_value=0.0, max_value=1e6)),
         ),
         difficulty=DifficultyConfig(
             log_base=draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),

@@ -21,7 +21,7 @@ from fedgs_sim.fl import (
     sample_deltas,
 )
 from fedgs_sim.masks import BadBatchError, DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
-from fedgs_sim.model import OptimizerConfig, backward, init_params, ArchDescriptor
+from fedgs_sim.model import OptimizerConfig, backward, init_params, optimizer_step, ArchDescriptor
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 
 SGD = OptimizerConfig(kind="sgd", learning_rate=0.01)
@@ -53,22 +53,23 @@ def no_kernel_call(*args):
     raise AssertionError("backward ran")
 
 
-def fresh_state(params, optimizer_cfg=SGD):
-    return ClientState.start(params, 1, optimizer_cfg)
+def plan_state(params, n_clients, optimizer_cfg=SGD):
+    """A cohort of n_clients whose plan is one batch of samples 0-3 each, with eta 1."""
+    return ClientState.start(params, optimizer_cfg, [[np.arange(4)]] * n_clients, [[1.0]] * n_clients)
 
 
-def solo_step(state, dataset, idx, strategy):
-    """local_iteration on a one-client cohort training on samples idx, seen as that client's row.
+def solo_step(params, dataset, idx, strategy):
+    """Step 1 of a one-client cohort whose plan is one batch of samples idx, seen as that client's row.
 
     The batch's eta is the one run_client_round plans for it under `strategy`.
     """
     deltas = sample_deltas(dataset, strategy)
     eta = 1.0 if deltas is None else batch_scaling_factor(deltas[idx], len(idx))
-    state = local_iteration(state, [dataset], [idx], [eta])
+    state = local_iteration(ClientState.start(params, SGD, [[idx]], [[eta]]), [dataset], 1)
     return SimpleNamespace(
         params=state.params[0],
         cumulative_gradient=state.cumulative_gradient[0],
-        steps_this_round=int(state.steps_this_round[0]),
+        steps=int(state.steps[0]),
         etas=state.etas[0],
     )
 
@@ -77,22 +78,21 @@ class TestLocalIteration:
     def test_fedavg_accumulates_exact_decrement(self):
         params = init_params(ArchDescriptor(), 3)
         batch = make_dataset(n=4)
-        state = fresh_state(params)
-        state = solo_step(state, batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
+        state = solo_step(params, batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
         assert np.array_equal(state.cumulative_gradient, params - state.params)
-        assert state.steps_this_round == 1
-        assert state.etas == [1.0]
+        assert state.steps == 1
+        assert np.array_equal(state.etas, [1.0])
 
     def test_fedgs_scales_only_the_cumulative_gradient(self):
         params = init_params(ArchDescriptor(), 4)
         batch = make_dataset(n=4, small_fraction=1.0)
         fedgs = solo_step(
-            fresh_state(params),
+            params,
             batch,
             np.arange(4),
             StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY),
         )
-        fedavg = solo_step(fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
+        fedavg = solo_step(params, batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
         # local params bitwise identical; only the accumulated gradient differs
         assert np.array_equal(fedgs.params, fedavg.params)
         eta = fedgs.etas[0]
@@ -105,9 +105,9 @@ class TestLocalIteration:
         params = init_params(ArchDescriptor(), 5)
         batch = make_dataset(n=4, small_fraction=1.0)
         fedgs = solo_step(
-            fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
+            params, batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         )
-        fedavg = solo_step(fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
+        fedavg = solo_step(params, batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
         eta = fedgs.etas[0]
         decrement = params - fedavg.params
         assert np.allclose(
@@ -121,28 +121,52 @@ class TestLocalIteration:
         params = init_params(ArchDescriptor(), 6)
         batch = make_dataset(n=4, small_fraction=0.0)
         state = solo_step(
-            fresh_state(params), batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
+            params, batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         )
-        assert state.etas == [1.0]
+        assert np.array_equal(state.etas, [1.0])
 
-    @pytest.mark.parametrize(
-        "strategy, deltas",
-        [
-            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None),
-            (StrategyConfig(kind="fedavg"), np.ones(4)),
-        ],
-        ids=["fedgs-none", "fedavg-array"],
-    )
-    def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas):
-        # called directly, outside run_client_round: client 0 is well formed,
-        # active client 1 is handed the other strategy's deltas in place of its eta
+    @pytest.mark.parametrize("step", [0, -1, 3])
+    def test_rejects_a_step_no_client_has_before_any_kernel_call(self, monkeypatch, step):
+        # the longest plan has 2 steps, counted from 1
         monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
-        params = init_params(ArchDescriptor(), 0)
-        dataset = make_dataset(n=4)
-        with pytest.raises(ValueError, match=f"client 1: eta must be a float, got {type(deltas).__name__}"):
-            local_iteration(
-                ClientState.start(params, 2, SGD), [dataset] * 2, [np.arange(4)] * 2, [1.0, deltas]
-            )
+        batch = make_dataset(n=4)
+        idx = np.arange(4)
+        state = ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx]], [[1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=f"^no client has a local step {step}$"):
+            local_iteration(state, [batch] * 2, step)
+
+
+class TestClientState:
+    @pytest.mark.parametrize(
+        "etas",
+        [[[1.0]], [[1.0], [1.0], [1.0]], [[1.0], [1.0]], [[1.0], [1.0, 1.0, 1.0]], [[1.0], [[1.0, 1.0]]], [[1.0], 1.0]],
+        ids=["too-few-clients", "too-many-clients", "too-few-etas", "too-many-etas", "column", "scalar"],
+    )
+    def test_start_rejects_etas_that_do_not_match_the_batches(self, etas):
+        # client 0 plans one batch and client 1 two
+        idx = np.arange(4)
+        with pytest.raises(ValueError, match="need one finite eta per batch"):
+            ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx]], etas)
+
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf])
+    def test_start_rejects_an_eta_that_is_not_a_finite_float(self, bad):
+        # None would become a NaN eta and poison the client's cumulative gradient
+        idx = np.arange(4)
+        with pytest.raises(ValueError, match="need one finite eta per batch"):
+            ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx]], [[1.0], [1.0, bad]])
+
+    def test_start_rejects_an_empty_batch(self):
+        idx = np.arange(4)
+        with pytest.raises(ValueError, match="batch must be non-empty"):
+            ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx[:0]]], [[1.0], [1.0, 1.0]])
+
+    def test_holds_the_plan_with_etas_as_float64_arrays(self):
+        idx = np.arange(4)
+        state = ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx[:2]]], [[1.0], [1.5, 1.0]])
+        assert state.steps.tolist() == [1, 2]
+        assert [len(batch) for batch in state.batches[1]] == [4, 2]
+        assert all(etas.dtype == np.float64 for etas in state.etas)
+        assert [etas.tolist() for etas in state.etas] == [[1.0], [1.5, 1.0]]
 
 
 class TestRunClientRound:
@@ -157,8 +181,8 @@ class TestRunClientRound:
             SGD,
             [substream(0, SHUFFLE_STREAM, 0, 0)],
         )
-        assert result.steps_this_round[0] == 15
-        assert len(result.etas[0]) == 15
+        assert result.steps[0] == 15
+        assert len(result.batches[0]) == len(result.etas[0]) == 15
 
     def test_deterministic_given_stream(self):
         params = init_params(ArchDescriptor(), 2)
@@ -210,7 +234,7 @@ class TestRunClientRound:
             [substream(2, SHUFFLE_STREAM, 0, 0)],
         )
         (trajectory,) = recorder.take()
-        assert len(trajectory) == result.steps_this_round[0] == 4
+        assert len(trajectory) == result.steps[0] == 4
         assert np.array_equal(trajectory[-1], result.params[0])
 
     def test_etas_read_each_batch_deltas_in_shuffled_order(self):
@@ -230,7 +254,8 @@ class TestRunClientRound:
                 deltas = [difficulty_factor(dataset.masks[i], DIFFICULTY).delta for i in batch]
                 expected.append(batch_scaling_factor(deltas, len(batch)))
         assert len(expected) == 6 and any(eta > 1.0 for eta in expected)
-        assert result.etas[0] == expected
+        assert result.etas[0].dtype == np.float64
+        assert result.etas[0].tolist() == expected
 
     def test_rejects_deltas_of_another_length(self):
         params = init_params(ArchDescriptor(), 0)
@@ -282,16 +307,24 @@ class TestRunClientRound:
             run_client_round(params, [make_dataset(n=4)], strategy, SGD, [stream], [deltas])
 
     def test_scheduled_batches_hold_one_to_batch_size_samples(self, monkeypatch):
-        # the step takes its batches as given: the schedule is what bounds them
-        recorder = TrajectoryRecorder(monkeypatch)
+        # the step takes its batches from the plan as given: the schedule is what bounds them
+        seen = []
+
+        def recording_backward(params, images, masks):
+            seen.append(len(images))
+            return backward(params, images, masks)
+
+        monkeypatch.setattr("fedgs_sim.fl.backward", recording_backward)
         datasets = [make_dataset(n=n, offset=c + 1) for c, n in enumerate((7, 4, 9, 1))]
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
         for batch_size in (1, 2, 3, 4):
             strategy = StrategyConfig(kind="fedavg", batch_size=batch_size, local_epochs=2)
-            run_client_round(init_params(ArchDescriptor(), 0), datasets, strategy, SGD, streams)
-            steps, recorder.steps = recorder.steps, []
-            sizes = [[len(picks[k]) for picks, _ in steps if picks[k] is not None] for k in range(len(datasets))]
+            state = run_client_round(init_params(ArchDescriptor(), 0), datasets, strategy, SGD, streams)
+            sizes = [[len(batch) for batch in batches] for batches in state.batches]
             assert all(1 <= size <= batch_size for client in sizes for size in client)
+            # the kernel saw exactly the planned samples
+            assert sum(seen) == sum(map(sum, sizes))
+            seen.clear()
             # and every epoch covers each sample once
             assert [sum(client) for client in sizes] == [2 * len(dataset) for dataset in datasets]
 
@@ -314,15 +347,16 @@ class TestLockstep:
         cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams())
         trajectories = recorder.take()
         # row k of the cohort's state is client k; each solo state has one row
-        assert len(cohort.params) == len(cohort.steps_this_round) == len(trajectories) == len(datasets)
+        assert len(cohort.params) == len(cohort.steps) == len(trajectories) == len(datasets)
         for k, (dataset, rng) in enumerate(zip(datasets, streams())):
             b = run_client_round(params, [dataset], strategy, optimizer_cfg, [rng])
             (solo_trajectory,) = recorder.take()
-            assert cohort.steps_this_round[k] == b.steps_this_round[0] == len(b.etas[0])
-            assert len(trajectories[k]) == len(solo_trajectory) == b.steps_this_round[0]
+            assert cohort.steps[k] == b.steps[0] == len(b.etas[0])
+            assert len(trajectories[k]) == len(solo_trajectory) == b.steps[0]
             assert np.array_equal(cohort.params[k], b.params[0])
             assert np.array_equal(cohort.cumulative_gradient[k], b.cumulative_gradient[0])
-            assert cohort.etas[k] == b.etas[0]
+            assert np.array_equal(cohort.etas[k], b.etas[0])
+            assert all(np.array_equal(x, y) for x, y in zip(cohort.batches[k], b.batches[0]))
             assert all(np.array_equal(x, y) for x, y in zip(trajectories[k], solo_trajectory))
         return cohort
 
@@ -345,7 +379,7 @@ class TestLockstep:
 
         monkeypatch.setattr("fedgs_sim.fl.backward", recording_backward)
         cohort = self.solo_and_cohort(monkeypatch, datasets, strategy, ADAMW, seed=5)
-        assert cohort.steps_this_round.tolist() == [6, 4, 6]
+        assert cohort.steps.tolist() == [6, 4, 6]
         # the cohort's calls, (clients, images) per call: clients whose batches
         # share a shape share a call, and a client with no batch left sits out
         per_step = [[(3, 9)], [(2, 6), (1, 1)], [(1, 1), (2, 6)], [(2, 6), (1, 1)], [(2, 6)], [(1, 1), (1, 3)]]
@@ -370,24 +404,23 @@ class TestLockstep:
             run_client_round(init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams)
 
     def test_adamw_corrects_each_client_at_its_lockstep_step(self):
-        # client 1 takes its first step after client 0 took its own: both are
-        # AdamW's step 1, so equal starts and batches give equal rows
+        # client 0 plans two batches and client 1 one: step 1 is AdamW's step
+        # 1 for both, so equal starts and batches give equal rows, and step 2
+        # moves client 0 alone, bias-corrected at step 2
         params = init_params(ArchDescriptor(), 0)
         batch = make_dataset(n=4)
         idx = np.arange(4)
-        state = local_iteration(ClientState.start(params, 2, ADAMW), [batch, batch], [idx, None], [1.0, None])
-        state = local_iteration(state, [batch, batch], [None, idx], [None, 1.0])
-        assert state.steps_this_round.tolist() == [1, 1]
+        state = ClientState.start(params, ADAMW, [[idx, idx], [idx]], [[1.0, 1.0], [1.0]])
+        state = local_iteration(state, [batch, batch], 1)
+        assert state.steps.tolist() == [2, 1]
         assert np.array_equal(state.params[1], state.params[0])
         assert np.array_equal(state.moments[0][1], state.moments[0][0])
-
-    def test_clients_on_different_steps_cannot_share_a_step(self):
-        params = init_params(ArchDescriptor(), 0)
-        batch = make_dataset(n=4)
-        idx = np.arange(4)
-        state = local_iteration(ClientState.start(params, 2, SGD), [batch, batch], [idx, None], [1.0, None])
-        with pytest.raises(ValueError, match="different local steps"):
-            local_iteration(state, [batch, batch], [idx, idx], [1.0, 1.0])
+        after_one = state.params[0].copy()
+        moments = tuple(moment[:1].copy() for moment in state.moments)
+        expected, _ = optimizer_step(ADAMW, 2, after_one[None], backward(after_one[None], batch.images, batch.masks), moments)
+        state = local_iteration(state, [batch, batch], 2)
+        assert np.array_equal(state.params[0], expected[0])
+        assert np.array_equal(state.params[1], after_one)
 
 
 class TestAggregation:
@@ -483,7 +516,7 @@ class TestRunRound:
             )
             atol = 0.0 if kind == "fedavg" else 1e-15
             assert np.allclose(new_global, reference.params[0], rtol=0, atol=atol)
-            assert stats.steps_total == reference.steps_this_round[0]
+            assert stats.steps_total == reference.steps[0]
 
     def test_fedgs_equals_fedavg_on_all_large_data(self):
         # eta is identically 1, dataset sizes match: the strategies coincide
@@ -545,11 +578,11 @@ class TestRunRound:
         with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
             run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
         # in a cohort
-        state = ClientState.start(init_params(ArchDescriptor(), 17), 3, SGD)
+        state = plan_state(init_params(ArchDescriptor(), 17), 3)
         state.params[1, 4] = -1e39
         batch = make_dataset(n=4)
         with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
-            local_iteration(state, [batch] * 3, [np.arange(4)] * 3, [1.0] * 3)
+            local_iteration(state, [batch] * 3, 1)
 
     def test_parameters_that_overflow_inside_the_kernel_raise_naming_the_client(self):
         # far inside float32's range, but the float32 kernel's logits overflow
@@ -557,11 +590,11 @@ class TestRunRound:
         params = init_params(ArchDescriptor(), 17) * 1e20
         with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
             run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
-        state = ClientState.start(init_params(ArchDescriptor(), 17), 3, SGD)
+        state = plan_state(init_params(ArchDescriptor(), 17), 3)
         state.params[1] *= 1e20
         batch = make_dataset(n=4)
         with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
-            local_iteration(state, [batch] * 3, [np.arange(4)] * 3, [1.0] * 3)
+            local_iteration(state, [batch] * 3, 1)
 
     def test_non_finite_local_parameters_raise(self, monkeypatch):
         def poisoned_step(cfg, step, params, grad, moments):
@@ -600,7 +633,7 @@ class TestRunRound:
         assert stats.max_eta == 1.0
 
         clients = [run_client_round(params, [dataset], fedavg, ADAMW, [rng]) for dataset, rng in zip(datasets, streams())]
-        steps = [int(client.steps_this_round[0]) for client in clients]
+        steps = [int(client.steps[0]) for client in clients]
         step_weighted = sum((s / sum(steps)) * client.params[0] for s, client in zip(steps, clients))
         sample_weighted = sum((n / sum(sizes)) * client.params[0] for n, client in zip(sizes, clients))
         assert np.abs(fedgs_global - step_weighted).max() < 1e-12
@@ -688,9 +721,9 @@ def test_local_trajectory_invariance_microcase(monkeypatch):
 
 def test_client_state_starts_with_zero_moments_only_under_adamw():
     params = init_params(ArchDescriptor(), 0)
-    sgd = ClientState.start(params, 3, SGD)
+    sgd = plan_state(params, 3, SGD)
     assert sgd.optimizer is SGD and sgd.moments is None
-    adamw = ClientState.start(params, 3, ADAMW)
+    adamw = plan_state(params, 3, ADAMW)
     m, v = adamw.moments
     assert adamw.optimizer is ADAMW
     assert m.shape == v.shape == (3, params.size) and not m.any() and not v.any()

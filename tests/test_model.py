@@ -535,7 +535,7 @@ class TestStackedKernel:
             OptimizerConfig(kind="sgd", learning_rate=0.01),
             [np.random.default_rng(0)],
         )
-        assert result.steps_this_round[0] == math.ceil(len(dataset) / batch) * epochs == 6
+        assert result.steps[0] == math.ceil(len(dataset) / batch) * epochs == 6
         assert seen == [3, 3, 1] * epochs
 
 
