@@ -190,14 +190,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         raise ParseError(f"unknown section [{unknown[0]}]")
     base = default_config()
-    flat = {key: value for name, schema in _FLAT.items() for key, value in _typed_section(parser, name, schema).items()}
+    for name, schema in _FLAT.items():  # one section at a time, so that its errors name it
+        base = _override(base, parser, name, schema)
     nested = {name: _override(getattr(base, name), parser, name, schema) for name, schema in _NESTED.items()}
     # [client n] takes the first default client's values, and seed_offset n
     numbered = sorted((int(match.group(1)), name) for name, match in matches.items() if match)
     first = base.training_specs[0]
     clients = tuple(_override(replace(first, seed_offset=n), parser, name, _CLIENT_SCHEMA) for n, name in numbered)
     test = _override(base.test_spec, parser, "test", _CLIENT_SCHEMA)
-    return replace(base, **flat, **nested, client_specs=(clients or base.training_specs) + (test,))
+    return replace(base, **nested, client_specs=(clients or base.training_specs) + (test,))
 
 
 def _format_value(value: object) -> str:

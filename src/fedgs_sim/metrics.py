@@ -15,7 +15,11 @@ import numpy as np
 
 from .data import ClientData
 from .masks import DifficultyConfig, ShapeMismatchError, difficulty_factor, validate_mask
-from .model import KERNEL_PIXELS, forward
+from .model import forward, images_per_call
+
+# Kernel calls' worth of test images that evaluate forwards and scores at a time: enough to
+# spread each call's overhead, few enough that a block's predictions add little to peak memory.
+EVAL_BLOCK_CALLS = 8
 
 
 @dataclass(frozen=True)
@@ -33,13 +37,16 @@ def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float | np.ndarray
     """2|P∩G| / (|P|+|G|); 1.0 when both masks are empty.
 
     Two (N, H, W) stacks score image by image: entry i of the (N,) result is
-    dice_score(pred_mask[i], gt_mask[i]).
+    dice_score(pred_mask[i], gt_mask[i]). p + g, 0, 1 or 2 per pixel, sums to |P| + |G|
+    and, halved, to |P ∩ G|: uint8 cells summed into uint32, exact below 2**31 pixels.
     """
-    p, g = validate_mask(pred_mask).view(bool), validate_mask(gt_mask).view(bool)
+    p, g = validate_mask(pred_mask), validate_mask(gt_mask)
     if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
-    total = p.sum(axis=(-2, -1)) + g.sum(axis=(-2, -1))
-    scores = np.where(total == 0, 1.0, 2.0 * (p & g).sum(axis=(-2, -1)) / np.maximum(total, 1))
+    counts = p + g
+    total = counts.sum(axis=(-2, -1), dtype=np.uint32)
+    counts >>= 1
+    scores = np.where(total == 0, 1.0, 2.0 * counts.sum(axis=(-2, -1), dtype=np.uint32) / np.maximum(total, 1))
     return float(scores) if p.ndim == 2 else scores
 
 
@@ -53,33 +60,21 @@ def sample_groups(test_set: ClientData, difficulty: DifficultyConfig) -> list[st
     return np.where(np.isnan(result.inverse_area), "empty", np.where(result.is_small, "small", "large")).tolist()
 
 
-def evaluate(
-    params: np.ndarray,
-    test_set: ClientData,
-    groups: Sequence[str],
-    threshold: float = 0.5,
-) -> EvalReport:
+def evaluate(params: np.ndarray, test_set: ClientData, groups: Sequence[str], threshold: float = 0.5) -> EvalReport:
     """Binarize model predictions at `threshold` and score against ground truth.
 
-    `groups` is sample_groups(test_set, difficulty). The test set is
-    forwarded KERNEL_PIXELS // (H*W) images at a time (at least one), so a
-    call's work memory is no larger than a training step's; each chunk's
-    bool predictions are scored in one dice_score call.
+    `groups` is sample_groups(test_set, difficulty). The test set goes in blocks of
+    EVAL_BLOCK_CALLS kernel calls' worth of images, one thresholded forward call and one
+    dice_score call each: whole kernel calls, so forward's calls cover the same images.
     """
     if len(groups) != len(test_set):
         raise ValueError(f"{len(groups)} group tags for {len(test_set)} test samples")
 
-    chunk_size = max(1, KERNEL_PIXELS // test_set.images[0].size)
-    scores = []
-    for start in range(0, len(test_set), chunk_size):
-        chunk = slice(start, start + chunk_size)
-        preds = forward(params, test_set.images[chunk]) >= threshold
-        scores.append(dice_score(preds, test_set.masks[chunk]))
-
-    values = np.concatenate(scores)
+    block = EVAL_BLOCK_CALLS * images_per_call(*test_set.images.shape[1:])
+    blocks = [slice(start, start + block) for start in range(0, len(test_set), block)]
+    values = np.concatenate([dice_score(forward(params, test_set.images[b], threshold), test_set.masks[b]) for b in blocks])
     tags = np.asarray(groups)
-    small = values[tags == "small"]
-    large = values[tags == "large"]
+    small, large = values[tags == "small"], values[tags == "large"]
     return EvalReport(
         dice=float(values.mean()),
         dice_s=float(small.mean()) if small.size else None,

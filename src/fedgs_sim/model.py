@@ -14,6 +14,7 @@ mixed-precision training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -104,9 +105,13 @@ def _as_stack(images: np.ndarray) -> np.ndarray:
     x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
     if x.ndim not in (2, 3) or x.size == 0 or x.shape[-2] < 3 or x.shape[-1] < 3:
         raise ValueError(f"image must be 2D or an (N, H, W) stack, at least 3x3, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates: no temporary of the stack's size
         raise ValueError("image contains non-finite values")
     return x.reshape(-1, *x.shape[-2:])
+
+
+def images_per_call(height: int, width: int) -> int:
+    return max(1, KERNEL_PIXELS // (height * width))  # H x W images per kernel call, at least one
 
 
 def _per_group(planes: np.ndarray, groups: int) -> np.ndarray:
@@ -153,14 +158,14 @@ def _conv2(k2: np.ndarray, b2: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return z2
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) in a new array: negate, exp, +1, reciprocal.
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) in `out`, or in a new array: negate, exp, +1, reciprocal.
 
     Below z of about -709 (-88 in float32), exp(-z) overflows to inf and the
     result is exactly 0.0; above about 37 (17) it is exactly 1.0. The overflow
     is the intended saturation, so it warns of nothing.
     """
-    p = np.negative(z)
+    p = np.negative(z, out=out)
     with np.errstate(over="ignore"):
         np.exp(p, out=p)
     p += 1.0
@@ -195,24 +200,52 @@ def _check_logits(z2: np.ndarray, rows: np.ndarray) -> None:
         raise KernelOverflowError(int(np.argmax(overflowed)), z2.dtype)
 
 
-def forward(params: np.ndarray, images: np.ndarray) -> np.ndarray:
+def _logit_band(threshold: float | None) -> tuple[float, float] | None:
+    """Logits (lo, hi): z >= hi has _sigmoid(z) >= threshold and z <= lo has not; None outside [1e-3, 1 - 1e-3].
+
+    The band is logit(t) +- 2.5e-4 / (t(1 - t)), 2.2e-4 to 2.9e-4 in probability. That is 250 times
+    _sigmoid's float32 rounding error of under 1e-6 (exp within a few ulps, +1, the reciprocal and t's
+    cast under an ulp each): 1e-3 against 4e-6 in logits at t = 0.5. Nearer 0 or 1 it would saturate.
+    """
+    if threshold is None or not 1e-3 <= threshold <= 1.0 - 1e-3:
+        return None
+    center, half = math.log(threshold / (1.0 - threshold)), 2.5e-4 / (threshold * (1.0 - threshold))
+    return center - half, center + half
+
+
+def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = None) -> np.ndarray:
     """Per-pixel foreground probabilities, shaped like the input (H x W, or N x H x W).
 
-    They are float32 for a float32 input and float64 for any other. Rejects
-    non-finite parameters: a diverged model would otherwise score as an
-    all-background prediction, since NaN never clears a threshold. For the
-    same reason, parameters that overflow the input's dtype inside the
-    kernel raise KernelOverflowError.
+    They are float32 for a float32 input and float64 for any other; with a
+    threshold, the bool stack bitwise equal to forward(params, images) >=
+    threshold, where only logits inside _logit_band take the sigmoid. The
+    stack runs in kernel calls of images_per_call(H, W) images. Rejects
+    non-finite parameters, and parameters that overflow the input's dtype in
+    the kernel raise KernelOverflowError: a diverged model would otherwise
+    score as all background, since NaN never clears a threshold.
     """
     arch = infer_arch(params)
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
-    rows = params.reshape(-1, params.shape[-1])
+    out = np.empty(x.shape, dtype=x.dtype if threshold is None else bool)
+    band, per_call = _logit_band(threshold), images_per_call(*x.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        z2, _, _ = _forward_stack(arch.unpack(rows.astype(x.dtype, copy=False)), x, "nine")
-    _check_logits(z2, rows)
-    return _sigmoid(z2).reshape(np.shape(images))
+        parts = arch.unpack(params[None].astype(x.dtype, copy=False))
+        for start in range(0, len(x), per_call):
+            pred = out[start : start + per_call]
+            z2, _, _ = _forward_stack(parts, x[start : start + per_call], "nine")
+            _check_logits(z2, params[None])
+            if threshold is None:
+                _sigmoid(z2, out=pred)
+            elif band is None:
+                np.greater_equal(_sigmoid(z2), threshold, out=pred)
+            else:  # the two counts differ when some logit lies in (lo, hi)
+                inside = z2 > band[0]
+                if np.count_nonzero(inside) > np.count_nonzero(np.greater_equal(z2, band[1], out=pred)):
+                    inside ^= pred
+                    pred[inside] = _sigmoid(z2[inside]) >= threshold
+    return out.reshape(np.shape(images))
 
 
 def dice_loss(pred: np.ndarray, mask: np.ndarray) -> float:

@@ -62,6 +62,9 @@ def test_gen_data_command(tmp_path):
 
 
 _BAD_SETTINGS = [
+    ("experiment", "rounds = 0"),
+    ("strategy", "batch_size = 0"),
+    ("model", "hidden_channels = 0"),
     ("optimizer", "beta1 = 1.0"),
     ("optimizer", "beta1 = nan"),
     ("optimizer", "beta1 = 2.0"),
@@ -82,9 +85,8 @@ _BAD_SETTINGS = [
 
 @pytest.mark.parametrize(
     "section, setting, error",
-    [("experiment", "rounds = 0", "error: rounds must be >= 1")]
-    + [(section, setting, f"error: section [{section}]: ") for section, setting in _BAD_SETTINGS],
-    ids=["rounds-0"] + [setting.replace(" = ", "-").replace(" ", "-") for _, setting in _BAD_SETTINGS],
+    [(section, setting, f"error: section [{section}]: ") for section, setting in _BAD_SETTINGS],
+    ids=[setting.replace(" = ", "-").replace(" ", "-") for _, setting in _BAD_SETTINGS],
 )
 def test_validation_error_exits_1(tmp_path, capsys, section, setting, error):
     # every other setting is the shipped default

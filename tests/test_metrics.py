@@ -4,10 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedgs_sim.data import ClientData
+from fedgs_sim.data import ClientData, ClientDataSpec, generate_client_dataset
 from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, validate_mask
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
-from fedgs_sim.model import ArchDescriptor, KernelOverflowError, forward, init_params
+from fedgs_sim.model import (
+    ArchDescriptor,
+    KernelOverflowError,
+    OptimizerConfig,
+    backward,
+    forward,
+    init_params,
+    optimizer_step,
+)
 
 DIFFICULTY = DifficultyConfig(log_base=100.0, threshold=13.0, regime="whole_mask")
 
@@ -125,6 +133,14 @@ class TestDiceStacks:
         with pytest.raises(ValueError, match="0 or 1"):
             dice_score(pred, gt)
 
+    def test_counts_are_exact_beyond_65535_pixels(self):
+        ones = np.ones((1, 300, 300), dtype=np.uint8)
+        half = ones.copy()
+        half[:, 150:] = 0
+        assert dice_score(ones, ones).tolist() == [1.0]
+        assert dice_score(ones, half).tolist() == [2.0 * 45000 / (90000 + 45000)]
+        assert dice_score(ones.astype(bool), half.astype(bool)).tolist() == [2.0 * 45000 / (90000 + 45000)]
+
     @pytest.mark.parametrize("other", [(3, 4, 4), (2, 4, 5), (2, 5, 4), (4, 4)])
     def test_stacks_of_different_shapes(self, other):
         with pytest.raises(ShapeMismatchError):
@@ -203,28 +219,68 @@ class TestEvaluate:
         report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.n_total == report.n_small + report.n_large + report.n_empty == 3
 
-    @pytest.mark.parametrize("size, calls", [(32, [16, 4]), (64, [4, 4, 4, 4, 4]), (200, [1] * 20)])
+    @pytest.mark.parametrize(
+        "size, calls",
+        [
+            (32, ([16, 16, 8], [40])),
+            (64, ([4] * 10, [32, 8])),
+            (200, ([1] * 40, [8] * 5)),
+        ],
+    )
     def test_forward_calls_fill_the_kernel_pixel_budget(self, monkeypatch, size, calls):
-        from fedgs_sim import metrics
+        # calls = (images per kernel call, images per block): a block is
+        # EVAL_BLOCK_CALLS kernel calls of KERNEL_PIXELS // (H * W) images
+        # (at least one), forwarded in one call and scored in one dice_score call
+        from fedgs_sim import metrics, model
 
-        seen = []
-        scored = []
+        kernel, forwarded, scored = [], [], []
+        forward_stack = model._forward_stack
 
-        def recording_forward(params, images):
-            seen.append(len(images))
-            return forward(params, images)
+        def recording_forward_stack(parts, x, role):
+            kernel.append(len(x))
+            return forward_stack(parts, x, role)
+
+        def recording_forward(params, images, threshold=None):
+            forwarded.append((len(images), threshold))
+            return forward(params, images, threshold)
 
         def recording_dice_score(pred, gt):
             scored.append(len(gt))
             return dice_score(pred, gt)
 
+        monkeypatch.setattr(model, "_forward_stack", recording_forward_stack)
         monkeypatch.setattr(metrics, "forward", recording_forward)
         monkeypatch.setattr(metrics, "dice_score", recording_dice_score)
-        samples = self.samples_for(*[disk_mask(4.0, size)] * 20)
+        samples = self.samples_for(*[disk_mask(4.0, size)] * 40)
         report = evaluate(passthrough_params(), samples, sample_groups(samples, DIFFICULTY))
-        assert seen == calls  # KERNEL_PIXELS // (H * W) images per call, at least one
-        assert scored == calls  # one dice_score call per forward chunk
+        kernel_calls, blocks = calls
+        assert kernel == kernel_calls
+        assert forwarded == [(n, 0.5) for n in blocks]
+        assert scored == blocks
         assert report.dice == 1.0
+
+    def test_sigmoid_sees_few_pixels_of_a_trained_model(self, monkeypatch):
+        # only logits within the thresholding band around logit(0.5) go
+        # through the sigmoid; the scores equal thresholded probabilities
+        from fedgs_sim import model
+
+        data = generate_client_dataset(ClientDataSpec(n_samples=40, small_fraction=0.3, noise_std=0.5), 0)
+        params, moments = init_params(ArchDescriptor(), 0), (np.zeros(77), np.zeros(77))
+        adamw = OptimizerConfig(kind="adamw", learning_rate=0.02)
+        for step in range(1, 41):
+            grad = backward(params, data.images[:16], data.masks[:16])
+            params, moments = optimizer_step(adamw, step, params, grad, moments)
+        expected = dice_score(forward(params, data.images) >= 0.5, data.masks).mean()
+        sigmoid, seen = model._sigmoid, []
+
+        def recording_sigmoid(z, out=None):
+            seen.append(z.size)
+            return sigmoid(z, out)
+
+        monkeypatch.setattr(model, "_sigmoid", recording_sigmoid)
+        report = evaluate(params, data, sample_groups(data, DIFFICULTY))
+        assert sum(seen) < 0.01 * data.images.size
+        assert report.dice == expected > 0.5
 
     def test_rejects_groups_of_another_length(self):
         samples = self.samples_for(disk_mask(2.5))

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import conv_logits, reference_backward, reference_forward
 
 from fedgs_sim import fl, model, shifts
@@ -256,7 +258,11 @@ class TestReferenceKernel:
         rows += rng.normal(0.0, 0.2, rows.shape)
         stack = images.astype(dtype)
         self.assert_same_bits(backward(rows, stack, masks), reference_backward(rows, stack, masks))
-        self.assert_same_bits(forward(rows[0], stack), reference_forward(rows[0], stack))
+        # forward runs the stack in kernel calls of at most KERNEL_PIXELS pixels,
+        # and a float32 pixel can round differently in another call's matmul
+        per_call = model.images_per_call(*size)
+        chunks = [reference_forward(rows[0], stack[i : i + per_call]) for i in range(0, len(stack), per_call)]
+        self.assert_same_bits(forward(rows[0], stack), np.concatenate(chunks))
         if groups == 1:  # flat parameters and a single image
             self.assert_same_bits(backward(rows[0], stack, masks), reference_backward(rows[0], stack, masks))
             self.assert_same_bits(backward(rows[0], stack[0], masks[0]), reference_backward(rows[0], stack[0], masks[0]))
@@ -283,6 +289,88 @@ class TestReferenceKernel:
             built.clear()
             forward(params, stack)
             assert built == [((8, 9, 11), "nine", False)]
+
+
+THRESHOLDS = [0.5, 0.6, 1e-3, 1 - 1e-3, 0.0, 1.0, -0.5, 1.5]
+
+
+class TestThresholdedForward:
+    """forward(params, x, t) is bitwise forward(params, x) >= t, though most logits skip the sigmoid."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from(THRESHOLDS),
+        st.sampled_from([0.0, 1e-7, 1e-3, 1.0]),
+        st.sampled_from([0.0, 1e-6, -1e-6, None]),
+        st.integers(1, 6),
+        st.sampled_from([(3, 3), (7, 5), (12, 13), (64, 64)]),
+    )
+    def test_equals_thresholded_probabilities(self, seed, dtype, threshold, scale, offset, n, size):
+        # kernels of `scale` around a head bias of logit(t) + offset: zero
+        # kernels put every logit exactly on it (all-zero parameters give
+        # logits of exactly 0, ties at t = 0.5), tiny ones spread the logits
+        # within about 1e-6 of it; offset None draws the head bias at random
+        rng = np.random.default_rng(seed)
+        params = init_params(ArchDescriptor(), seed % 1000) * scale
+        if offset is None or not 0.0 < threshold < 1.0:
+            params[-1] = rng.normal(0.0, 2.0)
+        else:
+            params[-1] = logit(threshold) + offset
+        images = rng.normal(0.0, 1.0, (n, *size)).astype(dtype)
+        result = forward(params, images, threshold)
+        assert result.dtype == bool and result.shape == images.shape
+        assert np.array_equal(result, forward(params, images) >= threshold)
+        assert np.array_equal(forward(params, images[0], threshold), result[0])
+
+    def test_band_is_far_wider_than_the_sigmoids_rounding_error(self):
+        # _sigmoid's float32 error over every logit the bands cover, against
+        # the margin by which the band's edges clear the threshold
+        z = np.linspace(-7.5, 7.5, 300_001).astype(np.float32)
+        exact = 1.0 / (1.0 + np.exp(-z.astype(np.float64)))
+        error = np.abs(model._sigmoid(z) - exact).max()
+        assert error < 1e-6
+        for t in np.concatenate([np.geomspace(1e-3, 0.5, 200), 1.0 - np.geomspace(1e-3, 0.5, 200)]):
+            lo, hi = model._logit_band(t)
+            margin = min(1.0 / (1.0 + math.exp(-hi)) - t, t - 1.0 / (1.0 + math.exp(-lo)))
+            assert margin > 200 * 1e-6 > 200 * error
+        assert model._logit_band(0.5) == (-1e-3, 1e-3)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, 5e-4, 1 - 5e-4, np.nan])
+    def test_thresholds_without_a_band_take_the_sigmoid_everywhere(self, threshold):
+        assert model._logit_band(threshold) is None
+        params, images, _ = stack_fixture(3)
+        assert np.array_equal(forward(params, images, threshold), forward(params, images) >= threshold)
+
+    @pytest.mark.parametrize("threshold", [None, 0.5, 1.5])
+    def test_overflow_in_the_last_kernel_call_raises(self, threshold):
+        # zero images give logits of exactly b2 = 0: only the third call, of
+        # image 8, overflows float32
+        params = init_params(ArchDescriptor(), 0) * 1e20
+        stack = np.zeros((9, 64, 64), dtype=np.float32)
+        stack[8] = np.random.default_rng(0).normal(0.0, 1.0, (64, 64))
+        forward(params, stack[:8], threshold)  # the first two calls alone are finite
+        with pytest.raises(KernelOverflowError, match="overflows float32"):
+            forward(params, stack, threshold)
+
+    @pytest.mark.parametrize("threshold", [None, 0.5])
+    def test_kernel_calls_and_work_memory_stay_within_one_call(self, monkeypatch, threshold):
+        # a 240x64x64 stack in one forward call: every kernel call within the
+        # pixel budget, and work memory within the figure documented for it
+        monkeypatch.setattr(shifts, "WORKSPACE", shifts.Workspace())
+        forward_stack, calls = model._forward_stack, []
+
+        def recording(parts, x, role):
+            calls.append(x.size)
+            return forward_stack(parts, x, role)
+
+        monkeypatch.setattr(model, "_forward_stack", recording)
+        stack = np.random.default_rng(0).normal(0.0, 1.0, (240, 64, 64)).astype(np.float32)
+        forward(init_params(ArchDescriptor(), 0), stack, threshold)
+        assert calls == [model.KERNEL_PIXELS] * 60
+        kept = sum(buffer.nbytes for buffer in shifts.WORKSPACE._buffers.values())
+        assert 0 < kept <= 1.574e6
 
 
 def reference_shifts(x, flip=False):
