@@ -14,7 +14,6 @@ mixed-precision training.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -200,25 +199,11 @@ def _check_logits(z2: np.ndarray, rows: np.ndarray) -> None:
         raise KernelOverflowError(int(np.argmax(overflowed)), z2.dtype)
 
 
-def _logit_band(threshold: float | None) -> tuple[float, float] | None:
-    """Logits (lo, hi): z >= hi has _sigmoid(z) >= threshold and z <= lo has not; None outside [1e-3, 1 - 1e-3].
-
-    The band is logit(t) +- 2.5e-4 / (t(1 - t)), 2.2e-4 to 2.9e-4 in probability. That is 250 times
-    _sigmoid's float32 rounding error of under 1e-6 (exp within a few ulps, +1, the reciprocal and t's
-    cast under an ulp each): 1e-3 against 4e-6 in logits at t = 0.5. Nearer 0 or 1 it would saturate.
-    """
-    if threshold is None or not 1e-3 <= threshold <= 1.0 - 1e-3:
-        return None
-    center, half = math.log(threshold / (1.0 - threshold)), 2.5e-4 / (threshold * (1.0 - threshold))
-    return center - half, center + half
-
-
 def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = None) -> np.ndarray:
     """Per-pixel foreground probabilities, shaped like the input (H x W, or N x H x W).
 
     They are float32 for a float32 input and float64 for any other; with a
-    threshold, the bool stack bitwise equal to forward(params, images) >=
-    threshold, where only logits inside _logit_band take the sigmoid. The
+    threshold, the bool stack forward(params, images) >= threshold. The
     stack runs in kernel calls of images_per_call(H, W) images. Rejects
     non-finite parameters, and parameters that overflow the input's dtype in
     the kernel raise KernelOverflowError: a diverged model would otherwise
@@ -229,7 +214,7 @@ def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = No
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
     out = np.empty(x.shape, dtype=x.dtype if threshold is None else bool)
-    band, per_call = _logit_band(threshold), images_per_call(*x.shape[1:])
+    per_call = images_per_call(*x.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         parts = arch.unpack(params[None].astype(x.dtype, copy=False))
         for start in range(0, len(x), per_call):
@@ -238,13 +223,8 @@ def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = No
             _check_logits(z2, params[None])
             if threshold is None:
                 _sigmoid(z2, out=pred)
-            elif band is None:
-                np.greater_equal(_sigmoid(z2), threshold, out=pred)
-            else:  # the two counts differ when some logit lies in (lo, hi)
-                inside = z2 > band[0]
-                if np.count_nonzero(inside) > np.count_nonzero(np.greater_equal(z2, band[1], out=pred)):
-                    inside ^= pred
-                    pred[inside] = _sigmoid(z2[inside]) >= threshold
+            else:  # z2 is the kernel's work memory, free to hold the probabilities
+                np.greater_equal(_sigmoid(z2, out=z2), threshold, out=pred)
     return out.reshape(np.shape(images))
 
 

@@ -62,31 +62,31 @@ def test_gen_data_command(tmp_path):
 
 
 _BAD_SETTINGS = [
-    ("experiment", "rounds = 0"),
-    ("strategy", "batch_size = 0"),
-    ("model", "hidden_channels = 0"),
-    ("optimizer", "beta1 = 1.0"),
-    ("optimizer", "beta1 = nan"),
-    ("optimizer", "beta1 = 2.0"),
-    ("optimizer", "beta2 = -0.1"),
-    ("optimizer", "weight_decay = nan"),
-    ("optimizer", "weight_decay = -0.01"),
-    ("optimizer", "learning_rate = inf"),
-    ("optimizer", "eps = -1.0"),
-    ("optimizer", "eps = inf"),
-    ("client 1", "large_radius_range = 6.0 inf"),
-    ("client 1", "small_radius_range = nan 3.0"),
-    ("client 1", "noise_std = nan"),
-    ("client 1", "noise_std = inf"),
-    ("client 1", "lesion_intensity = inf"),
-    ("test", "lesion_intensity = nan"),
+    ("experiment", "rounds = 0", "rounds must be >= 1"),
+    ("strategy", "batch_size = 0", "batch_size must be >= 1"),
+    ("model", "hidden_channels = 0", "hidden_channels must be >= 1"),
+    ("optimizer", "beta1 = 1.0", "beta1 must lie in [0, 1), got 1.0"),
+    ("optimizer", "beta1 = nan", "beta1 must lie in [0, 1), got nan"),
+    ("optimizer", "beta1 = 2.0", "beta1 must lie in [0, 1), got 2.0"),
+    ("optimizer", "beta2 = -0.1", "beta2 must lie in [0, 1), got -0.1"),
+    ("optimizer", "weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
+    ("optimizer", "weight_decay = -0.01", "weight_decay must be finite and >= 0, got -0.01"),
+    ("optimizer", "learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
+    ("optimizer", "eps = -1.0", "eps must be finite and > 0, got -1.0"),
+    ("optimizer", "eps = inf", "eps must be finite and > 0, got inf"),
+    ("client 1", "large_radius_range = 6.0 inf", "bad large_radius_range (6.0, inf)"),
+    ("client 1", "small_radius_range = nan 3.0", "bad small_radius_range (nan, 3.0)"),
+    ("client 1", "noise_std = nan", "bad noise_std nan: must be finite and >= 0"),
+    ("client 1", "noise_std = inf", "bad noise_std inf: must be finite and >= 0"),
+    ("client 1", "lesion_intensity = inf", "bad lesion_intensity inf: must be finite"),
+    ("test", "lesion_intensity = nan", "bad lesion_intensity nan: must be finite"),
 ]
 
 
 @pytest.mark.parametrize(
     "section, setting, error",
-    [(section, setting, f"error: section [{section}]: ") for section, setting in _BAD_SETTINGS],
-    ids=[setting.replace(" = ", "-").replace(" ", "-") for _, setting in _BAD_SETTINGS],
+    [(section, setting, f"error: section [{section}]: {reason}\n") for section, setting, reason in _BAD_SETTINGS],
+    ids=[setting.replace(" = ", "-").replace(" ", "-") for _, setting, _ in _BAD_SETTINGS],
 )
 def test_validation_error_exits_1(tmp_path, capsys, section, setting, error):
     # every other setting is the shipped default
@@ -94,7 +94,7 @@ def test_validation_error_exits_1(tmp_path, capsys, section, setting, error):
     bad.write_text(f"[{section}]\n{setting}\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(error)
+    assert capsys.readouterr().err == error
     assert not (out / "results.csv").exists()
 
 

@@ -4,18 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedgs_sim.data import ClientData, ClientDataSpec, generate_client_dataset
+from fedgs_sim.data import ClientData
 from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, validate_mask
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
-from fedgs_sim.model import (
-    ArchDescriptor,
-    KernelOverflowError,
-    OptimizerConfig,
-    backward,
-    forward,
-    init_params,
-    optimizer_step,
-)
+from fedgs_sim.model import ArchDescriptor, KernelOverflowError, forward, init_params
 
 DIFFICULTY = DifficultyConfig(log_base=100.0, threshold=13.0, regime="whole_mask")
 
@@ -258,29 +250,6 @@ class TestEvaluate:
         assert forwarded == [(n, 0.5) for n in blocks]
         assert scored == blocks
         assert report.dice == 1.0
-
-    def test_sigmoid_sees_few_pixels_of_a_trained_model(self, monkeypatch):
-        # only logits within the thresholding band around logit(0.5) go
-        # through the sigmoid; the scores equal thresholded probabilities
-        from fedgs_sim import model
-
-        data = generate_client_dataset(ClientDataSpec(n_samples=40, small_fraction=0.3, noise_std=0.5), 0)
-        params, moments = init_params(ArchDescriptor(), 0), (np.zeros(77), np.zeros(77))
-        adamw = OptimizerConfig(kind="adamw", learning_rate=0.02)
-        for step in range(1, 41):
-            grad = backward(params, data.images[:16], data.masks[:16])
-            params, moments = optimizer_step(adamw, step, params, grad, moments)
-        expected = dice_score(forward(params, data.images) >= 0.5, data.masks).mean()
-        sigmoid, seen = model._sigmoid, []
-
-        def recording_sigmoid(z, out=None):
-            seen.append(z.size)
-            return sigmoid(z, out)
-
-        monkeypatch.setattr(model, "_sigmoid", recording_sigmoid)
-        report = evaluate(params, data, sample_groups(data, DIFFICULTY))
-        assert sum(seen) < 0.01 * data.images.size
-        assert report.dice == expected > 0.5
 
     def test_rejects_groups_of_another_length(self):
         samples = self.samples_for(disk_mask(2.5))
