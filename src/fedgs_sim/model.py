@@ -14,6 +14,8 @@ mixed-precision training.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -71,7 +73,11 @@ def infer_arch(params: np.ndarray) -> ArchDescriptor:
 
     For (K, P) parameter rows, the length of a row.
     """
-    n = params.shape[-1]
+    return _arch_of_length(params.shape[-1])
+
+
+@functools.lru_cache(maxsize=16)
+def _arch_of_length(n: int) -> ArchDescriptor:
     c = (n - 1) // 19
     if c < 1 or 19 * c + 1 != n:
         raise ValueError(f"no architecture has {n} parameters")
@@ -104,7 +110,7 @@ def _as_stack(images: np.ndarray) -> np.ndarray:
     x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
     if x.ndim not in (2, 3) or x.size == 0 or x.shape[-2] < 3 or x.shape[-1] < 3:
         raise ValueError(f"image must be 2D or an (N, H, W) stack, at least 3x3, got shape {x.shape}")
-    if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates: no temporary of the stack's size
+    if not (math.isfinite(x.min()) and math.isfinite(x.max())):  # NaN propagates: no temporary of the stack's size
         raise ValueError("image contains non-finite values")
     return x.reshape(-1, *x.shape[-2:])
 
@@ -113,48 +119,19 @@ def images_per_call(height: int, width: int) -> int:
     return max(1, KERNEL_PIXELS // (height * width))  # H x W images per kernel call, at least one
 
 
-def _per_group(planes: np.ndarray, groups: int) -> np.ndarray:
-    """The (K, 9, M) view, one nine-row matrix per group, of shift-major (9, K*M) planes."""
-    return planes.reshape(9, groups, -1).transpose(1, 0, 2)
+@shifts.per_shape
+def _call_views(x_role: str, n: int, height: int, width: int, groups: int, c: int, dtype: np.dtype) -> tuple:
+    """The work memory's views for kernel calls of one shape; backward lists what each role holds.
 
-
-def _conv1(k1: np.ndarray, b1: np.ndarray, planes: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
-    """Hidden pre-activations z1 (K, C, N/K, H, W) from the (9, N*H*W) shifts of an (N, H, W) stack, in the "hidden" role.
-
-    Group k of the stack goes through row k of the (K, C, 3, 3) kernels and
-    (K, C) biases, which are in the stack's dtype. The hidden layer is
-    group-major, then channel-major, so that each group's channel is one
-    contiguous row of the matmuls.
-    """
-    groups, c = k1.shape[:2]
-    n, height, width = x_shape
-    z1 = shifts.WORKSPACE.array("hidden", groups, c, n // groups, height, width, dtype=planes.dtype)
-    np.matmul(k1.reshape(groups, c, 9), _per_group(planes, groups), out=z1.reshape(groups, c, -1))
-    z1 += b1[:, :, None, None, None]
-    return z1
-
-
-def _conv2(k2: np.ndarray, b2: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Output logits z2 (N, H, W) from hidden activations a1 (K, C, N/K, H, W), in the "out" role.
-
-    z2 at (h, w) sums k2[:, s] . a1 at (h + di - 1, w + dj - 1) over the
-    shifts s = (di, dj). Mixing the channels first gives one shift-major
-    plane per shift, in the "nine" role; plane s, added at shift 8 - s of a
-    guarded flat accumulator that starts at b2, lands on those positions.
-    The cells that would land outside their image, on one edge row and/or
-    column of the plane, are zeroed first, so they add an exact zero to the
-    neighbouring row or image.
-    """
-    groups, c, per_group, height, width = a1.shape
-    mixed = shifts.WORKSPACE.array("nine", 9, groups * per_group, height, width, dtype=a1.dtype)
-    flat = mixed.reshape(9, -1)
-    np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1.reshape(groups, c, -1), out=_per_group(flat, groups))
-    shifts.zero_edges(mixed, -1, 0)
-    out, z2, starts = shifts.guarded("out", groups * per_group, height, width, a1.dtype)
-    z2.reshape(groups, -1)[...] = b2[:, None]
-    for s, start in enumerate(starts[::-1]):
-        out[start : start + z2.size] += flat[s]
-    return z2
+    x's shifts in `x_role`, the "nine" planes, "hidden" as (K, C, N/K*H*W), the interior of "out",
+    and conv2's (slice of "out", mixed plane) pairs."""
+    size = n * height * width
+    nine = shifts.nine_planes("nine", n, height, width, dtype, groups)
+    out = shifts.guarded("out", n, height, width, dtype)
+    starts = [di * width + dj for di in range(3) for dj in range(3)][::-1]  # plane s lands at shift 8 - s
+    landing = tuple((out.buffer[start : start + size], plane) for start, plane in zip(starts, nine.flat))
+    x_planes = shifts.nine_planes(x_role, n, height, width, dtype, groups)
+    return x_planes, nine, shifts.WORKSPACE.array("hidden", groups, c, size // groups, dtype=dtype), out.interior, landing
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -171,18 +148,32 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.reciprocal(p, out=p)
 
 
-def _forward_stack(parts: tuple[np.ndarray, ...], x: np.ndarray, role: str):
-    """Output logits z2 (N, H, W), hidden activations a1 (K, C, N/K, H, W) and x's shifts (9, N*H*W) of a stack.
+def _forward_stack(parts: tuple[np.ndarray, ...], x: np.ndarray, views: tuple) -> np.ndarray:
+    """Output logits z2 (N, H, W) of a stack, in the work memory of `views`, _call_views of x's shape.
 
-    `parts` are the unpacked (K, P) rows. All three results live in the
-    workspace: x's shifts in `role`, a1 in the "hidden" role, where the ReLU
-    overwrote z1: backward needs only a1 and where it is positive.
+    Group k of the stack goes through row k of `parts`, the unpacked (K, P) rows in the stack's dtype.
+    x's shifts stay in their planes, and a1 = relu(z1), all that backward needs of z1, in "hidden":
+    group-major, then channel-major, so that each group's channel is one row of the matmuls.
+    z2 at (h, w) sums k2[:, s] . a1 at (h + di - 1, w + dj - 1) over the shifts s = (di, dj). Mixing
+    the channels first gives one shift-major plane per shift, in "nine"; plane s, added at shift 8 - s
+    of a guarded flat accumulator that starts at b2, lands on those positions. The cells that would
+    land outside their image are zeroed first, so they add an exact zero to the neighbouring row or
+    image; no interior cell reads the guards.
     """
     k1, b1, k2, b2 = parts
-    planes = shifts.shift_stack(x, role)
-    a1 = _conv1(k1, b1, planes, x.shape)
+    x_planes, nine, a1, z2, landing = views
+    groups, c = k1.shape[:2]
+    shifts.shift_stack(x, x_planes.role)
+    np.matmul(k1.reshape(groups, c, 9), x_planes.per_group, out=a1)
+    a1 += b1[:, :, None]
     np.maximum(a1, 0.0, out=a1)
-    return _conv2(k2, b2, a1), a1, planes
+    np.matmul(k2.reshape(groups, c, 9).transpose(0, 2, 1), a1, out=nine.per_group)
+    for edge in nine.edges[True]:
+        edge.fill(0)
+    z2.reshape(groups, -1)[...] = b2[:, None]
+    for into, plane in landing:
+        into += plane
+    return z2
 
 
 def _check_logits(z2: np.ndarray, rows: np.ndarray) -> None:
@@ -218,8 +209,8 @@ def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = No
     with np.errstate(over="ignore", invalid="ignore"):
         parts = arch.unpack(params[None].astype(x.dtype, copy=False))
         for start in range(0, len(x), per_call):
-            pred = out[start : start + per_call]
-            z2, _, _ = _forward_stack(parts, x[start : start + per_call], "nine")
+            pred, chunk = out[start : start + per_call], x[start : start + per_call]
+            z2 = _forward_stack(parts, chunk, _call_views("nine", *chunk.shape, 1, arch.hidden_channels, x.dtype))
             _check_logits(z2, params[None])
             if threshold is None:
                 _sigmoid(z2, out=pred)
@@ -260,7 +251,8 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     Work memory is the shared shifts.WORKSPACE, in the stack's dtype, whose
     five roles are each overwritten in place as the pass goes on; a role is
     taken again only once nothing reads what it held. Each nine-plane role
-    is shift-major, (9, N*H*W), and each stack of shifts is built once:
+    is shift-major, (9, N*H*W), and each stack of shifts is cut once, in one
+    copy from a guarded buffer's shift window:
       "x nine"  x's shifts: read by conv1 and again by gk1
       "nine"    the channel-mixed planes (conv2), then g2's flipped shifts
                 (gk2 and dz1)
@@ -268,6 +260,7 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
                 into g2, from which g2's flipped shifts are cut
       "hidden"  z1, overwritten by a1 = relu(z1), then by dz1
       "out"     the guarded flat accumulator of z2, then prob * m
+    A call reuses the views of them kept for its shape (N, H, W, K, C, dtype).
     prob and the gradient are arrays of their own.
     """
     arch = infer_arch(params)
@@ -281,17 +274,20 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     if n % groups:
         raise ShapeMismatchError(f"a stack of {n} images does not split into {groups} equal groups")
     valid = validate_mask(masks)
+    c = arch.hidden_channels
+    x_planes, nine, a1, _, _ = views = _call_views("x nine", n, height, width, groups, c, x.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         parts = arch.unpack(rows.astype(x.dtype, copy=False))
-        z2, a1, x_shifts = _forward_stack(parts, x, "x nine")
+        z2 = _forward_stack(parts, x, views)
         _check_logits(z2, rows)
         prob = _sigmoid(z2)
         # z2 is read: its accumulator now takes prob * m, and the guarded copy
-        # of x, whose shifts are built, takes m
-        buffer, m, starts = shifts.guarded("guarded", n, height, width, x.dtype)
+        # of x, whose shifts are cut, takes m
+        stack = shifts.guarded("guarded", n, height, width, x.dtype)
+        m = stack.interior
         m[...] = valid.reshape(x.shape)
 
-        product = np.multiply(prob, m, out=shifts.WORKSPACE.array("out", *x.shape, dtype=x.dtype))
+        product = np.multiply(prob, m, out=z2)
         intersection = product.sum(axis=(1, 2))[:, None, None]
         denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + DICE_SMOOTHING)[:, None, None]
         # d(dice_loss)/dp per sample: quotient rule on (2I + eps)/(sums + eps),
@@ -302,19 +298,18 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
         g2 *= prob
         g2 *= 1.0 - prob
 
-        c = arch.hidden_channels
         k2 = parts[2]
-        a1 = a1.reshape(groups, c, -1)
         # both the second kernel's gradient and the hidden gradient read g2 at
         # shift (2-di, 2-dj): the flipped shift stack, cut where g2 was built
-        g2_shifts = _per_group(shifts.cut_shifts(buffer, g2, starts, "nine", flip=True), groups)
+        shifts.cut_shifts(stack, nine, flip=True)
+        g2_shifts = nine.per_group
         gk2 = a1 @ g2_shifts.transpose(0, 2, 1)
         active = a1 > 0.0
         dz1 = np.matmul(k2.reshape(groups, c, 9), g2_shifts, out=a1)  # a1 is not read again
         dz1 *= active
 
         grad = np.empty((groups, arch.param_count))
-        grad[:, : 9 * c] = (dz1 @ _per_group(x_shifts, groups).transpose(0, 2, 1)).reshape(groups, -1)
+        grad[:, : 9 * c] = (dz1 @ x_planes.per_group.transpose(0, 2, 1)).reshape(groups, -1)
         grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
         grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
         grad[:, 19 * c] = g2.reshape(groups, -1).sum(axis=1)

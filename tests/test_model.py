@@ -274,9 +274,9 @@ class TestReferenceKernel:
         built = []
         cut = shifts.cut_shifts
 
-        def counting(buffer, interior, starts, role="nine", flip=False):
-            built.append((interior.shape, role, flip))
-            return cut(buffer, interior, starts, role, flip)
+        def counting(stack, planes, flip=False):
+            built.append((stack.interior.shape, planes.role, flip))
+            return cut(stack, planes, flip)
 
         monkeypatch.setattr(shifts, "cut_shifts", counting)
         params, images, masks = stack_fixture(8, size=(9, 11))
@@ -362,6 +362,10 @@ def reference_shifts(x, flip=False):
     return np.stack(planes[::-1] if flip else planes)
 
 
+def in_workspace(x):
+    return any(np.may_share_memory(x, buffer) for buffer in shifts.WORKSPACE._buffers.values())
+
+
 class TestShiftStack:
     @pytest.mark.parametrize("flip", [False, True])
     def test_stack_in_the_workspace_gives_its_own_shifts(self, flip):
@@ -386,11 +390,33 @@ class TestShiftStack:
         planes[...] = stack
         assert np.array_equal(shifts.shift_stack(planes[3], flip=flip), reference_shifts(stack, flip))
 
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([np.float32, np.float64, np.uint8]),
+        st.booleans(),
+        st.integers(1, 6),
+        st.integers(3, 17),
+        st.integers(3, 17),
+    )
+    def test_one_copy_cut_equals_the_padded_shifts(self, seed, dtype, flip, n, height, width):
+        # the work memory is poisoned first: stale guards must not leak in
+        rng = np.random.default_rng(seed)
+        if dtype == np.uint8:
+            stack = rng.integers(0, 256, (n, height, width)).astype(np.uint8)
+        else:
+            stack = rng.normal(size=(n, height, width)).astype(dtype)
+        for buffer in shifts.WORKSPACE._buffers.values():
+            buffer.fill(np.nan if buffer.dtype.kind == "f" else 0xFF)
+        planes = shifts.shift_stack(stack, flip=flip)
+        assert planes.dtype == stack.dtype and planes.shape == (9, stack.size)
+        assert np.array_equal(planes, reference_shifts(stack, flip))
+
     def test_float32_stack_gives_float32_planes_in_the_workspace(self):
         stack = np.random.default_rng(5).normal(size=(2, 4, 3)).astype(np.float32)
-        assert not shifts.WORKSPACE.holds(stack)
+        assert not in_workspace(stack)
         planes = shifts.shift_stack(stack)
-        assert planes.dtype == np.float32 and shifts.WORKSPACE.holds(planes)
+        assert planes.dtype == np.float32 and in_workspace(planes)
         assert np.array_equal(planes, reference_shifts(stack).astype(np.float32))
 
 
@@ -528,10 +554,12 @@ class TestStackedKernel:
     def test_reused_work_memory_gives_the_same_results(self, monkeypatch):
         # shapes that grow, shrink and return, in both dtypes, with the kept
         # work memory of every (role, dtype) poisoned before each call: stale
-        # values must never leak in. The masks' blob_split difficulty and
-        # dilation run on the uint8 work memory between kernel calls; integer
-        # buffers are poisoned with 0xFF, since NaN has no integer value
-        shapes = [(4, (12, 12)), (2, (16, 9)), (1, (5, 5)), (4, (12, 12))]
+        # values must never leak in. (8, (20, 20)) grows every role between
+        # two calls of (4, (12, 12)): the views kept for the earlier shapes
+        # must go with the buffers they view. The masks' blob_split difficulty
+        # and dilation run on the uint8 work memory between kernel calls;
+        # integer buffers are poisoned with 0xFF, since NaN has no integer value
+        shapes = [(4, (12, 12)), (2, (16, 9)), (1, (5, 5)), (4, (12, 12)), (8, (20, 20)), (4, (12, 12))]
         cases = []
         for dtype in (np.float64, np.float32, np.float64, np.float32):
             for n, size in shapes:
@@ -541,26 +569,48 @@ class TestStackedKernel:
         blob = DifficultyConfig(regime="blob_split", threshold=4.0)
 
         def results_of(params, images, masks):
+            for buffer in shifts.WORKSPACE._buffers.values():
+                buffer.fill(np.nan if buffer.dtype.kind == "f" else 0xFF)
             deltas = difficulty_factor(masks, blob).delta
             return backward(params, images, masks), forward(params, images), deltas, dilate(masks)
 
-        def kernel_results():
-            results = []
-            for case in cases:
-                for buffer in shifts.WORKSPACE._buffers.values():
-                    buffer.fill(np.nan if buffer.dtype.kind == "f" else 0xFF)
-                results.append(results_of(*case))
-            return results
+        def kept_arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from kept_arrays(item)
 
-        # a new workspace starts with empty work memory
+        # each case alone, in a new workspace with empty work memory
+        alone = []
+        for case in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(shifts, "WORKSPACE", shifts.Workspace())
+                alone.append(results_of(*case))
+        assert all(deltas[1:].all() for _, _, deltas, _ in alone)
+
+        # every case in turn in one new workspace, which grows every role of
+        # the stack's dtype at the first (8, (20, 20)) call of that dtype
         with monkeypatch.context() as patch:
             patch.setattr(shifts, "WORKSPACE", shifts.Workspace())
-            fresh = [results_of(*case) for case in cases]
+            in_turn = []
+            for index, case in enumerate(cases):
+                held = dict(shifts.WORKSPACE._buffers)
+                in_turn.append(results_of(*case))
+                dropped = {key: buffer for key, buffer in held.items() if shifts.WORKSPACE._buffers[key] is not buffer}
+                if index in (4, len(shapes) + 4):  # the first (8, (20, 20)) call of each float dtype
+                    assert {key for key in held if key[1] == case[1].dtype} <= set(dropped)
+                    assert len({role for role, _ in dropped}) == 5
+                for view in kept_arrays(tuple(shifts.WORKSPACE.views.values())):
+                    assert not any(np.may_share_memory(view, buffer) for buffer in dropped.values())
             assert np.dtype(np.uint8) in {buffer.dtype for buffer in shifts.WORKSPACE._buffers.values()}
-        assert len(fresh) == len(cases) and all(deltas[1:].all() for _, _, deltas, _ in fresh)
-        for got, expected in zip(kernel_results(), fresh):
-            for value, fresh_value in zip(got, expected):
-                assert np.array_equal(value, fresh_value)
+
+        # and in the module's workspace, as kept by every test before this one
+        reused = [results_of(*case) for case in cases]
+        for run in (in_turn, reused):
+            for got, expected in zip(run, alone, strict=True):
+                for value, alone_value in zip(got, expected):
+                    assert value.dtype == alone_value.dtype and value.tobytes() == alone_value.tobytes()
 
     def test_work_memory_within_documented_figure(self, monkeypatch):
         # the figures in the comment on model.KERNEL_PIXELS, for calls of that
