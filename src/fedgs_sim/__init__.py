@@ -12,23 +12,12 @@ from .fl import (
     sample_deltas,
 )
 from .harness import ResultRow, emit_difficulty_curve, run_experiment
-from .masks import (
-    ComponentLabeling,
-    DifficultyConfig,
-    DifficultyResult,
-    batch_scaling_factor,
-    difficulty_factor,
-    erode,
-    inverse_relative_area,
-    label_components,
-    smallest_lesion_inverse_area,
-)
+from .masks import DifficultyConfig, DifficultyResult, batch_scaling_factor, difficulty_factor
 from .metrics import EvalReport, dice_score, evaluate, sample_groups
 from .model import (
     ArchDescriptor,
     OptimizerConfig,
     backward,
-    dice_loss,
     forward,
     init_params,
     optimizer_step,
@@ -40,7 +29,6 @@ __all__ = [
     "ArchDescriptor",
     "ClientData",
     "ClientDataSpec",
-    "ComponentLabeling",
     "DifficultyConfig",
     "DifficultyResult",
     "EvalReport",
@@ -56,17 +44,13 @@ __all__ = [
     "batch_scaling_factor",
     "build_federation",
     "default_config",
-    "dice_loss",
     "dice_score",
     "difficulty_factor",
     "emit_difficulty_curve",
-    "erode",
     "evaluate",
     "forward",
     "generate_client_dataset",
     "init_params",
-    "inverse_relative_area",
-    "label_components",
     "optimizer_step",
     "parse_config",
     "run_client_round",
@@ -74,5 +58,4 @@ __all__ = [
     "run_round",
     "sample_deltas",
     "sample_groups",
-    "smallest_lesion_inverse_area",
 ]

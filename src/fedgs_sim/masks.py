@@ -1,10 +1,10 @@
 """Binary mask analysis: lesion size, small-lesion classification, difficulty factors.
 
 Masks are 2D numpy arrays with values in {0, 1} (uint8 or bool), and
-validate_mask, erode, dilate and difficulty_factor also take (N, H, W) stacks
-of them: a 2D mask is the N = 1 case of one stack path. The difficulty factor
-of a mask is computed from its inverse relative area, i.e. total pixel count
-divided by foreground pixel count: small lesions have large inverse areas.
+validate_mask and difficulty_factor also take (N, H, W) stacks of them: a 2D
+mask is the N = 1 case of one stack path. The difficulty factor of a mask is
+computed from its inverse relative area, i.e. total pixel count divided by
+foreground pixel count: small lesions have large inverse areas.
 Batches of difficulty factors combine into a gradient scaling factor eta >= 1.
 """
 
@@ -20,10 +20,6 @@ from .shifts import shift_stack
 
 StructuringElement = Literal["square3", "cross3"]
 Regime = Literal["whole_mask", "blob_split"]
-
-
-class EmptyMaskError(ValueError):
-    """Mask has no foreground pixels; inverse relative area is undefined."""
 
 
 class BadBatchError(ValueError):
@@ -72,22 +68,6 @@ class DifficultyConfig:
 
 
 @dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected-component labeling of a mask.
-
-    labels: H x W int array, 0 = background, components numbered 1..n.
-    component_areas: (label, pixel count) pairs, one per component.
-    """
-
-    labels: np.ndarray
-    component_areas: list[tuple[int, int]]
-
-    @property
-    def n_components(self) -> int:
-        return len(self.component_areas)
-
-
-@dataclass(frozen=True)
 class DifficultyResult:
     """Outcome of difficulty estimation for an (N, H, W) stack of masks: (N,) arrays, entry i for mask i.
 
@@ -117,58 +97,22 @@ def validate_mask(mask: np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _one_mask(inverse_areas: Callable[[np.ndarray], np.ndarray], mask: np.ndarray) -> float:
-    """`inverse_areas` of a 2D mask, scored as a stack of one; raises EmptyMaskError for an empty mask."""
-    arr = validate_mask(mask)
-    if arr.ndim != 2:
-        raise ValueError(f"expected one 2D mask, got shape {arr.shape}")
-    value = float(inverse_areas(arr[None])[0])
-    if math.isnan(value):
-        raise EmptyMaskError("mask has no foreground pixels")
-    return value
-
-
 def _whole_mask_areas(stack: np.ndarray) -> np.ndarray:
     """H*W over each mask's foreground count, for a valid (N, H, W) stack; NaN where a mask is empty."""
     counts = np.count_nonzero(stack.view(bool), axis=(1, 2))
     return np.where(counts > 0, stack[0].size / np.maximum(counts, 1), np.nan)
 
 
-def inverse_relative_area(mask: np.ndarray) -> float:
-    """Total pixel count divided by foreground pixel count; always >= 1.
-
-    Raises EmptyMaskError when the mask has no foreground (the ratio would
-    divide by zero); callers decide how to handle empty masks.
-    """
-    return _one_mask(_whole_mask_areas, mask)
-
-
 def _morph(arr: np.ndarray, element: StructuringElement, iterations: int, reduce: Callable) -> np.ndarray:
-    """A new array: `iterations` rounds of `reduce` (min: erode, max: dilate) over a valid mask or stack's shifts."""
-    if element not in _ELEMENTS:
-        raise ValueError(f"unknown structuring element {element!r}")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    """A new array: `iterations` rounds of `reduce` (min: erode, max: dilate) over a valid mask or stack's shifts.
+
+    The element and the iteration count are a DifficultyConfig's, checked there.
+    """
     out = arr.reshape(-1, *arr.shape[-2:])
     for _ in range(iterations):
         # zero outside each image: erosion eats into the border, dilation adds nothing there
         out = reduce(shift_stack(out)[_ELEMENTS[element]], axis=0).reshape(out.shape)
     return out.reshape(arr.shape) if iterations else arr.copy()
-
-
-def erode(mask: np.ndarray, element: StructuringElement = "square3", iterations: int = 1) -> np.ndarray:
-    """Standard binary erosion of a mask or an (N, H, W) stack, `iterations` times. 0 iterations is the identity.
-
-    A pixel survives iff every shift in the element lands on foreground.
-    Pixels outside the image count as background, so foreground touching the
-    border erodes. Output foreground is always a subset of the input's.
-    """
-    return _morph(validate_mask(mask), element, iterations, np.min)
-
-
-def dilate(mask: np.ndarray, element: StructuringElement = "square3", iterations: int = 1) -> np.ndarray:
-    """Binary dilation, the adjoint of `erode`. 0 iterations is the identity."""
-    return _morph(validate_mask(mask), element, iterations, np.max)
 
 
 def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
@@ -226,21 +170,6 @@ def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray],
     return paint, areas, images
 
 
-def label_components(mask: np.ndarray, connectivity: int = 8) -> ComponentLabeling:
-    """Label connected foreground components of a mask or an (N, H, W) stack under 4- or 8-connectivity.
-
-    Every foreground pixel gets exactly one label in 1..n; background stays
-    0. Components are numbered in raster order of their first pixel, image
-    after image, and none spans two images.
-    """
-    arr = validate_mask(mask)
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    paint, areas, _ = _label(arr.reshape(-1, *arr.shape[-2:]), connectivity)
-    labels = paint(np.arange(len(areas) + 1, dtype=np.int32)).reshape(arr.shape)
-    return ComponentLabeling(labels=labels, component_areas=list(enumerate(map(int, areas), start=1)))
-
-
 # Masks that blob_split scores in one pass: as many as fill this many pixels
 # (at least one), a kernel call's worth. Morphology keeps 10 bytes of uint8
 # work memory per pixel (a guarded copy and nine shift planes), so a pass
@@ -250,7 +179,13 @@ BLOB_SPLIT_PIXELS = 16384
 
 
 def _smallest_lesion_areas(stack: np.ndarray, cfg: DifficultyConfig) -> np.ndarray:
-    """smallest_lesion_inverse_area of each mask of a valid (N, H, W) stack; NaN where a mask is empty.
+    """Inverse area of each mask's smallest distinct lesion, for a valid (N, H, W) stack; NaN where a mask is empty.
+
+    Erosion detaches lesions joined by thin bridges; the smallest eroded
+    component, the first in raster order among equal areas, is dilated back
+    once per erosion iteration with the same element and intersected with
+    the mask. A mask that erosion empties is scored on its un-eroded
+    components, so that tiny lesions are not dropped.
 
     The stack is scored BLOB_SPLIT_PIXELS at a time: one erosion, one
     labelling and one reconstruction per chunk.
@@ -283,22 +218,6 @@ def _smallest_lesion_areas(stack: np.ndarray, cfg: DifficultyConfig) -> np.ndarr
             counts = np.count_nonzero(reconstructed.view(bool), axis=(1, 2))
             estimated[begin + images[rebuild]] = counts[images[rebuild]]
     return height * width / estimated
-
-
-def smallest_lesion_inverse_area(mask: np.ndarray, cfg: DifficultyConfig) -> float:
-    """Inverse area of the smallest distinct lesion after separating attached ones.
-
-    Erodes the mask (detaching lesions joined by thin bridges), labels the
-    eroded components, and takes the smallest, the first in raster order
-    among equal areas. Its pre-erosion area is estimated by dilating that
-    component once per erosion iteration with the same element and
-    intersecting with the original mask. If erosion empties the mask
-    entirely, classification falls back to the components of the un-eroded
-    mask so that tiny lesions are not dropped.
-
-    Raises EmptyMaskError for an empty input mask.
-    """
-    return _one_mask(lambda stack: _smallest_lesion_areas(stack, cfg), mask)
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)

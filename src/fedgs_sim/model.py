@@ -219,23 +219,12 @@ def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = No
     return out.reshape(np.shape(images))
 
 
-def dice_loss(pred: np.ndarray, mask: np.ndarray) -> float:
-    """Smoothed Dice loss 1 - (2*sum(p*m) + eps) / (sum(p) + sum(m) + eps).
-
-    The smoothing term (eps = 1) keeps the loss and its gradient defined for
-    empty masks. Values lie in [0, 1).
-    """
-    p = np.asarray(pred, dtype=np.float64)
-    m = validate_mask(mask).astype(np.float64)
-    if p.shape != m.shape:
-        raise ShapeMismatchError(f"pred shape {p.shape} != mask shape {m.shape}")
-    intersection = float((p * m).sum())
-    total = float(p.sum() + m.sum())
-    return 1.0 - (2.0 * intersection + DICE_SMOOTHING) / (total + DICE_SMOOTHING)
-
-
 def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Analytic gradient of dice_loss(forward(params, image), mask) w.r.t. params.
+    """Analytic gradient w.r.t. params of the smoothed Dice loss of forward(params, image) against mask.
+
+    The loss is 1 - (2*sum(p*m) + eps) / (sum(p) + sum(m) + eps), eps =
+    DICE_SMOOTHING = 1, which keeps it and its gradient defined for empty
+    masks; it lies in [0, 1).
 
     Takes one image and mask, or (N, H, W) stacks of them, and returns the
     mean over the stack of each sample's own Dice-loss gradient. Parameters
@@ -290,7 +279,7 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
         product = np.multiply(prob, m, out=z2)
         intersection = product.sum(axis=(1, 2))[:, None, None]
         denom = (prob.sum(axis=(1, 2)) + m.sum(axis=(1, 2)) + DICE_SMOOTHING)[:, None, None]
-        # d(dice_loss)/dp per sample: quotient rule on (2I + eps)/(sums + eps),
+        # d(loss)/dp per sample: quotient rule on (2I + eps)/(sums + eps),
         # then through the sigmoid; built in place in m's memory
         g2 = m
         g2 *= -2.0 / denom

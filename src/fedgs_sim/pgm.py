@@ -1,8 +1,9 @@
-"""Binary PGM (P5) reading and writing for masks and grayscale images.
+"""Binary PGM (P5) writing for masks and grayscale images.
 
-Masks serialize as 8-bit P5 files where foreground is any value >= 128; the
-writer emits exactly {0, 255}. Grayscale dumps clamp real values to [0, 1]
-before quantizing to 8 bits, which is lossy and intended for inspection only.
+Every file is three header lines, "P5", "W H" and "255", each ended by one
+newline, followed by the W*H raster bytes. Masks are written as exactly
+{0, 255}. Grayscale dumps clamp real values to [0, 1] before quantizing to
+8 bits, which is lossy and intended for inspection only.
 """
 
 from __future__ import annotations
@@ -12,49 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .masks import validate_mask
-
-
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    # Whitespace-separated tokens; '#' starts a comment running to end of line.
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise ValueError("truncated PGM header")
-        ch = data[pos : pos + 1]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            end = pos
-            while end < len(data) and data[end : end + 1] not in b" \t\r\n":
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    return tokens, pos + 1  # single whitespace byte after maxval precedes raster
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read an 8-bit P5 file into a (H, W) uint8 array of raw gray values."""
-    data = Path(path).read_bytes()
-    tokens, raster_start = _read_header_tokens(data, 4)
-    if tokens[0] != b"P5":
-        raise ValueError(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
-    width, height, maxval = (int(t) for t in tokens[1:])
-    if not 0 < maxval < 256:
-        raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
-    raster = data[raster_start : raster_start + width * height]
-    if len(raster) != width * height:
-        raise ValueError("truncated PGM raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-
-
-def read_mask_pgm(path: str | Path) -> np.ndarray:
-    """Load a binary mask: any gray value >= 128 is foreground."""
-    gray = read_pgm(path)
-    return (gray >= 128).astype(np.uint8)
 
 
 def _write_pgm(path: str | Path, gray: np.ndarray) -> None:

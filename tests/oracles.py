@@ -13,13 +13,16 @@ results stay bit for bit what they were; and reference_difficulty keeps
 the earlier mask-at-a-time difficulty path (its labeling copied as it was,
 its erosion and dilation the definitions above), so that every delta,
 inverse area and small-lesion tag of the stack path stays bit for bit what
-it was.
+it was. reference_dice_loss is the smoothed Dice loss that model.backward
+differentiates, for the finite-difference checks, and read_written_pgm reads
+back only the exact P5 layout that the package's PGM writers emit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -438,6 +441,21 @@ def reference_dice(pred: np.ndarray, gt: np.ndarray) -> float:
     p, g = pred.astype(bool), gt.astype(bool)
     total = int(p.sum()) + int(g.sum())
     return 1.0 if total == 0 else 2.0 * int((p & g).sum()) / total
+
+
+def reference_dice_loss(pred: np.ndarray, mask: np.ndarray) -> float:
+    """Smoothed Dice loss by definition: 1 - (2*sum(p*m) + 1) / (sum(p) + sum(m) + 1)."""
+    p, m = np.asarray(pred, dtype=np.float64), np.asarray(mask, dtype=np.float64)
+    return 1.0 - (2.0 * float((p * m).sum()) + 1.0) / (float(p.sum() + m.sum()) + 1.0)
+
+
+def read_written_pgm(path) -> np.ndarray:
+    """The (H, W) raster of a file that is exactly "P5\\n{W} {H}\\n255\\n" followed by W*H bytes."""
+    magic, size, maxval, raster = Path(path).read_bytes().split(b"\n", 3)
+    width, height = map(int, size.split(b" "))
+    assert (magic, size, maxval) == (b"P5", b"%d %d" % (width, height), b"255")
+    assert len(raster) == width * height
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
 def reference_experiment(cfg) -> list[ResultRow]:

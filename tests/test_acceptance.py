@@ -19,9 +19,9 @@ from fedgs_sim.fl import StrategyConfig, run_client_round, run_round
 from fedgs_sim.harness import emit_difficulty_curve, fedgs_overhead, run_experiment
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
-from fedgs_sim.model import ArchDescriptor, OptimizerConfig, backward, dice_loss, forward, init_params
+from fedgs_sim.model import ArchDescriptor, OptimizerConfig, backward, forward, init_params
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
-from oracles import TrajectoryRecorder, rasterize_disk
+from oracles import TrajectoryRecorder, rasterize_disk, reference_dice_loss
 from test_model import smooth_fixtures
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -170,7 +170,7 @@ def test_criterion_3_gradient_oracle():
             plus, minus = params.copy(), params.copy()
             plus[i] += h
             minus[i] -= h
-            fd = (dice_loss(forward(plus, image), mask) - dice_loss(forward(minus, image), mask)) / (2 * h)
+            fd = (reference_dice_loss(forward(plus, image), mask) - reference_dice_loss(forward(minus, image), mask)) / (2 * h)
             scale = max(abs(fd), abs(grad[i]), 1e-12)
             worst = max(worst, abs(fd - grad[i]) / scale)
             checked += 1

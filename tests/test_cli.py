@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from oracles import read_written_pgm
 
 from fedgs_sim import harness
 from fedgs_sim.cli import main
 from fedgs_sim.config import default_config_text
-from fedgs_sim.pgm import read_mask_pgm
 
 from test_harness import TINY_CONFIG
 
@@ -56,8 +56,8 @@ def test_gen_data_command(tmp_path):
     cfg_path.write_text(TINY_CONFIG)
     out_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-    mask = read_mask_pgm(out_dir / "client_1" / "msk_0000.pgm")
-    assert set(np.unique(mask)) <= {0, 1}
+    mask = read_written_pgm(out_dir / "client_1" / "msk_0000.pgm")
+    assert set(np.unique(mask)) <= {0, 255}
     assert (out_dir / "test" / "manifest.txt").exists()
 
 

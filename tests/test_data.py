@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import rasterize_disk, replayed_images
+from oracles import rasterize_disk, read_written_pgm, replayed_images
 
 from fedgs_sim.data import (
     ClientData,
@@ -15,7 +15,6 @@ from fedgs_sim.data import (
 )
 from fedgs_sim.rng import DATA_STREAM, substream
 from fedgs_sim.masks import DifficultyConfig, ShapeMismatchError, difficulty_factor
-from fedgs_sim.pgm import read_mask_pgm
 
 
 def make_spec(**kwargs) -> ClientDataSpec:
@@ -223,8 +222,8 @@ def test_dump_writes_pairs_and_manifest(tmp_path):
     samples = generate_client_dataset(spec, 2)
     dump_samples(tmp_path, samples)
     for i, mask in enumerate(samples.masks):
-        assert (tmp_path / f"img_{i:04d}.pgm").exists()
-        assert np.array_equal(read_mask_pgm(tmp_path / f"msk_{i:04d}.pgm"), mask)
+        assert read_written_pgm(tmp_path / f"img_{i:04d}.pgm").shape == mask.shape
+        assert np.array_equal(read_written_pgm(tmp_path / f"msk_{i:04d}.pgm"), mask * 255)
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
     assert len(lines) == 3
     for i, line in enumerate(lines):

@@ -12,16 +12,10 @@ from fedgs_sim import masks
 from fedgs_sim.masks import (
     BadBatchError,
     DifficultyConfig,
-    EmptyMaskError,
     batch_scaling_factor,
     delta_from_inverse_area,
     difficulty_factor,
-    dilate,
-    erode,
-    inverse_relative_area,
-    label_components,
     raw_difficulty,
-    smallest_lesion_inverse_area,
     validate_mask,
 )
 from oracles import (
@@ -32,8 +26,6 @@ from oracles import (
     flood_fill_components,
     rasterize_disk,
     reference_difficulty,
-    reference_inverse_relative_area,
-    reference_smallest_lesion_inverse_area,
     shift_dilate,
     shift_erode,
     smallest_lesion_estimate,
@@ -104,67 +96,65 @@ def blob_cfg(**kwargs) -> DifficultyConfig:
     return DifficultyConfig(**defaults)
 
 
+WHOLE = DifficultyConfig(log_base=100.0, threshold=150.0, regime="whole_mask")
+
+
+def labeling(mask, connectivity):
+    """(labels, component_areas) of a mask or stack by masks._label: labels 1..n, 0 the background."""
+    paint, areas, _ = masks._label(mask.reshape(-1, *mask.shape[-2:]), connectivity)
+    labels = paint(np.arange(len(areas) + 1, dtype=np.int32)).reshape(mask.shape)
+    return labels, list(enumerate(map(int, areas), start=1))
+
+
 class TestInverseRelativeArea:
     def test_512_grid_1000_pixels(self):
         mask = np.zeros((512, 512), dtype=np.uint8)
         mask.ravel()[:1000] = 1
-        assert inverse_relative_area(mask) == pytest.approx(262.144)
+        assert difficulty_factor(mask, WHOLE).inverse_area == pytest.approx(262.144)
 
     def test_full_coverage_is_one(self):
-        assert inverse_relative_area(np.ones((32, 32), dtype=np.uint8)) == 1.0
-
-    def test_empty_mask_raises(self):
-        with pytest.raises(EmptyMaskError):
-            inverse_relative_area(np.zeros((32, 32), dtype=np.uint8))
+        assert difficulty_factor(np.ones((32, 32), dtype=np.uint8), WHOLE).inverse_area == 1.0
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            inverse_relative_area(np.full((4, 4), 3, dtype=np.uint8))
+            difficulty_factor(np.full((4, 4), 3, dtype=np.uint8), WHOLE)
 
 
 class TestErosion:
     def test_isolated_pixel_vanishes(self):
         mask = np.zeros((7, 7), dtype=np.uint8)
         mask[3, 3] = 1
-        assert erode(mask, "square3", 1).sum() == 0
+        assert masks._morph(mask, "square3", 1, np.min).sum() == 0
 
     def test_three_wide_strip_becomes_one_wide(self):
         mask = np.zeros((9, 9), dtype=np.uint8)
         mask[1:8, 3:6] = 1
-        out = erode(mask, "square3", 1)
+        out = masks._morph(mask, "square3", 1, np.min)
         expected = np.zeros_like(mask)
         expected[2:7, 4] = 1
         assert np.array_equal(out, expected)
 
     def test_zero_iterations_is_identity(self):
         mask = (np.random.default_rng(3).random((10, 10)) > 0.5).astype(np.uint8)
-        assert np.array_equal(erode(mask, "square3", 0), mask)
-
-    @pytest.mark.parametrize("iterations", [0, 1])
-    @pytest.mark.parametrize("operation", [erode, dilate])
-    def test_unknown_element_is_value_error_naming_it(self, operation, iterations):
-        mask = np.zeros((5, 5), dtype=np.uint8)
-        mask[1:4, 1:4] = 1
-        with pytest.raises(ValueError, match="diamond"):
-            operation(mask, "diamond", iterations)
+        assert np.array_equal(masks._morph(mask, "square3", 0, np.min), mask)
 
     @given(small_masks, st.sampled_from(["square3", "cross3"]))
     def test_anti_extensive(self, mask, element):
-        out = erode(mask, element, 1)
+        out = masks._morph(mask, element, 1, np.min)
         assert ((out == 1) <= (mask == 1)).all()
 
     @given(small_masks, st.sampled_from(["square3", "cross3"]))
     def test_composition_equals_two_iterations(self, mask, element):
-        twice = erode(erode(mask, element, 1), element, 1)
-        assert np.array_equal(twice, erode(mask, element, 2))
+        twice = masks._morph(masks._morph(mask, element, 1, np.min), element, 1, np.min)
+        assert np.array_equal(twice, masks._morph(mask, element, 2, np.min))
 
     @given(small_masks)
     def test_matches_definition_square3(self, mask):
-        assert np.array_equal(erode(mask, "square3", 1), shift_erode(mask, SQUARE3_OFFSETS))
+        assert np.array_equal(masks._morph(mask, "square3", 1, np.min), shift_erode(mask, SQUARE3_OFFSETS))
 
     @given(small_masks)
     def test_matches_definition_cross3(self, mask):
-        assert np.array_equal(erode(mask, "cross3", 1), shift_erode(mask, CROSS3_OFFSETS))
+        assert np.array_equal(masks._morph(mask, "cross3", 1, np.min), shift_erode(mask, CROSS3_OFFSETS))
 
     @pytest.mark.parametrize("element, offsets", [("square3", SQUARE3_OFFSETS), ("cross3", CROSS3_OFFSETS)])
     def test_one_pixel_wide_masks_match_definition(self, element, offsets):
@@ -175,8 +165,8 @@ class TestErosion:
                 row = np.array([cells], dtype=np.uint8)
                 for mask in (row, row.T):
                     for iterations in range(4):
-                        assert np.array_equal(erode(mask, element, iterations), shift_erode(mask, offsets, iterations))
-                        assert np.array_equal(dilate(mask, element, iterations), shift_dilate(mask, offsets, iterations))
+                        assert np.array_equal(masks._morph(mask, element, iterations, np.min), shift_erode(mask, offsets, iterations))
+                        assert np.array_equal(masks._morph(mask, element, iterations, np.max), shift_dilate(mask, offsets, iterations))
 
 
 class TestLabelComponents:
@@ -184,61 +174,59 @@ class TestLabelComponents:
         mask = np.zeros((12, 12), dtype=np.uint8)
         mask[1:2, 1:6] = 1
         mask[8:9, 2:7] = 1
-        labeling = label_components(mask, 8)
-        assert labeling.n_components == 2
-        assert sorted(area for _, area in labeling.component_areas) == [5, 5]
+        _, component_areas = labeling(mask, 8)
+        assert len(component_areas) == 2
+        assert sorted(area for _, area in component_areas) == [5, 5]
 
     def test_empty_mask(self):
-        labeling = label_components(np.zeros((5, 5), dtype=np.uint8), 8)
-        assert labeling.n_components == 0
-        assert labeling.labels.sum() == 0
+        labels, component_areas = labeling(np.zeros((5, 5), dtype=np.uint8), 8)
+        assert len(component_areas) == 0
+        assert labels.sum() == 0
 
     def test_diagonal_touch_depends_on_connectivity(self):
         mask = np.zeros((6, 6), dtype=np.uint8)
         mask[1:3, 1:3] = 1
         mask[3:5, 3:5] = 1
-        assert label_components(mask, 8).n_components == 1
-        assert label_components(mask, 4).n_components == 2
+        assert len(labeling(mask, 8)[1]) == 1
+        assert len(labeling(mask, 4)[1]) == 2
 
     @given(small_masks, st.sampled_from([4, 8]))
     def test_areas_partition_foreground(self, mask, connectivity):
-        labeling = label_components(mask, connectivity)
-        assert sum(area for _, area in labeling.component_areas) == int(mask.sum())
+        labels, component_areas = labeling(mask, connectivity)
+        assert sum(area for _, area in component_areas) == int(mask.sum())
         # every foreground pixel is labeled, background never is
-        assert ((labeling.labels > 0) == (mask == 1)).all()
-        labels = [label for label, _ in labeling.component_areas]
-        assert labels == list(range(1, len(labels) + 1))
-        for label, area in labeling.component_areas:
+        assert ((labels > 0) == (mask == 1)).all()
+        numbers = [label for label, _ in component_areas]
+        assert numbers == list(range(1, len(numbers) + 1))
+        for label, area in component_areas:
             assert area >= 1
-            assert int((labeling.labels == label).sum()) == area
+            assert int((labels == label).sum()) == area
 
     @given(small_masks, st.sampled_from([4, 8]))
     def test_matches_flood_fill(self, mask, connectivity):
         # the oracle seeds its fills in raster order, so its k-th component
         # is the k-th by first pixel: labels must match it exactly
-        labeling = label_components(mask, connectivity)
+        labels, component_areas = labeling(mask, connectivity)
         reference = flood_fill_components(mask, FOUR_NEIGHBORS if connectivity == 4 else EIGHT_NEIGHBORS)
         expected = np.zeros(mask.shape, dtype=int)
         for label, component in enumerate(reference, start=1):
             for pixel in component:
                 expected[pixel] = label
-        assert np.array_equal(labeling.labels, expected)
-        assert labeling.component_areas == [(label, len(c)) for label, c in enumerate(reference, start=1)]
+        assert np.array_equal(labels, expected)
+        assert component_areas == [(label, len(c)) for label, c in enumerate(reference, start=1)]
 
     @settings(max_examples=50, deadline=None)
     @given(mask_stacks(), st.sampled_from([4, 8]))
     def test_stack_numbers_each_image_after_the_one_before(self, stack, connectivity):
-        labeling = label_components(stack, connectivity)
-        assert labeling.labels.shape == stack.shape
+        stack_labels, stack_areas = labeling(stack, connectivity)
+        assert stack_labels.shape == stack.shape
         offset = 0
-        for mask, labels in zip(stack, labeling.labels):
-            alone = label_components(mask, connectivity)
-            assert np.array_equal(labels, np.where(alone.labels > 0, alone.labels + offset, 0))
-            assert labeling.component_areas[offset : offset + alone.n_components] == [
-                (label + offset, area) for label, area in alone.component_areas
-            ]
-            offset += alone.n_components
-        assert labeling.n_components == offset
+        for mask, labels in zip(stack, stack_labels):
+            alone_labels, alone_areas = labeling(mask, connectivity)
+            assert np.array_equal(labels, np.where(alone_labels > 0, alone_labels + offset, 0))
+            assert stack_areas[offset : offset + len(alone_areas)] == [(label + offset, area) for label, area in alone_areas]
+            offset += len(alone_areas)
+        assert len(stack_areas) == offset
 
     def test_raster_order_of_first_pixel(self):
         # two runs of row 0 that meet in row 1 are one component, numbered by
@@ -249,7 +237,7 @@ class TestLabelComponents:
         mask[1, 5:8] = 1
         mask[2, 0:3] = 1
         mask[4, 6] = 1
-        labels = label_components(mask, 8).labels
+        labels, _ = labeling(mask, 8)
         assert labels[0, 5] == labels[0, 7] == labels[1, 6] == 1
         assert labels[2, 0] == 2
         assert labels[4, 6] == 3
@@ -260,7 +248,7 @@ class TestSmallestLesion:
         # r=50 disk plus a far-away r=5 disk on a 512x512 grid
         mask = rasterize_disk(512, 512, 200, 200, 50) | rasterize_disk(512, 512, 420, 420, 5)
         expected_area = smallest_lesion_estimate(mask)
-        got = smallest_lesion_inverse_area(mask, blob_cfg())
+        got = difficulty_factor(mask, blob_cfg()).inverse_area
         assert got == 512 * 512 / expected_area
         # sanity: the estimate tracks the small disk (area 81), not the big one
         assert 512 * 512 / 81 * 0.8 < got < 512 * 512 / 50
@@ -269,25 +257,21 @@ class TestSmallestLesion:
         # opening with square3 recovers rectangles >= 3x3 exactly
         mask = np.zeros((64, 64), dtype=np.uint8)
         mask[10:20, 30:45] = 1
-        assert smallest_lesion_inverse_area(mask, blob_cfg()) == inverse_relative_area(mask)
-
-    def test_empty_mask_raises(self):
-        with pytest.raises(EmptyMaskError):
-            smallest_lesion_inverse_area(np.zeros((8, 8), dtype=np.uint8), blob_cfg())
+        assert difficulty_factor(mask, blob_cfg()).inverse_area == difficulty_factor(mask, WHOLE).inverse_area
 
     def test_erosion_wipeout_falls_back_to_raw_components(self):
         # two isolated pixels: erosion empties the mask; classify on raw blobs
         mask = np.zeros((10, 10), dtype=np.uint8)
         mask[2, 2] = 1
         mask[7, 7] = 1
-        assert smallest_lesion_inverse_area(mask, blob_cfg()) == 100.0
+        assert difficulty_factor(mask, blob_cfg()).inverse_area == 100.0
 
     def test_zero_iterations_uses_smallest_raw_component(self):
         mask = np.zeros((10, 10), dtype=np.uint8)
         mask[1:4, 1:4] = 1
         mask[7, 7] = 1
         cfg = blob_cfg(erosion_iterations=0)
-        assert smallest_lesion_inverse_area(mask, cfg) == 100.0
+        assert difficulty_factor(mask, cfg).inverse_area == 100.0
 
     @pytest.mark.parametrize("diagonal_first", [True, False])
     def test_area_tie_goes_to_the_first_component_in_raster_order(self, diagonal_first):
@@ -299,23 +283,11 @@ class TestSmallestLesion:
         diagonal, bar = (1, 9) if diagonal_first else (9, 1)
         mask[diagonal : diagonal + 3, 2:5] = mask[diagonal + 1 : diagonal + 4, 3:6] = 1
         mask[bar : bar + 3, 8:12] = 1
-        eroded = label_components(erode(mask), 8)
-        assert [area for _, area in eroded.component_areas] == [2, 2]
+        _, eroded_areas = labeling(masks._morph(mask, "square3", 1, np.min), 8)
+        assert [area for _, area in eroded_areas] == [2, 2]
         expected = 256 / (14 if diagonal_first else 12)
-        assert smallest_lesion_inverse_area(mask, blob_cfg()) == expected
+        assert difficulty_factor(mask, blob_cfg()).inverse_area == expected
         assert mask.size / smallest_lesion_estimate(mask) == expected
-
-    def test_validates_its_mask_once(self, monkeypatch):
-        calls = []
-        validate = masks.validate_mask
-
-        def counted(mask):
-            calls.append(mask)
-            return validate(mask)
-
-        monkeypatch.setattr(masks, "validate_mask", counted)
-        smallest_lesion_inverse_area(build_attached_pair(), blob_cfg())
-        assert len(calls) == 1
 
     @given(small_masks, st.integers(0, 2))
     def test_matches_reference_pipeline(self, mask, iterations):
@@ -323,7 +295,7 @@ class TestSmallestLesion:
             return
         cfg = blob_cfg(erosion_iterations=iterations)
         expected = mask.size / smallest_lesion_estimate(mask, SQUARE3_OFFSETS, iterations)
-        assert smallest_lesion_inverse_area(mask, cfg) == expected
+        assert difficulty_factor(mask, cfg).inverse_area == expected
 
 
 class TestDifficultyFactor:
@@ -396,6 +368,10 @@ class TestDifficultyFactor:
             DifficultyConfig(connectivity=6)
         with pytest.raises(ValueError):
             DifficultyConfig(regime="diagonal")
+        with pytest.raises(ValueError, match="diamond"):
+            DifficultyConfig(structuring_element="diamond")
+        with pytest.raises(ValueError, match="erosion_iterations"):
+            DifficultyConfig(erosion_iterations=-1)
 
 
 class TestStackPath:
@@ -438,23 +414,10 @@ class TestStackPath:
                     assert_matches_reference(stack, cfg)
 
     @settings(max_examples=60, deadline=None)
-    @given(mask_stacks(max_n=1), difficulty_configs)
-    def test_one_mask_wrappers_equal_reference(self, stack, cfg):
-        mask = stack[0]
-        expected = reference_smallest_lesion_inverse_area(mask, cfg)
-        if expected is None:
-            for score in (inverse_relative_area, lambda m: smallest_lesion_inverse_area(m, cfg)):
-                with pytest.raises(EmptyMaskError):
-                    score(mask)
-        else:
-            assert smallest_lesion_inverse_area(mask, cfg) == expected
-            assert inverse_relative_area(mask) == reference_inverse_relative_area(mask)
-
-    @settings(max_examples=60, deadline=None)
     @given(mask_stacks(), st.sampled_from(["square3", "cross3"]), st.integers(0, 2))
     def test_morphology_of_a_stack_is_per_mask(self, stack, element, iterations):
         offsets = SQUARE3_OFFSETS if element == "square3" else CROSS3_OFFSETS
-        eroded, dilated = erode(stack, element, iterations), dilate(stack, element, iterations)
+        eroded, dilated = (masks._morph(stack, element, iterations, reduce) for reduce in (np.min, np.max))
         assert eroded.dtype == dilated.dtype == np.uint8 and eroded.shape == dilated.shape == stack.shape
         for mask, e, d in zip(stack, eroded, dilated):
             assert np.array_equal(e, shift_erode(mask, offsets, iterations))
@@ -545,11 +508,9 @@ class TestBlobVsWholeMask:
         # component, so the whole-mask inverse area is dominated by the large
         # lesion, while erosion severs the bridge and exposes the small one
         mask = build_attached_pair()
-        whole = DifficultyConfig(log_base=100.0, threshold=150.0, regime="whole_mask")
-        blob = blob_cfg()
-        assert label_components(mask, 8).n_components == 1
-        assert not difficulty_factor(mask, whole).is_small
-        assert difficulty_factor(mask, blob).is_small
+        assert len(labeling(mask, 8)[1]) == 1
+        assert not difficulty_factor(mask, WHOLE).is_small
+        assert difficulty_factor(mask, blob_cfg()).is_small
 
 
 def build_attached_pair(height=256, width=256) -> np.ndarray:
@@ -563,5 +524,5 @@ def build_attached_pair(height=256, width=256) -> np.ndarray:
 @settings(max_examples=30)
 @given(small_masks)
 def test_dilate_is_extensive(mask):
-    out = dilate(mask, "square3", 1)
+    out = masks._morph(mask, "square3", 1, np.max)
     assert ((mask == 1) <= (out == 1)).all()

@@ -1,7 +1,7 @@
 import numpy as np
-import pytest
+from oracles import read_written_pgm
 
-from fedgs_sim.pgm import read_mask_pgm, read_pgm, write_gray_pgm, write_mask_pgm
+from fedgs_sim.pgm import write_gray_pgm, write_mask_pgm
 
 
 def test_mask_roundtrip(tmp_path):
@@ -9,14 +9,14 @@ def test_mask_roundtrip(tmp_path):
     mask = (rng.random((17, 23)) > 0.6).astype(np.uint8)
     path = tmp_path / "m.pgm"
     write_mask_pgm(path, mask)
-    assert np.array_equal(read_mask_pgm(path), mask)
+    assert np.array_equal(read_written_pgm(path), mask * 255)
 
 
 def test_writer_emits_exactly_0_and_255(tmp_path):
     mask = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     path = tmp_path / "m.pgm"
     write_mask_pgm(path, mask)
-    raw = read_pgm(path)
+    raw = read_written_pgm(path)
     assert set(np.unique(raw)) == {0, 255}
 
 
@@ -28,39 +28,10 @@ def test_header_layout(tmp_path):
     assert len(data) == len(b"P5\n5 3\n255\n") + 15
 
 
-def test_foreground_is_any_value_at_or_above_128(tmp_path):
-    gray = np.array([[0, 127, 128], [200, 255, 1]], dtype=np.uint8)
-    path = tmp_path / "g.pgm"
-    header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode()
-    path.write_bytes(header + gray.tobytes())
-    expected = np.array([[0, 0, 1], [1, 1, 0]], dtype=np.uint8)
-    assert np.array_equal(read_mask_pgm(path), expected)
-
-
-def test_reader_skips_comments(tmp_path):
-    path = tmp_path / "c.pgm"
-    path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 255, 255, 0]))
-    assert np.array_equal(read_mask_pgm(path), np.array([[0, 1], [1, 0]], dtype=np.uint8))
-
-
 def test_gray_write_clamps(tmp_path):
     image = np.array([[-0.5, 0.0], [0.5, 2.0]])
     path = tmp_path / "g.pgm"
     write_gray_pgm(path, image)
-    raw = read_pgm(path)
+    raw = read_written_pgm(path)
     assert raw[0, 0] == 0 and raw[1, 1] == 255
     assert raw[1, 0] == 128  # 0.5 * 255 rounds to 128
-
-
-def test_truncated_file_rejected(tmp_path):
-    path = tmp_path / "bad.pgm"
-    path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    with pytest.raises(ValueError):
-        read_pgm(path)
-
-
-def test_wrong_magic_rejected(tmp_path):
-    path = tmp_path / "bad.pgm"
-    path.write_bytes(b"P2\n1 1\n255\n0")
-    with pytest.raises(ValueError):
-        read_pgm(path)
