@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the sweep: a bad path fails at once
     rows = run_experiment(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "results.csv"
     write_results_csv(rows, out_path)
     print(f"wrote {len(rows)} rows to {out_path}")

@@ -198,7 +198,7 @@ def run_client_round(
     strategy: StrategyConfig,
     optimizer_cfg: OptimizerConfig,
     rngs: Sequence[np.random.Generator],
-    client_deltas: Sequence[np.ndarray | None] | None = None,
+    client_deltas: Sequence[np.ndarray | None],
 ) -> ClientState:
     """Run local_epochs epochs of batched training on every client, in lockstep.
 
@@ -209,20 +209,17 @@ def run_client_round(
     call the round checks client_deltas and plans each client's batches of
     at most batch_size samples with their etas: batch_scaling_factor of the
     batch's deltas, in the epoch's shuffled order, under fedgs and 1 under
-    fedavg. client_deltas[k] is sample_deltas(datasets[k], strategy), built
-    here when omitted: a 1-D array of one delta per sample under fedgs and
-    None under fedavg. Local step i advances every client that still has an
-    i-th batch, so clients of unequal sizes drop out as their batches run
-    out. Returns the cohort's state at round end; row k is bitwise what
-    client k computes alone.
+    fedavg. client_deltas[k] is sample_deltas(datasets[k], strategy): a 1-D
+    array of one delta per sample under fedgs and None under fedavg. Local
+    step i advances every client that still has an i-th batch, so clients
+    of unequal sizes drop out as their batches run out. Returns the cohort's
+    state at round end; row k is bitwise what client k computes alone.
     """
     if not datasets:
         raise EmptyFederationError("need at least one client")
     if len(rngs) != len(datasets):
         raise ValueError("need one rng stream per client")
-    if client_deltas is None:
-        client_deltas = [sample_deltas(dataset, strategy) for dataset in datasets]
-    elif len(client_deltas) != len(datasets):
+    if len(client_deltas) != len(datasets):
         raise ValueError("need one delta list per client")
     fedgs = strategy.kind == "fedgs"
     for k, (dataset, deltas) in enumerate(zip(datasets, client_deltas)):
@@ -292,15 +289,14 @@ def run_round(
     strategy: StrategyConfig,
     optimizer_cfg: OptimizerConfig,
     rng_streams: Sequence[np.random.Generator],
-    client_deltas: Sequence[np.ndarray | None] | None = None,
+    client_deltas: Sequence[np.ndarray | None],
 ) -> tuple[np.ndarray, RoundStats]:
     """One full federated round: local training on every client, then aggregation.
 
     All clients start from the same global snapshot. fedgs subtracts the
     step-weighted cumulative-gradient average; fedavg averages final client
     parameters weighted by sample counts. `client_deltas` holds each client's
-    sample_deltas; a run builds it once and passes it to every round, and it
-    is built here when omitted.
+    sample_deltas; a run builds it once and passes it to every round.
     """
     state = run_client_round(global_params, client_datasets, strategy, optimizer_cfg, rng_streams, client_deltas)
     if strategy.kind == "fedgs":

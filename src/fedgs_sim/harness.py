@@ -23,7 +23,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import Federation, build_federation
 from .fl import DivergenceError, run_round, sample_deltas
-from .masks import DifficultyConfig, delta_from_inverse_area, raw_difficulty
+from .masks import DifficultyConfig, raw_difficulty
 from .metrics import evaluate, sample_groups
 from .model import ArchDescriptor, KernelOverflowError, init_params
 from .rng import SHUFFLE_STREAM, substream
@@ -170,8 +170,8 @@ def emit_difficulty_curve(
         a_inv = float(a_inv)
         if not CURVE_GRID_MIN <= a_inv <= CURVE_GRID_MAX:
             raise ValueError(f"grid value {a_inv} outside [{CURVE_GRID_MIN}, {CURVE_GRID_MAX}]")
-        _, delta = delta_from_inverse_area(a_inv, cfg.log_base, cfg.threshold)
-        points.append(CurvePoint(inverse_area=a_inv, raw=raw_difficulty(a_inv, cfg.log_base), delta=delta))
+        raw = raw_difficulty(a_inv, cfg.log_base)
+        points.append(CurvePoint(inverse_area=a_inv, raw=raw, delta=raw if a_inv >= cfg.threshold else 0.0))
     return points
 
 

@@ -236,17 +236,6 @@ def raw_difficulty(inverse_area: float, log_base: float) -> float:
     return min(math.tanh(log_value * log_value), _BELOW_ONE)
 
 
-def delta_from_inverse_area(inverse_area: float, log_base: float, threshold: float) -> tuple[bool, float]:
-    """Map an inverse area to (is_small, difficulty delta).
-
-    is_small is True iff inverse_area >= threshold; delta is the raw difficulty
-    gated by is_small, so it lies in [0, 1) and is 0 for non-small masks.
-    """
-    is_small = inverse_area >= threshold
-    delta = raw_difficulty(inverse_area, log_base) if is_small else 0.0
-    return is_small, delta
-
-
 def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyResult:
     """Difficulty of segmenting each mask of an (N, H, W) stack, in [0, 1); empty masks score 0.
 
@@ -259,7 +248,8 @@ def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyRes
     stack = arr.reshape(-1, *arr.shape[-2:])
     inverse_area = _whole_mask_areas(stack) if cfg.regime == "whole_mask" else _smallest_lesion_areas(stack, cfg)
     is_small = inverse_area >= cfg.threshold  # False where empty: NaN compares False
-    delta = np.array([delta_from_inverse_area(a, cfg.log_base, cfg.threshold)[1] for a in inverse_area.tolist()])
+    gated = zip(inverse_area.tolist(), is_small.tolist())
+    delta = np.array([raw_difficulty(a, cfg.log_base) if small else 0.0 for a, small in gated])
     if arr.ndim == 2:
         return DifficultyResult(float(inverse_area[0]), bool(is_small[0]), float(delta[0]))
     return DifficultyResult(inverse_area, is_small, delta)

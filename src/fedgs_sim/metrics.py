@@ -60,8 +60,8 @@ def sample_groups(test_set: ClientData, difficulty: DifficultyConfig) -> list[st
     return np.where(np.isnan(result.inverse_area), "empty", np.where(result.is_small, "small", "large")).tolist()
 
 
-def evaluate(params: np.ndarray, test_set: ClientData, groups: Sequence[str], threshold: float = 0.5) -> EvalReport:
-    """Binarize model predictions at `threshold` and score against ground truth.
+def evaluate(params: np.ndarray, test_set: ClientData, groups: Sequence[str]) -> EvalReport:
+    """Binarize model predictions at probability 0.5 and score against ground truth.
 
     `groups` is sample_groups(test_set, difficulty). The test set goes in blocks of
     EVAL_BLOCK_CALLS kernel calls' worth of images, one thresholded forward call and one
@@ -72,7 +72,7 @@ def evaluate(params: np.ndarray, test_set: ClientData, groups: Sequence[str], th
 
     block = EVAL_BLOCK_CALLS * images_per_call(*test_set.images.shape[1:])
     blocks = [slice(start, start + block) for start in range(0, len(test_set), block)]
-    values = np.concatenate([dice_score(forward(params, test_set.images[b], threshold), test_set.masks[b]) for b in blocks])
+    values = np.concatenate([dice_score(forward(params, test_set.images[b], 0.5), test_set.masks[b]) for b in blocks])
     tags = np.asarray(groups)
     small, large = values[tags == "small"], values[tags == "large"]
     return EvalReport(

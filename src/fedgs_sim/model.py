@@ -179,7 +179,7 @@ def _forward_stack(parts: tuple[np.ndarray, ...], x: np.ndarray, views: tuple) -
 def _check_logits(z2: np.ndarray, rows: np.ndarray) -> None:
     """Raise KernelOverflowError if a finite parameter row gave non-finite logits z2 (N, H, W).
 
-    One isfinite pass checks every logit. The kernel runs with overflow warnings off, so an overflow
+    One isfinite pass checks every logit. The kernel runs with numpy's overflow reports off, so an overflow
     surfaces here by name, not as NaN probabilities that score as background. Non-finite rows are no
     overflow: they are the caller's.
     """

@@ -127,7 +127,7 @@ def cut_shifts(stack: Guarded, planes: Planes, flip: bool = False) -> np.ndarray
     return planes.flat
 
 
-def shift_stack(x: np.ndarray, role: str = "nine", flip: bool = False) -> np.ndarray:
+def shift_stack(x: np.ndarray, role: str = "nine") -> np.ndarray:
     """The nine shifts of an (N, H, W) stack, zero outside each image, as one shift-major (9, N*H*W) array.
 
     The stack fills the "guarded" role, and the planes are cut into `role`:
@@ -135,4 +135,4 @@ def shift_stack(x: np.ndarray, role: str = "nine", flip: bool = False) -> np.nda
     """
     stack = guarded("guarded", *x.shape, x.dtype)
     stack.interior[...] = x  # the assignment resolves any overlap of x with the work memory
-    return cut_shifts(stack, nine_planes(role, *x.shape, x.dtype, 1), flip)
+    return cut_shifts(stack, nine_planes(role, *x.shape, x.dtype, 1))

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from fedgs_sim.config import parse_config
 from fedgs_sim.data import ClientData, ClientDataSpec, generate_client_dataset
-from fedgs_sim.fl import StrategyConfig, run_client_round, run_round
+from fedgs_sim.fl import StrategyConfig, run_client_round, run_round, sample_deltas
 from fedgs_sim.harness import emit_difficulty_curve, fedgs_overhead, run_experiment
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
@@ -79,24 +79,21 @@ def test_criterion_1_fedavg_reduction_equivalence():
     specs = [desk_spec(small_fraction=0.0, seed_offset=o) for o in (1, 2, 3)]
     datasets = [generate_client_dataset(s, 77) for s in specs]
     params = init_params(ArchDescriptor(), 77)
+    fedgs = StrategyConfig(kind="fedgs", batch_size=4, local_epochs=1, difficulty=DESK_DIFFICULTY)
+    deltas = [sample_deltas(dataset, fedgs) for dataset in datasets]
     fedgs_global = params
     fedavg_global = params
     worst = 0.0
     for round_index in range(10):
         streams = lambda: [substream(77, SHUFFLE_STREAM, round_index, c) for c in range(3)]
-        fedgs_global, stats = run_round(
-            fedgs_global,
-            datasets,
-            StrategyConfig(kind="fedgs", batch_size=4, local_epochs=1, difficulty=DESK_DIFFICULTY),
-            ADAMW,
-            streams(),
-        )
+        fedgs_global, stats = run_round(fedgs_global, datasets, fedgs, ADAMW, streams(), deltas)
         fedavg_global, _ = run_round(
             fedavg_global,
             datasets,
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=1),
             ADAMW,
             streams(),
+            [None] * 3,
         )
         assert stats.max_eta == 1.0  # all-large by construction
         worst = max(worst, float(np.abs(fedgs_global - fedavg_global).max()))
@@ -113,6 +110,7 @@ def test_criterion_2_local_trajectory_invariance(monkeypatch):
     start = time.perf_counter()
     mismatches = 0
     iterations = 0
+    fedgs = StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DESK_DIFFICULTY)
     for seed in (1, 2, 3):
         specs = [desk_spec(small_fraction=0.5, seed_offset=o) for o in (1, 2)]
         datasets = [generate_client_dataset(s, seed) for s in specs]
@@ -133,6 +131,7 @@ def test_criterion_2_local_trajectory_invariance(monkeypatch):
                         strategy,
                         ADAMW,
                         [substream(seed, SHUFFLE_STREAM, round_index, client_index)],
+                        [sample_deltas(dataset, strategy)],
                     )
                     (trajectories[kind],) = recorder.take()
                 assert len(trajectories["fedgs"]) == len(trajectories["fedavg"]) > 0
@@ -144,9 +143,10 @@ def test_criterion_2_local_trajectory_invariance(monkeypatch):
             global_params, _ = run_round(
                 global_params,
                 datasets,
-                StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DESK_DIFFICULTY),
+                fedgs,
                 ADAMW,
                 [substream(seed, SHUFFLE_STREAM, round_index, c) for c in range(len(datasets))],
+                [sample_deltas(dataset, fedgs) for dataset in datasets],
             )
             recorder.take()  # the shared round's steps are not compared
     elapsed = time.perf_counter() - start

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import read_written_pgm
 
-from fedgs_sim import harness
+from fedgs_sim import cli, harness
 from fedgs_sim.cli import main
 from fedgs_sim.config import default_config_text
 
@@ -106,6 +106,19 @@ def test_unknown_key_exits_1(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_unusable_out_dir_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY_CONFIG)
+    (tmp_path / "afile").write_text("")
+
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "afile" / "out")]) == 2
     assert "i/o error" in capsys.readouterr().err
 
 

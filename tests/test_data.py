@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -116,6 +118,16 @@ class TestGeneration:
             foreground += int(fg.sum())
             violations += int((image[fg] < spec.lesion_intensity - 5 * spec.noise_std).sum())
         assert violations <= 0.001 * foreground
+
+    def test_a_rare_noise_draw_raises_no_warning(self):
+        # one lesion pixel of this one-sample client draws below -5 sigma (chance ~2.9e-7 per pixel,
+        # the same for every spec): a well-formed client, generated silently
+        spec = ClientDataSpec(n_samples=1, noise_std=0.5, seed_offset=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dataset = generate_client_dataset(spec, 2663)
+        lesion = dataset.images[dataset.masks.view(bool)]
+        assert np.count_nonzero(lesion < spec.lesion_intensity - 5 * spec.noise_std) == 1
 
     @pytest.mark.parametrize("seed, offset, size", [(7, 3, (32, 32)), (2, 0, (20, 28)), (5, 11, (64, 64))])
     def test_images_are_the_float64_draws_stored_as_float32(self, seed, offset, size):

@@ -58,6 +58,11 @@ def plan_state(params, n_clients, optimizer_cfg=SGD):
     return ClientState.start(params, optimizer_cfg, [[np.arange(4)]] * n_clients, [[1.0]] * n_clients)
 
 
+def deltas_of(datasets, strategy):
+    """Each client's sample_deltas: the table a run builds once and passes to every round."""
+    return [sample_deltas(dataset, strategy) for dataset in datasets]
+
+
 def solo_step(params, dataset, idx, strategy):
     """Step 1 of a one-client cohort whose plan is one batch of samples idx, seen as that client's row.
 
@@ -180,6 +185,7 @@ class TestRunClientRound:
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=5),
             SGD,
             [substream(0, SHUFFLE_STREAM, 0, 0)],
+            [None],
         )
         assert result.steps[0] == 15
         assert len(result.batches[0]) == len(result.etas[0]) == 15
@@ -188,8 +194,8 @@ class TestRunClientRound:
         params = init_params(ArchDescriptor(), 2)
         dataset = make_dataset(n=10)
         strategy = StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2)
-        a = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
-        b = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)])
+        a = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)], [None])
+        b = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)], [None])
         assert np.array_equal(a.cumulative_gradient[0], b.cumulative_gradient[0])
         assert np.array_equal(a.params[0], b.params[0])
 
@@ -203,6 +209,7 @@ class TestRunClientRound:
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=1),
             SGD,
             [substream(0, SHUFFLE_STREAM, 0, 0)],
+            [None],
         )
         grad = backward(params, dataset.images[0], dataset.masks[0])
         # the round-trip through params - (params - lr*g) rounds at ulp(params)
@@ -219,6 +226,7 @@ class TestRunClientRound:
                 StrategyConfig(kind="fedavg", batch_size=4, local_epochs=3),
                 opt,
                 [substream(1, SHUFFLE_STREAM, 0, 0)],
+                [None],
             )
             assert np.allclose(result.cumulative_gradient[0], params - result.params[0], rtol=0, atol=1e-13)
 
@@ -232,6 +240,7 @@ class TestRunClientRound:
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
             SGD,
             [substream(2, SHUFFLE_STREAM, 0, 0)],
+            [None],
         )
         (trajectory,) = recorder.take()
         assert len(trajectory) == result.steps[0] == 4
@@ -243,7 +252,9 @@ class TestRunClientRound:
         dataset = make_dataset(n=7, small_fraction=0.5, offset=4)
         assert any(dataset.is_small)
         strategy = StrategyConfig(kind="fedgs", batch_size=3, local_epochs=2, difficulty=DIFFICULTY)
-        result = run_client_round(params, [dataset], strategy, ADAMW, [substream(4, SHUFFLE_STREAM, 0, 0)])
+        result = run_client_round(
+            params, [dataset], strategy, ADAMW, [substream(4, SHUFFLE_STREAM, 0, 0)], deltas_of([dataset], strategy)
+        )
 
         rng = substream(4, SHUFFLE_STREAM, 0, 0)
         expected = []
@@ -319,7 +330,7 @@ class TestRunClientRound:
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
         for batch_size in (1, 2, 3, 4):
             strategy = StrategyConfig(kind="fedavg", batch_size=batch_size, local_epochs=2)
-            state = run_client_round(init_params(ArchDescriptor(), 0), datasets, strategy, SGD, streams)
+            state = run_client_round(init_params(ArchDescriptor(), 0), datasets, strategy, SGD, streams, [None] * 4)
             sizes = [[len(batch) for batch in batches] for batches in state.batches]
             assert all(1 <= size <= batch_size for client in sizes for size in client)
             # the kernel saw exactly the planned samples
@@ -344,12 +355,12 @@ class TestLockstep:
         recorder = TrajectoryRecorder(monkeypatch)
         params = init_params(ArchDescriptor(), seed)
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
-        cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams())
+        cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams(), deltas_of(datasets, strategy))
         trajectories = recorder.take()
         # row k of the cohort's state is client k; each solo state has one row
         assert len(cohort.params) == len(cohort.steps) == len(trajectories) == len(datasets)
         for k, (dataset, rng) in enumerate(zip(datasets, streams())):
-            b = run_client_round(params, [dataset], strategy, optimizer_cfg, [rng])
+            b = run_client_round(params, [dataset], strategy, optimizer_cfg, [rng], deltas_of([dataset], strategy))
             (solo_trajectory,) = recorder.take()
             assert cohort.steps[k] == b.steps[0] == len(b.etas[0])
             assert len(trajectories[k]) == len(solo_trajectory) == b.steps[0]
@@ -401,7 +412,9 @@ class TestLockstep:
         datasets = [make_dataset(n=4, offset=c + 1) for c in range(3)]
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(3)]
         with pytest.raises(DivergenceError, match=r"^client 1: non-finite local parameters at local step 1$"):
-            run_client_round(init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams)
+            run_client_round(
+                init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams, [None] * 3
+            )
 
     def test_adamw_corrects_each_client_at_its_lockstep_step(self):
         # client 0 plans two batches and client 1 one: step 1 is AdamW's step
@@ -510,10 +523,9 @@ class TestRunRound:
                 kind=kind, batch_size=4, local_epochs=2, difficulty=DIFFICULTY if kind == "fedgs" else None
             )
             stream = substream(3, SHUFFLE_STREAM, 0, 0)
-            new_global, stats = run_round(params, [dataset], strategy, SGD, [stream])
-            reference = run_client_round(
-                params, [dataset], strategy, SGD, [substream(3, SHUFFLE_STREAM, 0, 0)]
-            )
+            deltas = deltas_of([dataset], strategy)
+            new_global, stats = run_round(params, [dataset], strategy, SGD, [stream], deltas)
+            reference = run_client_round(params, [dataset], strategy, SGD, [substream(3, SHUFFLE_STREAM, 0, 0)], deltas)
             atol = 0.0 if kind == "fedavg" else 1e-15
             assert np.allclose(new_global, reference.params[0], rtol=0, atol=atol)
             assert stats.steps_total == reference.steps[0]
@@ -522,23 +534,19 @@ class TestRunRound:
         # eta is identically 1, dataset sizes match: the strategies coincide
         params = init_params(ArchDescriptor(), 12)
         datasets = [make_dataset(n=8, offset=o) for o in (1, 2, 3)]
+        fedgs = StrategyConfig(kind="fedgs", batch_size=4, local_epochs=1, difficulty=DIFFICULTY)
         fedgs_global = params
         fedavg_global = params
         for round_index in range(2):
             streams = lambda: [substream(6, SHUFFLE_STREAM, round_index, c) for c in range(3)]
-            fedgs_global, stats = run_round(
-                fedgs_global,
-                datasets,
-                StrategyConfig(kind="fedgs", batch_size=4, local_epochs=1, difficulty=DIFFICULTY),
-                ADAMW,
-                streams(),
-            )
+            fedgs_global, stats = run_round(fedgs_global, datasets, fedgs, ADAMW, streams(), deltas_of(datasets, fedgs))
             fedavg_global, _ = run_round(
                 fedavg_global,
                 datasets,
                 StrategyConfig(kind="fedavg", batch_size=4, local_epochs=1),
                 ADAMW,
                 streams(),
+                [None] * 3,
             )
             assert stats.mean_eta == 1.0 and stats.max_eta == 1.0
             assert np.abs(fedgs_global - fedavg_global).max() < 1e-12
@@ -553,7 +561,8 @@ class TestRunRound:
             strategy = StrategyConfig(
                 kind=kind, batch_size=4, local_epochs=1, difficulty=DIFFICULTY if kind == "fedgs" else None
             )
-            new_global, _ = run_round(params, [dataset], strategy, frozen, [substream(0, SHUFFLE_STREAM, 0, 0)])
+            stream = substream(0, SHUFFLE_STREAM, 0, 0)
+            new_global, _ = run_round(params, [dataset], strategy, frozen, [stream], deltas_of([dataset], strategy))
             assert np.allclose(new_global, params, rtol=0, atol=1e-15)
 
     def test_nan_global_params_raise_naming_the_client(self):
@@ -567,6 +576,7 @@ class TestRunRound:
                 StrategyConfig(kind="fedavg", batch_size=4),
                 SGD,
                 [substream(0, SHUFFLE_STREAM, 0, c) for c in range(2)],
+                [None] * 2,
             )
 
     def test_parameters_beyond_float32_range_raise_naming_the_client(self):
@@ -576,7 +586,9 @@ class TestRunRound:
         params = init_params(ArchDescriptor(), 17)
         params[0] = 1e39
         with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
-            run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
+            run_round(
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+            )
         # in a cohort
         state = plan_state(init_params(ArchDescriptor(), 17), 3)
         state.params[1, 4] = -1e39
@@ -589,7 +601,9 @@ class TestRunRound:
         message = "local parameters overflow float32 in the kernel at local step 1"
         params = init_params(ArchDescriptor(), 17) * 1e20
         with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
-            run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
+            run_round(
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+            )
         state = plan_state(init_params(ArchDescriptor(), 17), 3)
         state.params[1] *= 1e20
         batch = make_dataset(n=4)
@@ -603,13 +617,17 @@ class TestRunRound:
         monkeypatch.setattr("fedgs_sim.fl.optimizer_step", poisoned_step)
         params = init_params(ArchDescriptor(), 15)
         with pytest.raises(DivergenceError, match=r"client 0: non-finite local parameters at local step 1"):
-            run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
+            run_round(
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+            )
 
     def test_non_finite_aggregate_raises(self, monkeypatch):
         monkeypatch.setattr("fedgs_sim.fl.aggregate_fedavg", lambda client_params, weights: client_params[0] * np.inf)
         params = init_params(ArchDescriptor(), 16)
         with pytest.raises(DivergenceError, match="non-finite aggregate"):
-            run_round(params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)])
+            run_round(
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -628,11 +646,11 @@ class TestRunRound:
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(sizes))]
         fedgs = StrategyConfig(kind="fedgs", batch_size=batch_size, local_epochs=epochs, difficulty=DIFFICULTY)
         fedavg = StrategyConfig(kind="fedavg", batch_size=batch_size, local_epochs=epochs)
-        fedgs_global, stats = run_round(params, datasets, fedgs, ADAMW, streams())
-        fedavg_global, _ = run_round(params, datasets, fedavg, ADAMW, streams())
+        fedgs_global, stats = run_round(params, datasets, fedgs, ADAMW, streams(), deltas_of(datasets, fedgs))
+        fedavg_global, _ = run_round(params, datasets, fedavg, ADAMW, streams(), [None] * len(sizes))
         assert stats.max_eta == 1.0
 
-        clients = [run_client_round(params, [dataset], fedavg, ADAMW, [rng]) for dataset, rng in zip(datasets, streams())]
+        clients = [run_client_round(params, [d], fedavg, ADAMW, [rng], [None]) for d, rng in zip(datasets, streams())]
         steps = [int(client.steps[0]) for client in clients]
         step_weighted = sum((s / sum(steps)) * client.params[0] for s, client in zip(steps, clients))
         sample_weighted = sum((n / sum(sizes)) * client.params[0] for n, client in zip(sizes, clients))
@@ -644,7 +662,7 @@ class TestRunRound:
     def test_requires_matching_stream_count(self):
         params = init_params(ArchDescriptor(), 0)
         with pytest.raises(ValueError):
-            run_round(params, [make_dataset()], StrategyConfig(kind="fedavg"), SGD, [])
+            run_round(params, [make_dataset()], StrategyConfig(kind="fedavg"), SGD, [], [None])
 
 
 class TestReferenceRound:
@@ -683,7 +701,7 @@ class TestReferenceRound:
         strategy = StrategyConfig(kind=kind, batch_size=batch_size, local_epochs=epochs, difficulty=difficulty)
         params = init_params(ArchDescriptor(), seed)
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(clients))]
-        new_global, stats = run_round(params, datasets, strategy, optimizer_cfg, streams())
+        new_global, stats = run_round(params, datasets, strategy, optimizer_cfg, streams(), deltas_of(datasets, strategy))
         expected, steps_total, mean_eta, max_eta = reference_round(params, datasets, strategy, optimizer_cfg, streams())
         assert np.array_equal(new_global, expected)
         assert (stats.steps_total, stats.mean_eta, stats.max_eta) == (steps_total, mean_eta, max_eta)
@@ -695,12 +713,9 @@ def test_local_trajectory_invariance_microcase(monkeypatch):
     recorder = TrajectoryRecorder(monkeypatch)
     params = init_params(ArchDescriptor(), 21)
     dataset = make_dataset(n=10, small_fraction=0.5, offset=4)
+    strategy = StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DIFFICULTY)
     fedgs = run_client_round(
-        params,
-        [dataset],
-        StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DIFFICULTY),
-        ADAMW,
-        [substream(8, SHUFFLE_STREAM, 0, 0)],
+        params, [dataset], strategy, ADAMW, [substream(8, SHUFFLE_STREAM, 0, 0)], deltas_of([dataset], strategy)
     )
     (fedgs_trajectory,) = recorder.take()
     fedavg = run_client_round(
@@ -709,6 +724,7 @@ def test_local_trajectory_invariance_microcase(monkeypatch):
         StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
         ADAMW,
         [substream(8, SHUFFLE_STREAM, 0, 0)],
+        [None],
     )
     (fedavg_trajectory,) = recorder.take()
     assert len(fedgs_trajectory) == len(fedavg_trajectory) == 6

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedgs_sim import masks
+from fedgs_sim.harness import emit_difficulty_curve
 from fedgs_sim.masks import (
     BadBatchError,
     DifficultyConfig,
     batch_scaling_factor,
-    delta_from_inverse_area,
     difficulty_factor,
     raw_difficulty,
     validate_mask,
@@ -346,7 +346,7 @@ class TestDifficultyFactor:
             assert result.delta == 0.0
 
     def test_monotone_in_inverse_area_above_threshold(self):
-        values = [delta_from_inverse_area(a, 100.0, 150.0)[1] for a in np.geomspace(150, 1e6, 40)]
+        values = [point.delta for point in emit_difficulty_curve(100.0, 150.0, np.geomspace(150, 1e6, 40))]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_deceleration_on_doubling_grid(self):

@@ -196,14 +196,12 @@ class TestEvaluate:
         assert report.n_small == 1 and report.n_large == 0
 
     def test_threshold_binarization(self):
-        # all-zero params predict 0.5 everywhere; threshold 0.5 includes ties
+        # all-zero params predict 0.5 everywhere; evaluate's threshold 0.5 includes ties
         params = np.zeros(77)
         mask = np.ones((8, 8), dtype=np.uint8)
         samples = self.samples_for(mask)
-        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY), threshold=0.5)
+        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
         assert report.dice == 1.0
-        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY), threshold=0.6)
-        assert report.dice == 0.0
 
     def test_counts_sum(self):
         params = passthrough_params()

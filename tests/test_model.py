@@ -357,6 +357,15 @@ def reference_shifts(x, flip=False):
     return np.stack(planes[::-1] if flip else planes)
 
 
+def cut_of(x, flip):
+    """shift_stack(x), or with flip the flipped shifts cut_shifts cuts from x in the guarded role, as backward cuts g2's."""
+    if not flip:
+        return shifts.shift_stack(x)
+    stack = shifts.guarded("guarded", *x.shape, x.dtype)
+    stack.interior[...] = x
+    return shifts.cut_shifts(stack, shifts.nine_planes("nine", *x.shape, x.dtype, 1), flip=True)
+
+
 def in_workspace(x):
     return any(np.may_share_memory(x, buffer) for buffer in shifts.WORKSPACE._buffers.values())
 
@@ -380,10 +389,10 @@ class TestShiftStack:
             interior[...] = stack
             x = view(interior)
             expected = reference_shifts(x.copy(), flip)
-            assert np.array_equal(shifts.shift_stack(x, flip=flip), expected), name
+            assert np.array_equal(cut_of(x, flip), expected), name
         planes = shifts.WORKSPACE.array("nine", 9, 4, 5, 6, dtype=stack.dtype)
         planes[...] = stack
-        assert np.array_equal(shifts.shift_stack(planes[3], flip=flip), reference_shifts(stack, flip))
+        assert np.array_equal(cut_of(planes[3], flip), reference_shifts(stack, flip))
 
     @settings(deadline=None)
     @given(
@@ -403,7 +412,7 @@ class TestShiftStack:
             stack = rng.normal(size=(n, height, width)).astype(dtype)
         for buffer in shifts.WORKSPACE._buffers.values():
             buffer.fill(np.nan if buffer.dtype.kind == "f" else 0xFF)
-        planes = shifts.shift_stack(stack, flip=flip)
+        planes = cut_of(stack, flip)
         assert planes.dtype == stack.dtype and planes.shape == (9, stack.size)
         assert np.array_equal(planes, reference_shifts(stack, flip))
 
@@ -648,6 +657,7 @@ class TestStackedKernel:
             fl.StrategyConfig(kind="fedavg", batch_size=batch, local_epochs=epochs),
             OptimizerConfig(kind="sgd", learning_rate=0.01),
             [np.random.default_rng(0)],
+            [None],
         )
         assert result.steps[0] == math.ceil(len(dataset) / batch) * epochs == 6
         assert seen == [3, 3, 1] * epochs
