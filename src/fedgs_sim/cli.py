@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import default_config_text, parse_config
+from .config import default_config, parse_config, render_config
 from .data import build_federation, dump_federation
 from .harness import emit_difficulty_curve, fedgs_overhead, run_experiment, write_curve_csv, write_results_csv
 
@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_curve(args)
         if args.command == "gen-data":
             return _cmd_gen_data(args)
-        print(default_config_text(), end="")
+        print(render_config(default_config()), end="")
         return 0
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -217,7 +217,3 @@ def render_config(cfg: ExperimentConfig) -> str:
     for name, obj, schema in sections:
         lines += [f"[{name}]", *(f"{key} = {_format_value(getattr(obj, key))}" for key in schema), ""]
     return "\n".join(lines)
-
-
-def default_config_text() -> str:
-    return render_config(default_config())

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .masks import ShapeMismatchError
-from .pgm import write_gray_pgm, write_mask_pgm
 from .rng import DATA_STREAM, substream
 
 
@@ -176,18 +175,31 @@ def build_federation(specs: list[ClientDataSpec], experiment_seed: int) -> Feder
     return Federation(clients=datasets[:-1], test_set=datasets[-1])
 
 
+def _write_pgm(path: Path, raster: np.ndarray) -> None:
+    """Write an (H, W) uint8 raster as binary PGM (P5).
+
+    The file is three header lines, "P5", "W H" and "255", each ended by one
+    newline, followed by the W*H raster bytes.
+    """
+    height, width = raster.shape
+    path.write_bytes(f"P5\n{width} {height}\n255\n".encode("ascii") + raster.tobytes())
+
+
 def dump_samples(out_dir: str | Path, dataset: ClientData) -> None:
     """Write img_####.pgm / msk_####.pgm pairs plus manifest.txt.
 
-    Manifest lines are "<sample id> <client> <is_small 0|1>". Images are
-    clamped to [0, 1] for the 8-bit dump; masks round-trip exactly.
+    Manifest lines are "<sample id> <client> <is_small 0|1>". Masks are
+    written as exactly {0, 255} and round-trip exactly. Images are clamped to
+    [0, 1] and quantized to 8 bits in float64, which is lossy and meant for
+    inspection only.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for i, (image, mask, is_small) in enumerate(zip(dataset.images, dataset.masks, dataset.is_small)):
-        write_gray_pgm(out / f"img_{i:04d}.pgm", image)
-        write_mask_pgm(out / f"msk_{i:04d}.pgm", mask)
+        gray = np.clip(np.rint(image.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
+        _write_pgm(out / f"img_{i:04d}.pgm", gray)
+        _write_pgm(out / f"msk_{i:04d}.pgm", mask * np.uint8(255))
         lines.append(f"{i:04d} {dataset.seed_offset} {int(is_small)}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 

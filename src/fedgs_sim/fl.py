@@ -23,7 +23,6 @@ numbers are bitwise those it would compute alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -31,7 +30,8 @@ import numpy as np
 
 from .data import ClientData
 from .masks import DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
-from .model import KERNEL_PIXELS, KernelOverflowError, Moments, OptimizerConfig, backward, optimizer_step
+from .model import KernelOverflowError, Moments, OptimizerConfig, backward, optimizer_step
+from .shifts import images_per_call
 
 
 class EmptyFederationError(ValueError):
@@ -131,15 +131,15 @@ def _kernel_calls(shapes: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """The positions of the batch `shapes`, split into the lists that share one backward call.
 
     Batches of the same (B, H, W) shape share calls of at most
-    KERNEL_PIXELS pixels, in order; a batch larger than that gets a call of
-    its own.
+    shifts.KERNEL_PIXELS pixels, in order; a batch larger than that gets a
+    call of its own.
     """
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for j, shape in enumerate(shapes):
         by_shape.setdefault(shape, []).append(j)
     calls = []
     for shape, positions in by_shape.items():
-        per_call = max(1, KERNEL_PIXELS // math.prod(shape))
+        per_call = max(1, images_per_call(*shape[1:]) // shape[0])
         calls.extend(positions[start : start + per_call] for start in range(0, len(positions), per_call))
     return calls
 

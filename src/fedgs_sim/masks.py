@@ -16,7 +16,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .shifts import shift_stack
+from .shifts import images_per_call, shift_stack
 
 StructuringElement = Literal["square3", "cross3"]
 Regime = Literal["whole_mask", "blob_split"]
@@ -165,17 +165,8 @@ def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray],
         return out.reshape(n, height + 1, stride)[:, :height, 1:-1]
 
     areas = np.bincount(run_labels, weights=lengths, minlength=len(roots) + 1)[1:]
-    # each component's image: the boundaries at or before its first run (no integer division: code pages)
-    images = np.searchsorted(np.arange(1, n) * (stride * (height + 1)), starts[roots], side="right")
+    images = starts[roots] // (stride * (height + 1))  # each component's image, from its first run
     return paint, areas, images
-
-
-# Masks that blob_split scores in one pass: as many as fill this many pixels
-# (at least one), a kernel call's worth. Morphology keeps 10 bytes of uint8
-# work memory per pixel (a guarded copy and nine shift planes), so a pass
-# keeps 0.16 MB of it. Four times as many pixels scored blob_eval's 240 test
-# masks a few ms faster, but raised the sweep's peak memory by about 0.5 MB.
-BLOB_SPLIT_PIXELS = 16384
 
 
 def _smallest_lesion_areas(stack: np.ndarray, cfg: DifficultyConfig) -> np.ndarray:
@@ -187,26 +178,22 @@ def _smallest_lesion_areas(stack: np.ndarray, cfg: DifficultyConfig) -> np.ndarr
     the mask. A mask that erosion empties is scored on its un-eroded
     components, so that tiny lesions are not dropped.
 
-    The stack is scored BLOB_SPLIT_PIXELS at a time: one erosion, one
-    labelling and one reconstruction per chunk.
+    The stack is scored images_per_call(H, W) masks at a time, a kernel
+    call's worth: one erosion, one labelling and one reconstruction per chunk.
     """
     n, height, width = stack.shape
     element, iterations = cfg.structuring_element, cfg.erosion_iterations
     estimated = np.full(n, np.nan)
-    per_chunk = max(1, BLOB_SPLIT_PIXELS // (height * width))
+    per_chunk = images_per_call(height, width)
     for begin in range(0, n, per_chunk):
         arr = stack[begin : begin + per_chunk]
         base = _morph(arr, element, iterations, np.min)
         fallback = ~base.any(axis=(1, 2))  # erosion emptied the mask (or it was empty)
         base[fallback] = arr[fallback]
         paint, areas, images = _label(base, cfg.connectivity)
-        # each image's smallest component, the lowest label among equal areas, from its contiguous
-        # run of labels (no sort: numpy's sorting code alone adds 0.13 MB to a run's peak memory)
-        firsts = np.flatnonzero(images != np.concatenate(([-1], images[:-1])))
-        least = np.zeros(len(arr))
-        least[images[firsts]] = np.minimum.reduceat(areas, firsts)
-        candidates = np.flatnonzero(areas == least[images])
-        smallest = candidates[images[candidates] != np.concatenate(([-1], images[candidates[:-1]]))]
+        # each image's smallest component, the lowest label among equal areas: first of a stable sort by (image, area)
+        order = np.lexsort((areas, images))
+        smallest = order[np.flatnonzero(np.diff(images[order], prepend=-1))]
         estimated[begin + images[smallest]] = areas[smallest]
         rebuild = smallest[~fallback[images[smallest]]] if iterations else smallest[:0]
         if len(rebuild):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import ClientData
 from .masks import DifficultyConfig, ShapeMismatchError, difficulty_factor, validate_mask
-from .model import forward, images_per_call
+from .model import forward
+from .shifts import images_per_call
 
 # Kernel calls' worth of test images that evaluate forwards and scores at a time: enough to
 # spread each call's overhead, few enough that a block's predictions add little to peak memory.

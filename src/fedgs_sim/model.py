@@ -96,14 +96,6 @@ def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
     return params
 
 
-# Pixels per kernel call that callers fill their stacks up to: four 64x64
-# images. The kernel's work memory holds 24 planes per stacked image at the
-# default 4 hidden channels (two nine-plane shift stacks, the hidden layer
-# and two guarded planes), and no pad cells, so a call of this size keeps at
-# most 3.148 MB of it on a float64 stack and 1.574 MB on a float32 one.
-KERNEL_PIXELS = 16384
-
-
 def _as_stack(images: np.ndarray) -> np.ndarray:
     """A 2-D image or an (N, H, W) stack as a validated (N, H, W) stack: float32 kept, anything else float64."""
     x = np.asarray(images)
@@ -113,10 +105,6 @@ def _as_stack(images: np.ndarray) -> np.ndarray:
     if not (math.isfinite(x.min()) and math.isfinite(x.max())):  # NaN propagates: no temporary of the stack's size
         raise ValueError("image contains non-finite values")
     return x.reshape(-1, *x.shape[-2:])
-
-
-def images_per_call(height: int, width: int) -> int:
-    return max(1, KERNEL_PIXELS // (height * width))  # H x W images per kernel call, at least one
 
 
 @shifts.per_shape
@@ -195,7 +183,7 @@ def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = No
 
     They are float32 for a float32 input and float64 for any other; with a
     threshold, the bool stack forward(params, images) >= threshold. The
-    stack runs in kernel calls of images_per_call(H, W) images. Rejects
+    stack runs in kernel calls of shifts.images_per_call(H, W) images. Rejects
     non-finite parameters, and parameters that overflow the input's dtype in
     the kernel raise KernelOverflowError: a diverged model would otherwise
     score as all background, since NaN never clears a threshold.
@@ -205,7 +193,7 @@ def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = No
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
     out = np.empty(x.shape, dtype=x.dtype if threshold is None else bool)
-    per_call = images_per_call(*x.shape[1:])
+    per_call = shifts.images_per_call(*x.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         parts = arch.unpack(params[None].astype(x.dtype, copy=False))
         for start in range(0, len(x), per_call):

@@ -52,6 +52,21 @@ class Workspace:
 # Kernel calls and morphology calls never nest, so one workspace serves them all.
 WORKSPACE = Workspace()
 
+# Pixels per call that the model's kernel and blob_split's morphology fill
+# their stacks up to: four 64x64 images. The kernel's work memory holds 24
+# planes per stacked image at the default 4 hidden channels (two nine-plane
+# shift stacks, the hidden layer and two guarded planes), and no pad cells,
+# so a call of this size keeps at most 3.148 MB of it on a float64 stack and
+# 1.574 MB on a float32 one. Morphology keeps 10 bytes of uint8 work memory
+# per pixel (a guarded copy and nine shift planes), 0.16 MB per call; four
+# times as many pixels scored blob_eval's 240 test masks a few ms faster,
+# but raised the sweep's peak memory by about 0.5 MB.
+KERNEL_PIXELS = 16384
+
+
+def images_per_call(height: int, width: int) -> int:
+    return max(1, KERNEL_PIXELS // (height * width))  # H x W images per call, at least one
+
 
 def per_shape(build: Callable) -> Callable:
     """`build`, its result kept per call shape in WORKSPACE.views; it takes each role's memory in one array call."""

@@ -4,14 +4,14 @@ from oracles import read_written_pgm
 
 from fedgs_sim import cli, harness
 from fedgs_sim.cli import main
-from fedgs_sim.config import default_config_text
+from fedgs_sim.config import default_config, render_config
 
 from test_harness import TINY_CONFIG
 
 
 def test_print_defaults(capsys):
     assert main(["print-defaults"]) == 0
-    assert capsys.readouterr().out == default_config_text()
+    assert capsys.readouterr().out == render_config(default_config())
 
 
 def test_curve_command(tmp_path, capsys):

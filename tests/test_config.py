@@ -11,7 +11,6 @@ from fedgs_sim.config import (
     ParseError,
     ValidationError,
     default_config,
-    default_config_text,
     parse_config,
     render_config,
 )
@@ -27,7 +26,7 @@ def write(tmp_path, text):
 
 
 def test_default_config_text_parses_and_roundtrips(tmp_path):
-    path = write(tmp_path, default_config_text())
+    path = write(tmp_path, render_config(default_config()))
     assert parse_config(path) == default_config()
 
 
@@ -195,7 +194,7 @@ def test_shipped_default_file_matches_generator():
     from pathlib import Path
 
     shipped = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
-    assert shipped.read_text() == default_config_text()
+    assert shipped.read_text() == render_config(default_config())
 
 
 def test_direct_construction_validates():

@@ -245,6 +245,43 @@ def test_dump_writes_pairs_and_manifest(tmp_path):
         assert is_small in {"0", "1"}
 
 
+def dump_one(tmp_path, image, mask):
+    """dump_samples of a one-sample client holding `image` (as float32) and `mask`; returns the output directory."""
+    sample = ClientData(
+        np.asarray(image, dtype=np.float32)[None], np.asarray(mask, dtype=np.uint8)[None], np.zeros(1, bool), 0
+    )
+    dump_samples(tmp_path, sample)
+    return tmp_path
+
+
+def test_dump_mask_roundtrip(tmp_path):
+    mask = (np.random.default_rng(11).random((17, 23)) > 0.6).astype(np.uint8)
+    out = dump_one(tmp_path, np.zeros((17, 23)), mask)
+    assert np.array_equal(read_written_pgm(out / "msk_0000.pgm"), mask * 255)
+
+
+def test_dump_writes_masks_as_exactly_0_and_255(tmp_path):
+    out = dump_one(tmp_path, np.zeros((3, 3)), np.indices((3, 3)).sum(axis=0) % 2)
+    assert set(np.unique(read_written_pgm(out / "msk_0000.pgm"))) == {0, 255}
+
+
+def test_dump_header_layout(tmp_path):
+    out = dump_one(tmp_path, np.zeros((3, 5)), np.ones((3, 5)))
+    for name in ("img_0000.pgm", "msk_0000.pgm"):
+        data = (out / name).read_bytes()
+        assert data.startswith(b"P5\n5 3\n255\n")
+        assert len(data) == len(b"P5\n5 3\n255\n") + 15
+
+
+def test_dump_gray_clamps_and_rounds_in_float64(tmp_path):
+    image = np.array([[-0.5, 0.0, 0.5], [2.0, 0.3, 1.0], [0.0, 0.0, 0.0]])
+    raw = read_written_pgm(dump_one(tmp_path, image, np.zeros((3, 3))) / "img_0000.pgm")
+    assert raw[0, 0] == 0 and raw[1, 0] == 255 and raw[1, 2] == 255
+    assert raw[0, 2] == 128  # 0.5 * 255 rounds to 128
+    # float32 0.3 is 0.30000001: times 255 it is 76.5000030 in float64 (77) but 76.5 in float32 (76)
+    assert raw[1, 1] == 77
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         make_spec(n_samples=0)

@@ -204,7 +204,7 @@ class TestRunExperiment:
 
         from fedgs_sim import fl
         from fedgs_sim.data import ClientDataSpec
-        from fedgs_sim.model import KERNEL_PIXELS
+        from fedgs_sim.shifts import KERNEL_PIXELS
 
         counts = {"backward": 0, "optimizer_step": 0, "local_iteration": 0}
 

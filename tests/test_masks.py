@@ -382,7 +382,7 @@ class TestStackPath:
     def test_stack_equals_reference_per_mask_path(self, stack, cfg, per_chunk):
         # chunks of per_chunk masks, so that stacks cross chunk boundaries
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(masks, "BLOB_SPLIT_PIXELS", per_chunk * stack[0].size)
+            patch.setattr(shifts, "KERNEL_PIXELS", per_chunk * stack[0].size)
             assert_matches_reference(stack, cfg)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 100])
@@ -407,7 +407,7 @@ class TestStackPath:
         cases.append(twins)
         stack = np.stack(cases + cases[::-1])
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(masks, "BLOB_SPLIT_PIXELS", per_chunk * 256)
+            patch.setattr(shifts, "KERNEL_PIXELS", per_chunk * 256)
             for element in ("square3", "cross3"):
                 for connectivity in (4, 8):
                     cfg = blob_cfg(threshold=5.0, erosion_iterations=iterations, structuring_element=element, connectivity=connectivity)
@@ -426,7 +426,7 @@ class TestStackPath:
     def test_blob_eval_test_set_work_memory_within_kernel_figure(self, monkeypatch):
         # 240 64x64 masks, the blob_eval workload's test center, scored in
         # one call keep no more uint8 work memory than the kernel's float32
-        # figure (model.KERNEL_PIXELS)
+        # figure (shifts.KERNEL_PIXELS)
         rng = np.random.default_rng(0)
         stack = np.zeros((240, 64, 64), dtype=np.uint8)
         for mask in stack:

@@ -255,7 +255,7 @@ class TestReferenceKernel:
         self.assert_same_bits(backward(rows, stack, masks), reference_backward(rows, stack, masks))
         # forward runs the stack in kernel calls of at most KERNEL_PIXELS pixels,
         # and a float32 pixel can round differently in another call's matmul
-        per_call = model.images_per_call(*size)
+        per_call = shifts.images_per_call(*size)
         chunks = [reference_forward(rows[0], stack[i : i + per_call]) for i in range(0, len(stack), per_call)]
         self.assert_same_bits(forward(rows[0], stack), np.concatenate(chunks))
         if groups == 1:  # flat parameters and a single image
@@ -344,7 +344,7 @@ class TestThresholdedForward:
         monkeypatch.setattr(model, "_forward_stack", recording)
         stack = np.random.default_rng(0).normal(0.0, 1.0, (240, 64, 64)).astype(np.float32)
         forward(init_params(ArchDescriptor(), 0), stack, threshold)
-        assert calls == [model.KERNEL_PIXELS] * 60
+        assert calls == [shifts.KERNEL_PIXELS] * 60
         kept = sum(buffer.nbytes for buffer in shifts.WORKSPACE._buffers.values())
         assert 0 < kept <= 1.574e6
 
@@ -617,13 +617,13 @@ class TestStackedKernel:
                     assert value.dtype == alone_value.dtype and value.tobytes() == alone_value.tobytes()
 
     def test_work_memory_within_documented_figure(self, monkeypatch):
-        # the figures in the comment on model.KERNEL_PIXELS, for calls of that
+        # the figures in the comment on shifts.KERNEL_PIXELS, for calls of that
         # size: float64 and float32 stacks each keep work memory of their own
         monkeypatch.setattr(shifts, "WORKSPACE", shifts.Workspace())
         params = init_params(ArchDescriptor(), 0)
         for dtype in (np.float64, np.float32):
             for rows, shape in [(params, (4, 64, 64)), (np.stack([params] * 4), (16, 32, 32))]:
-                assert math.prod(shape) == model.KERNEL_PIXELS
+                assert math.prod(shape) == shifts.KERNEL_PIXELS
                 backward(rows, np.ones(shape, dtype=dtype), np.zeros(shape, dtype=np.uint8))
         kept = {np.dtype(np.float64): 0, np.dtype(np.float32): 0}
         for buffer in shifts.WORKSPACE._buffers.values():
