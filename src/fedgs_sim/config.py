@@ -26,14 +26,6 @@ from .model import ArchDescriptor, OptimizerConfig
 Parser = Callable[[str], Any]
 
 
-class ParseError(ValueError):
-    """Malformed config file: bad syntax, unknown section/key, or a bad literal."""
-
-
-class ValidationError(ValueError):
-    """Config parsed fine but violates an invariant (e.g. rounds < 1)."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     seeds: tuple[int, ...]
@@ -49,28 +41,25 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
-            raise ValidationError("rounds must be >= 1")
+            raise ValueError("rounds must be >= 1")
         if not self.seeds:
-            raise ValidationError("need at least one seed")
+            raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
-            raise ValidationError("seeds must be non-negative")
+            raise ValueError("seeds must be non-negative")
         if not self.strategies:
-            raise ValidationError("need at least one strategy")
-        try:
-            for kind in self.strategies:
-                self.strategy(kind)
-            ArchDescriptor(hidden_channels=self.hidden_channels)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+            raise ValueError("need at least one strategy")
+        for kind in self.strategies:
+            self.strategy(kind)
+        ArchDescriptor(hidden_channels=self.hidden_channels)
         for name, values in (("seeds", self.seeds), ("strategies", self.strategies)):
             if len(set(values)) != len(values):
-                raise ValidationError(f"duplicate {name}")
+                raise ValueError(f"duplicate {name}")
         if len(self.client_specs) < 2:
-            raise ValidationError("need at least one training client and a test center")
+            raise ValueError("need at least one training client and a test center")
         offsets = [spec.seed_offset for spec in self.client_specs]
         shared = sorted({offset for offset in offsets if offsets.count(offset) > 1})
         if shared:
-            raise ValidationError(f"seed_offset {shared[0]} is used by two clients, which would draw the same data")
+            raise ValueError(f"seed_offset {shared[0]} is used by two clients, which would draw the same data")
 
     def strategy(self, kind: str) -> StrategyConfig:
         """The local-training and aggregation settings of strategy `kind` ("fedgs" or "fedavg")."""
@@ -156,11 +145,11 @@ def _typed_section(parser: configparser.ConfigParser, section: str, schema: dict
     values: dict[str, object] = {}
     for key, text in parser.items(section, raw=True) if parser.has_section(section) else ():
         if key not in schema:
-            raise ParseError(f"unknown key {key!r} in section [{section}]")
+            raise ValueError(f"unknown key {key!r} in section [{section}]")
         try:
             values[key] = schema[key](text)
         except ValueError as exc:
-            raise ParseError(f"bad value for {key!r} in section [{section}]: {exc}") from exc
+            raise ValueError(f"bad value for {key!r} in section [{section}]: {exc}") from exc
     return values
 
 
@@ -169,26 +158,26 @@ def _override(obj: Any, parser: configparser.ConfigParser, section: str, schema:
     try:
         return replace(obj, **values)
     except ValueError as exc:
-        raise ValidationError(f"section [{section}]: {exc}") from exc
+        raise ValueError(f"section [{section}]: {exc}") from exc
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config file against the defaults.
 
-    Raises ParseError for syntax problems and unknown sections/keys,
-    ValidationError when values break an invariant.
+    Raises ValueError for bad syntax, an unknown section or key, a bad
+    literal, or a value that breaks an invariant.
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
-        raise ParseError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     if parser.defaults():  # configparser would merge its keys into every section
-        raise ParseError("unknown section [DEFAULT]")
+        raise ValueError("unknown section [DEFAULT]")
     matches = {name: _CLIENT_SECTION.match(name) for name in parser.sections()}
     unknown = [name for name, match in matches.items() if not match and name not in {*_FLAT, *_NESTED, "test"}]
     if unknown:
-        raise ParseError(f"unknown section [{unknown[0]}]")
+        raise ValueError(f"unknown section [{unknown[0]}]")
     base = default_config()
     for name, schema in _FLAT.items():  # one section at a time, so that its errors name it
         base = _override(base, parser, name, schema)

@@ -23,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .masks import ShapeMismatchError
 from .rng import DATA_STREAM, substream
-
-
-class InfeasibleSpecError(ValueError):
-    """Requested disk radii cannot fit inside the image frame."""
 
 
 @dataclass(frozen=True)
@@ -97,11 +92,11 @@ class ClientData:
         if not np.isfinite([images.min(), images.max()]).all():
             raise ValueError(f"{client}: images contain non-finite values")
         if masks.shape != images.shape:
-            raise ShapeMismatchError(f"{client}: mask stack {masks.shape} != image stack {images.shape}")
+            raise ValueError(f"{client}: mask stack {masks.shape} != image stack {images.shape}")
         if masks.dtype != np.uint8 or masks.max() > 1:
             raise ValueError(f"{client}: masks must be a uint8 stack of 0s and 1s, got {masks.dtype}")
         if self.is_small.shape != (len(images),):
-            raise ShapeMismatchError(f"{client}: is_small of shape {self.is_small.shape} for {len(images)} samples")
+            raise ValueError(f"{client}: is_small of shape {self.is_small.shape} for {len(images)} samples")
         images.flags.writeable = False
         masks.flags.writeable = False
 
@@ -122,9 +117,7 @@ def _check_feasible(spec: ClientDataSpec) -> None:
     max_radius = max(spec.small_radius_range[1], spec.large_radius_range[1])
     margin = math.ceil(max_radius)
     if margin > height - 1 - margin or margin > width - 1 - margin:
-        raise InfeasibleSpecError(
-            f"disk radius {max_radius} cannot fit fully inside a {height}x{width} image"
-        )
+        raise ValueError(f"disk radius {max_radius} cannot fit fully inside a {height}x{width} image")
 
 
 def _stamp_disk(mask: np.ndarray, cy: int, cx: int, radius: float) -> None:

@@ -29,13 +29,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .data import ClientData
-from .masks import DifficultyConfig, ShapeMismatchError, batch_scaling_factor, difficulty_factor
+from .masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from .model import KernelOverflowError, Moments, OptimizerConfig, backward, optimizer_step
 from .shifts import images_per_call
-
-
-class EmptyFederationError(ValueError):
-    """Aggregation was asked to combine zero client updates."""
 
 
 class DivergenceError(ValueError):
@@ -216,7 +212,7 @@ def run_client_round(
     state at round end; row k is bitwise what client k computes alone.
     """
     if not datasets:
-        raise EmptyFederationError("need at least one client")
+        raise ValueError("need at least one client")
     if len(rngs) != len(datasets):
         raise ValueError("need one rng stream per client")
     if len(client_deltas) != len(datasets):
@@ -236,7 +232,7 @@ def run_client_round(
     for dataset, deltas, rng in zip(datasets, client_deltas, rngs):
         orders = [rng.permutation(len(dataset)) for _ in range(strategy.local_epochs)]
         batches.append([order[i : i + size] for order in orders for i in range(0, len(order), size)])
-        etas.append([batch_scaling_factor(deltas[batch], len(batch)) if fedgs else 1.0 for batch in batches[-1]])
+        etas.append([batch_scaling_factor(deltas[batch]) if fedgs else 1.0 for batch in batches[-1]])
 
     state = ClientState.start(global_params, optimizer_cfg, batches, etas)
     for step in range(1, int(state.steps.max()) + 1):
@@ -253,9 +249,9 @@ def _weighted_mean(rows: np.ndarray, weights: np.ndarray, name: str) -> np.ndarr
     rows = np.asarray(rows, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if not len(rows):
-        raise EmptyFederationError("no client rows to aggregate")
+        raise ValueError("no client rows to aggregate")
     if rows.ndim != 2 or w.shape != (len(rows),):
-        raise ShapeMismatchError(f"{name} of shape {w.shape} for client rows of shape {rows.shape}")
+        raise ValueError(f"{name} of shape {w.shape} for client rows of shape {rows.shape}")
     if not np.isfinite(w).all():
         raise ValueError(f"non-finite {name} {w.tolist()}")
     if (w < 0).any():
@@ -274,7 +270,7 @@ def aggregate_fedgs(cumulative_gradients: np.ndarray, steps: np.ndarray) -> np.n
 def apply_global_update(global_params: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     """New global parameters: current minus the aggregated pseudo-gradient."""
     if global_params.shape != aggregate.shape:
-        raise ShapeMismatchError(f"global shape {global_params.shape} != aggregate shape {aggregate.shape}")
+        raise ValueError(f"global shape {global_params.shape} != aggregate shape {aggregate.shape}")
     return global_params - aggregate
 
 

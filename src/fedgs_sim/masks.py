@@ -22,14 +22,6 @@ StructuringElement = Literal["square3", "cross3"]
 Regime = Literal["whole_mask", "blob_split"]
 
 
-class BadBatchError(ValueError):
-    """Batch of difficulty factors is inconsistent with the stated batch size."""
-
-
-class ShapeMismatchError(ValueError):
-    """Two grids that must share a shape do not."""
-
-
 # Each element's members among the nine 3x3 shifts, s = 3*di + dj.
 _ELEMENTS = {"square3": slice(None), "cross3": [1, 3, 4, 5, 7]}
 
@@ -57,6 +49,9 @@ class DifficultyConfig:
             raise ValueError(f"log_base must be > 1, got {self.log_base}")
         if not self.threshold >= 1.0:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
+        for name, value in (("log_base", self.log_base), ("threshold", self.threshold)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.regime not in ("whole_mask", "blob_split"):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.erosion_iterations < 0:
@@ -242,18 +237,16 @@ def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyRes
     return DifficultyResult(inverse_area, is_small, delta)
 
 
-def batch_scaling_factor(deltas: Sequence[float], batch_size: int) -> float:
-    """Scaling factor eta = 1 + (2/N) * sum(deltas) for a batch of N samples.
+def batch_scaling_factor(deltas: Sequence[float]) -> float:
+    """Scaling factor eta = 1 + (2/N) * sum(deltas) for a batch of N = len(deltas) samples.
 
     The sum (rather than a mean) makes eta sensitive to HOW MANY samples in the
     batch are small: three small-lesion samples score markedly higher than one.
     eta is 1 exactly when no sample in the batch is small, and < 3 always.
     """
-    if batch_size < 1:
-        raise BadBatchError(f"batch size must be >= 1, got {batch_size}")
-    if len(deltas) != batch_size:
-        raise BadBatchError(f"got {len(deltas)} deltas for batch size {batch_size}")
+    if not len(deltas):
+        raise ValueError("batch must be non-empty")
     for d in deltas:
         if not 0.0 <= d < 1.0:
-            raise BadBatchError(f"difficulty factor {d} outside [0, 1)")
-    return 1.0 + (2.0 / batch_size) * float(sum(deltas))
+            raise ValueError(f"difficulty factor {d} outside [0, 1)")
+    return 1.0 + (2.0 / len(deltas)) * float(sum(deltas))

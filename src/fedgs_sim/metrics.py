@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ClientData
-from .masks import DifficultyConfig, ShapeMismatchError, difficulty_factor, validate_mask
+from .masks import DifficultyConfig, difficulty_factor, validate_mask
 from .model import forward
 from .shifts import images_per_call
 
@@ -43,7 +43,7 @@ def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float | np.ndarray
     """
     p, g = validate_mask(pred_mask), validate_mask(gt_mask)
     if p.shape != g.shape:
-        raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
+        raise ValueError(f"pred shape {p.shape} != gt shape {g.shape}")
     counts = p + g
     total = counts.sum(axis=(-2, -1), dtype=np.uint32)
     counts >>= 1

@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from . import shifts
-from .masks import ShapeMismatchError, validate_mask
+from .masks import validate_mask
 from .rng import INIT_STREAM, substream
 
 DICE_SMOOTHING = 1.0
@@ -246,10 +246,10 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     groups = len(rows)
     masks = np.asarray(masks)
     if masks.shape != np.shape(images):
-        raise ShapeMismatchError(f"image shape {np.shape(images)} != mask shape {masks.shape}")
+        raise ValueError(f"image shape {np.shape(images)} != mask shape {masks.shape}")
     n, height, width = x.shape
     if n % groups:
-        raise ShapeMismatchError(f"a stack of {n} images does not split into {groups} equal groups")
+        raise ValueError(f"a stack of {n} images does not split into {groups} equal groups")
     valid = validate_mask(masks)
     c = arch.hidden_channels
     x_planes, nine, a1, _, _ = views = _call_views("x nine", n, height, width, groups, c, x.dtype)
@@ -332,7 +332,7 @@ def optimizer_step(
     `step`, with decoupled weight decay applied directly to the parameters.
     """
     if params.shape != grad.shape:
-        raise ShapeMismatchError(f"params shape {params.shape} != grad shape {grad.shape}")
+        raise ValueError(f"params shape {params.shape} != grad shape {grad.shape}")
     if cfg.kind == "sgd":
         return params - cfg.learning_rate * grad, None
     if moments is None:

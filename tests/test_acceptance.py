@@ -217,14 +217,14 @@ def test_criterion_5_eta_contract():
         masks = [(rng.random((16, 16)) < density).astype(np.uint8) for _ in range(size)]
         results = [difficulty_factor(m, cfg) for m in masks]
         deltas = [r.delta for r in results]
-        eta = batch_scaling_factor(deltas, size)
+        eta = batch_scaling_factor(deltas)
         assert 1.0 <= eta < 3.0
         assert (eta == 1.0) == all(not r.is_small for r in results)
 
         # count sensitivity at equal batch size: a slot holding a small-lesion
         # sample strictly raises eta over that slot holding a non-small one
-        with_small = batch_scaling_factor(deltas + [difficulty_factor(small_mask, cfg).delta], size + 1)
-        with_empty = batch_scaling_factor(deltas + [0.0], size + 1)
+        with_small = batch_scaling_factor(deltas + [difficulty_factor(small_mask, cfg).delta])
+        with_empty = batch_scaling_factor(deltas + [0.0])
         assert with_small > with_empty
         checked += 1
     report(5, "eta contract", True, f"{checked} random batches")

@@ -67,8 +67,8 @@ def test_a_fedgs_round_scores_each_batch_once_as_a_python_float(tmp_path, monkey
     etas = []
     original = fl.batch_scaling_factor
 
-    def recording(deltas, batch_size):
-        etas.append(original(deltas, batch_size))
+    def recording(deltas):
+        etas.append(original(deltas))
         return etas[-1]
 
     monkeypatch.setattr(fl, "batch_scaling_factor", recording)

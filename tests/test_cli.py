@@ -28,8 +28,10 @@ def test_curve_command(tmp_path, capsys):
         ("--l", "1", "log_base must be > 1, got 1.0"),
         ("--l", "0.5", "log_base must be > 1, got 0.5"),
         ("--l", "nan", "log_base must be > 1, got nan"),
+        ("--l", "inf", "log_base must be finite, got inf"),
         ("--tau", "0.5", "threshold must be >= 1, got 0.5"),
         ("--tau", "nan", "threshold must be >= 1, got nan"),
+        ("--tau", "inf", "threshold must be finite, got inf"),
     ],
 )
 def test_curve_rejects_an_invalid_setting(tmp_path, capsys, flag, value, message):
@@ -74,6 +76,7 @@ _BAD_SETTINGS = [
     ("optimizer", "learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
     ("optimizer", "eps = -1.0", "eps must be finite and > 0, got -1.0"),
     ("optimizer", "eps = inf", "eps must be finite and > 0, got inf"),
+    ("difficulty", "log_base = inf", "log_base must be finite, got inf"),
     ("client 1", "large_radius_range = 6.0 inf", "bad large_radius_range (6.0, inf)"),
     ("client 1", "small_radius_range = nan 3.0", "bad small_radius_range (nan, 3.0)"),
     ("client 1", "noise_std = nan", "bad noise_std nan: must be finite and >= 0"),

@@ -1,6 +1,7 @@
 """The package binds no names of its own, and everything its modules define has a caller."""
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,29 @@ def test_every_public_definition_is_loaded_by_package_code():
                 defined |= {(module, target.id) for target in targets if isinstance(target, ast.Name)}
     unused = sorted(f"{module}.{name}" for module, name in defined if not name.startswith("_") and name not in loaded)
     assert not unused, f"never loaded by package code: {', '.join(unused)}"
+
+
+def test_every_exception_class_is_caught_by_package_code():
+    # an error type that no except clause names tells no caller anything a
+    # ValueError's message does not; cli.main turns every ValueError into exit 1
+    trees = [ast.parse(path.read_text()) for path in Path(fedgs_sim.__file__).parent.glob("*.py")]
+    bases = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    builtin = {name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)}
+    defined: set[str] = set()
+    for _ in bases:  # one pass per class reaches the end of any chain of bases
+        defined |= {name for name, names in bases.items() if names & (builtin | defined)}
+    caught = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for node in ast.walk(handler.type)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    uncaught = sorted(name for name in defined if name not in caught)
+    assert not uncaught, f"exception classes no except clause names: {', '.join(uncaught)}"

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from fedgs_sim import masks
 from fedgs_sim.harness import emit_difficulty_curve
 from fedgs_sim.masks import (
-    BadBatchError,
     DifficultyConfig,
     batch_scaling_factor,
     difficulty_factor,
@@ -372,6 +371,10 @@ class TestDifficultyFactor:
             DifficultyConfig(structuring_element="diamond")
         with pytest.raises(ValueError, match="erosion_iterations"):
             DifficultyConfig(erosion_iterations=-1)
+        with pytest.raises(ValueError, match="^log_base must be finite, got inf$"):
+            DifficultyConfig(log_base=math.inf)
+        with pytest.raises(ValueError, match="^threshold must be finite, got inf$"):
+            DifficultyConfig(threshold=math.inf)
 
 
 class TestStackPath:
@@ -476,27 +479,29 @@ class TestValidateMask:
 
 class TestBatchScaling:
     def test_no_small_lesions_gives_one(self):
-        assert batch_scaling_factor([0.0, 0.0, 0.0, 0.0], 4) == 1.0
+        assert batch_scaling_factor([0.0, 0.0, 0.0, 0.0]) == 1.0
 
     def test_single_small_sample(self):
-        assert batch_scaling_factor([0.8, 0.0, 0.0, 0.0], 4) == pytest.approx(1.4)
+        assert batch_scaling_factor([0.8, 0.0, 0.0, 0.0]) == pytest.approx(1.4)
 
     def test_three_small_samples_score_much_higher(self):
-        assert batch_scaling_factor([0.8, 0.8, 0.8, 0.0], 4) == pytest.approx(2.2)
+        assert batch_scaling_factor([0.8, 0.8, 0.8, 0.0]) == pytest.approx(2.2)
 
-    def test_length_mismatch(self):
-        with pytest.raises(BadBatchError):
-            batch_scaling_factor([0.5, 0.5], 4)
+    def test_empty_batch(self):
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            batch_scaling_factor([])
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            batch_scaling_factor(np.zeros(0))
 
     def test_delta_out_of_range(self):
-        with pytest.raises(BadBatchError):
-            batch_scaling_factor([1.0], 1)
-        with pytest.raises(BadBatchError):
-            batch_scaling_factor([-0.1], 1)
+        with pytest.raises(ValueError, match=r"^difficulty factor 1.0 outside \[0, 1\)$"):
+            batch_scaling_factor([1.0])
+        with pytest.raises(ValueError, match=r"^difficulty factor -0.1 outside \[0, 1\)$"):
+            batch_scaling_factor([-0.1])
 
     @given(st.lists(st.floats(0.0, 0.999999), min_size=1, max_size=8))
     def test_bounds(self, deltas):
-        eta = batch_scaling_factor(deltas, len(deltas))
+        eta = batch_scaling_factor(deltas)
         assert 1.0 <= eta < 3.0
         if all(d == 0.0 for d in deltas):
             assert eta == 1.0
