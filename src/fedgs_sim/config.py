@@ -12,6 +12,7 @@ held-out test center in `[test]`.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -56,6 +57,12 @@ class ExperimentConfig:
                 raise ValueError(f"duplicate {name}")
         if len(self.client_specs) < 2:
             raise ValueError("need at least one training client and a test center")
+        largest = max(math.prod(spec.image_size) for spec in self.training_specs)  # a one-pixel lesion's inverse area
+        if "fedgs" in self.strategies and self.difficulty.threshold > largest:
+            raise ValueError(
+                f"threshold {self.difficulty.threshold} is above {largest}, the largest inverse area "
+                "a training mask can have: fedgs would count no sample as small"
+            )
         offsets = [spec.seed_offset for spec in self.client_specs]
         shared = sorted({offset for offset in offsets if offsets.count(offset) > 1})
         if shared:

@@ -64,6 +64,10 @@ class ClientDataSpec:
             raise ValueError(f"bad lesion_intensity {self.lesion_intensity}: must be finite")
         if self.seed_offset < 0:
             raise ValueError("seed_offset must be >= 0")
+        height, width = self.image_size
+        max_radius = self.large_radius_range[1]  # the regimes are disjoint: no small radius is larger
+        if 2 * math.ceil(max_radius) + 1 > min(height, width):  # a disk's center stays ceil(r) from each edge
+            raise ValueError(f"disk radius {max_radius} cannot fit fully inside a {height}x{width} image")
 
 
 @dataclass(frozen=True)
@@ -112,14 +116,6 @@ class Federation:
     test_set: ClientData
 
 
-def _check_feasible(spec: ClientDataSpec) -> None:
-    height, width = spec.image_size
-    max_radius = max(spec.small_radius_range[1], spec.large_radius_range[1])
-    margin = math.ceil(max_radius)
-    if margin > height - 1 - margin or margin > width - 1 - margin:
-        raise ValueError(f"disk radius {max_radius} cannot fit fully inside a {height}x{width} image")
-
-
 def _stamp_disk(mask: np.ndarray, cy: int, cx: int, radius: float) -> None:
     """Set the pixels within `radius` of (cy, cx), working only in the disk's bounding box."""
     reach = math.floor(radius)
@@ -131,7 +127,6 @@ def _stamp_disk(mask: np.ndarray, cy: int, cx: int, radius: float) -> None:
 
 def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> ClientData:
     """Generate the client's samples; bit-identical across runs for the same inputs."""
-    _check_feasible(spec)
     height, width = spec.image_size
     images = np.empty((spec.n_samples, height, width), dtype=np.float32)
     masks = np.zeros((spec.n_samples, height, width), dtype=np.uint8)

@@ -2,9 +2,9 @@
 
 Masks are 2D numpy arrays with values in {0, 1} (uint8 or bool), and
 validate_mask and difficulty_factor also take (N, H, W) stacks of them: a 2D
-mask is the N = 1 case of one stack path. The difficulty factor of a mask is
-computed from its inverse relative area, i.e. total pixel count divided by
-foreground pixel count: small lesions have large inverse areas.
+mask is the N = 1 case of one stack path, and scores as (1,) arrays. The
+difficulty factor of a mask is computed from its inverse relative area, i.e.
+total pixel count divided by foreground pixel count: small lesions have large inverse areas.
 Batches of difficulty factors combine into a gradient scaling factor eta >= 1.
 """
 
@@ -67,8 +67,8 @@ class DifficultyResult:
     """Outcome of difficulty estimation for an (N, H, W) stack of masks: (N,) arrays, entry i for mask i.
 
     inverse_area is NaN where a mask is empty. delta is 0 wherever is_small
-    is False and always lies in [0, 1). A 2D mask gives a float, a bool and
-    a float.
+    is False and always lies in [0, 1). A 2D mask is a stack of one and
+    gives (1,) arrays.
     """
 
     inverse_area: np.ndarray
@@ -224,7 +224,7 @@ def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyRes
     The inverse area is taken from the whole mask or from the smallest
     separated lesion depending on cfg.regime. An empty mask has no lesion and
     therefore no small-lesion difficulty. The stack is validated once; a 2D
-    mask is scored as a stack of one and gives a result of scalars.
+    mask is scored as a stack of one and gives (1,) arrays.
     """
     arr = validate_mask(masks)
     stack = arr.reshape(-1, *arr.shape[-2:])
@@ -232,8 +232,6 @@ def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyRes
     is_small = inverse_area >= cfg.threshold  # False where empty: NaN compares False
     gated = zip(inverse_area.tolist(), is_small.tolist())
     delta = np.array([raw_difficulty(a, cfg.log_base) if small else 0.0 for a, small in gated])
-    if arr.ndim == 2:
-        return DifficultyResult(float(inverse_area[0]), bool(is_small[0]), float(delta[0]))
     return DifficultyResult(inverse_area, is_small, delta)
 
 

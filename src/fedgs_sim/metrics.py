@@ -28,18 +28,15 @@ class EvalReport:
     dice: float
     dice_s: float | None
     dice_l: float | None
-    n_total: int
-    n_small: int
-    n_large: int
-    n_empty: int
 
 
-def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float | np.ndarray:
-    """2|P∩G| / (|P|+|G|); 1.0 when both masks are empty.
+def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> np.ndarray:
+    """2|P∩G| / (|P|+|G|) as a float64 array; 1.0 where both masks are empty.
 
     Two (N, H, W) stacks score image by image: entry i of the (N,) result is
-    dice_score(pred_mask[i], gt_mask[i]). p + g, 0, 1 or 2 per pixel, sums to |P| + |G|
-    and, halved, to |P ∩ G|: uint8 cells summed into uint32, exact below 2**31 pixels.
+    dice_score(pred_mask[i], gt_mask[i]), and two 2D masks give a 0-d array.
+    p + g, 0, 1 or 2 per pixel, sums to |P| + |G| and, halved, to |P ∩ G|:
+    uint8 cells summed into uint32, exact below 2**31 pixels.
     """
     p, g = validate_mask(pred_mask), validate_mask(gt_mask)
     if p.shape != g.shape:
@@ -47,8 +44,7 @@ def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float | np.ndarray
     counts = p + g
     total = counts.sum(axis=(-2, -1), dtype=np.uint32)
     counts >>= 1
-    scores = np.where(total == 0, 1.0, 2.0 * counts.sum(axis=(-2, -1), dtype=np.uint32) / np.maximum(total, 1))
-    return float(scores) if p.ndim == 2 else scores
+    return np.where(total == 0, 1.0, 2.0 * counts.sum(axis=(-2, -1), dtype=np.uint32) / np.maximum(total, 1))
 
 
 def sample_groups(test_set: ClientData, difficulty: DifficultyConfig) -> list[str]:
@@ -80,8 +76,4 @@ def evaluate(params: np.ndarray, test_set: ClientData, groups: Sequence[str]) ->
         dice=float(values.mean()),
         dice_s=float(small.mean()) if small.size else None,
         dice_l=float(large.mean()) if large.size else None,
-        n_total=len(test_set),
-        n_small=int(small.size),
-        n_large=int(large.size),
-        n_empty=int((tags == "empty").sum()),
     )

@@ -216,14 +216,14 @@ def test_criterion_5_eta_contract():
         density = rng.uniform(0.0, 0.8)
         masks = [(rng.random((16, 16)) < density).astype(np.uint8) for _ in range(size)]
         results = [difficulty_factor(m, cfg) for m in masks]
-        deltas = [r.delta for r in results]
+        deltas = [r.delta.item() for r in results]
         eta = batch_scaling_factor(deltas)
         assert 1.0 <= eta < 3.0
-        assert (eta == 1.0) == all(not r.is_small for r in results)
+        assert (eta == 1.0) == all(not r.is_small.item() for r in results)
 
         # count sensitivity at equal batch size: a slot holding a small-lesion
         # sample strictly raises eta over that slot holding a non-small one
-        with_small = batch_scaling_factor(deltas + [difficulty_factor(small_mask, cfg).delta])
+        with_small = batch_scaling_factor(deltas + [difficulty_factor(small_mask, cfg).delta.item()])
         with_empty = batch_scaling_factor(deltas + [0.0])
         assert with_small > with_empty
         checked += 1
@@ -364,10 +364,10 @@ def test_criterion_9_metric_properties():
         seed_offset=9,
     )
     cfg = DifficultyConfig(log_base=50.0, threshold=7.0, regime="whole_mask")
-    rep = evaluate(init_params(ArchDescriptor(), 1), samples, sample_groups(samples, cfg))
-    partition_ok = rep.n_total == rep.n_small + rep.n_large + rep.n_empty == len(samples)
-    assert partition_ok
-    assert rep.n_empty == 2
+    groups = sample_groups(samples, cfg)
+    assert len(groups) == len(samples) and set(groups) == {"empty", "small", "large"}
+    assert groups[-2:] == ["empty", "empty"] and groups.count("empty") == 2
+    rep = evaluate(init_params(ArchDescriptor(), 1), samples, groups)
     assert 0.0 <= rep.dice <= 1.0
     per_sample = []
     for image, mask in zip(samples.images[:-2], samples.masks[:-2]):

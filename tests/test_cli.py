@@ -83,6 +83,7 @@ _BAD_SETTINGS = [
     ("client 1", "noise_std = inf", "bad noise_std inf: must be finite and >= 0"),
     ("client 1", "lesion_intensity = inf", "bad lesion_intensity inf: must be finite"),
     ("test", "lesion_intensity = nan", "bad lesion_intensity nan: must be finite"),
+    ("client 1", "image_size = 16 16", "disk radius 9.0 cannot fit fully inside a 16x16 image"),
 ]
 
 
@@ -98,7 +99,20 @@ def test_validation_error_exits_1(tmp_path, capsys, section, setting, error):
     out = tmp_path / "out"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == error
-    assert not (out / "results.csv").exists()
+    assert not out.exists()  # rejected at parse time, before the output directory is made
+
+
+def test_unreachable_fedgs_threshold_exits_1(tmp_path, capsys):
+    # no 32x32 training mask has an inverse area above 1024: fedgs would silently run as fedavg
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[experiment]\nseeds = 1\nrounds = 2\n\n[difficulty]\nthreshold = 2000\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: threshold 2000.0 is above 1024, the largest inverse area a training mask can have: "
+        "fedgs would count no sample as small\n"
+    )
+    assert not out.exists()
 
 
 def test_unknown_key_exits_1(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -227,6 +229,30 @@ def test_experiment_invariants_are_validation_errors(tmp_path, text, message):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "text, rejected",
+    [
+        ("[difficulty]\nthreshold = 2000\n", True),
+        ("[difficulty]\nthreshold = 1024\n", False),  # a one-pixel lesion at 32x32
+        ("[experiment]\nstrategies = fedavg\n\n[difficulty]\nthreshold = 2000\n", False),  # no fedgs
+        ("[client 1]\nimage_size = 64 64\n\n[difficulty]\nthreshold = 2000\n", False),  # 4096 in client 1
+        ("[difficulty]\nthreshold = 2000\n\n[test]\nimage_size = 64 64\n", True),  # the test center never trains
+    ],
+    ids=["above_32x32", "one_pixel_at_32x32", "fedavg_only", "64x64_client", "64x64_test_center"],
+)
+def test_fedgs_threshold_must_be_reachable_by_a_training_mask(tmp_path, text, rejected):
+    path = write(tmp_path, text)
+    if not rejected:
+        parse_config(path)
+        return
+    message = (
+        "threshold 2000.0 is above 1024, the largest inverse area a training mask can have: "
+        "fedgs would count no sample as small"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+
+
 def test_strategy_settings_come_from_the_config():
     cfg = default_config()
     fedgs, fedavg = cfg.strategy("fedgs"), cfg.strategy("fedavg")
@@ -269,7 +295,7 @@ def _parsed_value(cfg, section, key):
         ("optimizer", "beta1", "high", ValueError),
         ("difficulty", "erosion_iterations", "2", 2),
         ("difficulty", "regime", "blob_split", "blob_split"),
-        ("client 1", "image_size", "16 24", (16, 24)),
+        ("client 1", "image_size", "20 24", (20, 24)),
         ("client 1", "image_size", "32,32", ValueError),
         ("client 1", "image_size", "32", ValueError),
         ("client 1", "lesions_per_image", "1 2 3", ValueError),
@@ -303,14 +329,16 @@ def _client_specs(draw, seed_offset):
     small_lo = draw(st.floats(min_value=0.5, max_value=4.0))
     small_hi = small_lo + draw(st.floats(min_value=0.0, max_value=3.0))
     large_lo = small_hi + draw(st.floats(min_value=0.01, max_value=5.0))
+    large_hi = large_lo + draw(st.floats(min_value=0.0, max_value=10.0))
+    fits = 2 * math.ceil(large_hi) + 1  # no smaller side holds the largest disk: such specs are invalid
     lesions_lo = draw(st.integers(1, 3))
     return ClientDataSpec(
         n_samples=draw(st.integers(1, 500)),
-        image_size=(draw(st.integers(1, 128)), draw(st.integers(1, 128))),
+        image_size=(draw(st.integers(fits, 128)), draw(st.integers(fits, 128))),
         lesions_per_image=(lesions_lo, lesions_lo + draw(st.integers(0, 3))),
         small_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
         small_radius_range=(small_lo, small_hi),
-        large_radius_range=(large_lo, large_lo + draw(st.floats(min_value=0.0, max_value=10.0))),
+        large_radius_range=(large_lo, large_hi),
         noise_std=draw(st.floats(min_value=0.0, max_value=10.0)),
         lesion_intensity=draw(_reals),
         seed_offset=seed_offset,
@@ -321,10 +349,14 @@ def _client_specs(draw, seed_offset):
 def _experiment_configs(draw):
     n_clients = draw(st.integers(1, 5))
     offsets = draw(st.lists(st.integers(0, 10_000), min_size=n_clients + 1, max_size=n_clients + 1, unique=True))
+    client_specs = tuple(draw(_client_specs(offset)) for offset in offsets)
+    strategies = draw(st.sampled_from([("fedgs",), ("fedavg",), ("fedgs", "fedavg"), ("fedavg", "fedgs")]))
+    # fedgs needs a threshold that a one-pixel lesion in some training image reaches
+    reachable = max(math.prod(spec.image_size) for spec in client_specs[:-1]) if "fedgs" in strategies else 1e6
     return ExperimentConfig(
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True))),
         rounds=draw(st.integers(1, 1000)),
-        strategies=draw(st.sampled_from([("fedgs",), ("fedavg",), ("fedgs", "fedavg"), ("fedavg", "fedgs")])),
+        strategies=strategies,
         batch_size=draw(st.integers(1, 64)),
         local_epochs=draw(st.integers(1, 10)),
         hidden_channels=draw(st.integers(1, 16)),
@@ -338,13 +370,13 @@ def _experiment_configs(draw):
         ),
         difficulty=DifficultyConfig(
             log_base=draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
-            threshold=draw(st.floats(min_value=1.0, max_value=1e6)),
+            threshold=draw(st.floats(min_value=1.0, max_value=reachable)),
             regime=draw(st.sampled_from(["whole_mask", "blob_split"])),
             erosion_iterations=draw(st.integers(0, 5)),
             structuring_element=draw(st.sampled_from(["square3", "cross3"])),
             connectivity=draw(st.sampled_from([4, 8])),
         ),
-        client_specs=tuple(draw(_client_specs(offset)) for offset in offsets),
+        client_specs=client_specs,
         out_dir=draw(st.text(alphabet="abcxyz0123456789_-./", min_size=1, max_size=20)),
     )
 

@@ -36,9 +36,9 @@ def matching_threshold(spec: ClientDataSpec) -> float:
     r_hi = spec.small_radius_range[1]
     max_small_area = spec.lesions_per_image[1] * np.pi * (r_hi + 0.6) ** 2
     big_r_lo = spec.large_radius_range[0]
-    min_large_area = np.pi * (big_r_lo - 0.6) ** 2
+    smallest_large_area = np.pi * (big_r_lo - 0.6) ** 2
     low = h * w / max_small_area
-    high = h * w / min_large_area
+    high = h * w / smallest_large_area
     assert high < low, "radius regimes too close to separate"
     return float(np.sqrt(low * high))
 
@@ -86,9 +86,12 @@ class TestGeneration:
             assert difficulty_factor(mask, cfg).is_small == is_small
 
     def test_infeasible_radius_rejected(self):
-        spec = make_spec(image_size=(8, 8), small_radius_range=(2.0, 2.0), large_radius_range=(10.0, 10.0))
+        # the spec itself is rejected, before any generation
         with pytest.raises(ValueError, match=r"^disk radius 10\.0 cannot fit fully inside a 8x8 image$"):
-            generate_client_dataset(spec, 0)
+            make_spec(image_size=(8, 8), small_radius_range=(2.0, 2.0), large_radius_range=(10.0, 10.0))
+        with pytest.raises(ValueError, match=r"^disk radius 9\.5 cannot fit fully inside a 21x20 image$"):
+            make_spec(image_size=(21, 20), large_radius_range=(6.0, 9.5))
+        make_spec(image_size=(21, 21), large_radius_range=(6.0, 9.5))  # 2 * ceil(9.5) + 1 = 21 fits
 
     def test_disks_fully_inside_frame(self):
         spec = make_spec(n_samples=60)

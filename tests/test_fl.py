@@ -261,7 +261,7 @@ class TestRunClientRound:
             order = rng.permutation(7)
             for start in range(0, 7, 3):
                 batch = order[start : start + 3]
-                deltas = [difficulty_factor(dataset.masks[i], DIFFICULTY).delta for i in batch]
+                deltas = [difficulty_factor(dataset.masks[i], DIFFICULTY).delta.item() for i in batch]
                 expected.append(batch_scaling_factor(deltas))
         assert len(expected) == 6 and any(eta > 1.0 for eta in expected)
         assert result.etas[0].dtype == np.float64

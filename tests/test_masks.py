@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -83,8 +82,10 @@ def assert_matches_reference(stack, cfg):
     for i, mask in enumerate(stack):
         inverse_area, is_small, delta = reference_difficulty(mask, cfg)
         expected_area = math.nan if inverse_area is None else inverse_area
-        single = difficulty_factor(mask, cfg)
-        for got in ((result.inverse_area[i], result.is_small[i], result.delta[i]), astuple(single)):
+        single = difficulty_factor(mask, cfg)  # a 2D mask is a stack of one
+        assert single.inverse_area.shape == single.is_small.shape == single.delta.shape == (1,)
+        for scored, j in ((result, i), (single, 0)):
+            got = (scored.inverse_area[j], scored.is_small[j], scored.delta[j])
             assert got[0] == expected_area or math.isnan(got[0]) and math.isnan(expected_area)
             assert got[1:] == (is_small, delta)
 
@@ -332,9 +333,9 @@ class TestDifficultyFactor:
         for regime in ("whole_mask", "blob_split"):
             cfg = DifficultyConfig(log_base=100.0, threshold=150.0, regime=regime)
             result = difficulty_factor(np.zeros((16, 16), dtype=np.uint8), cfg)
-            assert math.isnan(result.inverse_area)
-            assert not result.is_small
-            assert result.delta == 0.0
+            assert math.isnan(result.inverse_area[0])
+            assert not result.is_small[0]
+            assert result.delta[0] == 0.0
 
     @given(small_masks, st.floats(2.0, 1000.0), st.floats(1.0, 50.0))
     def test_delta_bounds_and_gate(self, mask, log_base, threshold):

@@ -98,8 +98,10 @@ class TestDiceStacks:
     def test_equals_per_image_calls_bitwise(self, seed, n, h, w):
         pred, gt = self.stacks(seed, n, h, w)
         scores = dice_score(pred, gt)
+        singles = [dice_score(p, g) for p, g in zip(pred, gt)]
         assert scores.shape == (n,) and scores.dtype == np.float64
-        assert scores.tolist() == [dice_score(p, g) for p, g in zip(pred, gt)]
+        assert all(single.shape == () and single.dtype == np.float64 for single in singles)  # two 2D masks: a 0-d array
+        assert scores.tolist() == [single.item() for single in singles]
         assert scores[0] == 1.0  # both empty
 
     def test_bool_stacks_score_like_uint8(self):
@@ -157,9 +159,10 @@ class TestEvaluate:
         small = disk_mask(2.5)  # inverse area ~ 49 >= 13
         large = disk_mask(9.0)  # inverse area ~ 4 < 13
         samples = self.samples_for(small, large)
-        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
+        groups = sample_groups(samples, DIFFICULTY)
+        assert groups == ["small", "large"]
+        report = evaluate(params, samples, groups)
         assert report.dice == report.dice_s == report.dice_l == 1.0
-        assert (report.n_small, report.n_large, report.n_empty) == (1, 1, 0)
 
     def test_model_that_overflows_float32_raises_instead_of_scoring_background(self):
         samples = self.samples_for(disk_mask(2.5), disk_mask(9.0))
@@ -171,10 +174,11 @@ class TestEvaluate:
         params = passthrough_params()
         empty = np.zeros((16, 16), dtype=np.uint8)
         samples = self.samples_for(empty, empty)
-        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
+        groups = sample_groups(samples, DIFFICULTY)
+        assert groups == ["empty", "empty"]
+        report = evaluate(params, samples, groups)
         assert report.dice_s is None and report.dice_l is None
         assert report.dice == 1.0  # both-empty convention per sample
-        assert report.n_empty == 2
 
     def test_partition_and_means(self):
         params = passthrough_params()
@@ -183,19 +187,22 @@ class TestEvaluate:
         # model segments the IMAGE; giving the large sample a blank image
         # makes its prediction empty -> dice 0 against its non-empty mask
         samples = self.samples_for(small, large, images=[None, np.zeros_like(large, dtype=np.float64)])
-        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
+        groups = sample_groups(samples, DIFFICULTY)
+        assert groups == ["small", "large"]
+        report = evaluate(params, samples, groups)
         assert report.dice_s == 1.0
         assert report.dice_l == 0.0
         assert report.dice == 0.5
-        assert report.n_total == 2
 
     def test_grouping_uses_ground_truth_not_prediction(self):
         params = passthrough_params()
         small = disk_mask(2.5)
         # image shows a large disk, ground truth is small: must count as small
         sample = self.samples_for(small, images=[disk_mask(9.0).astype(np.float64)])
-        report = evaluate(params, sample, sample_groups(sample, DIFFICULTY))
-        assert report.n_small == 1 and report.n_large == 0
+        groups = sample_groups(sample, DIFFICULTY)
+        assert groups == ["small"]
+        report = evaluate(params, sample, groups)
+        assert report.dice_l is None and report.dice_s == report.dice < 1.0
 
     def test_threshold_binarization(self):
         # all-zero params predict 0.5 everywhere; evaluate's threshold 0.5 includes ties
@@ -208,8 +215,10 @@ class TestEvaluate:
     def test_counts_sum(self):
         params = passthrough_params()
         samples = self.samples_for(disk_mask(2.5), disk_mask(9.0), np.zeros((32, 32), dtype=np.uint8))
-        report = evaluate(params, samples, sample_groups(samples, DIFFICULTY))
-        assert report.n_total == report.n_small + report.n_large + report.n_empty == 3
+        groups = sample_groups(samples, DIFFICULTY)
+        assert groups == ["small", "large", "empty"]
+        report = evaluate(params, samples, groups)
+        assert report.dice == report.dice_s == report.dice_l == 1.0
 
     @pytest.mark.parametrize(
         "size, calls",
