@@ -22,7 +22,7 @@ from typing import Any, Callable, Literal, get_args, get_origin, get_type_hints
 from .data import ClientDataSpec
 from .fl import StrategyConfig
 from .masks import DifficultyConfig
-from .model import ArchDescriptor, OptimizerConfig
+from .model import OptimizerConfig
 
 Parser = Callable[[str], Any]
 
@@ -34,7 +34,6 @@ class ExperimentConfig:
     strategies: tuple[str, ...]
     batch_size: int
     local_epochs: int
-    hidden_channels: int
     optimizer: OptimizerConfig
     difficulty: DifficultyConfig
     client_specs: tuple[ClientDataSpec, ...]  # last one is the test center
@@ -51,7 +50,6 @@ class ExperimentConfig:
             raise ValueError("need at least one strategy")
         for kind in self.strategies:
             self.strategy(kind)
-        ArchDescriptor(hidden_channels=self.hidden_channels)
         for name, values in (("seeds", self.seeds), ("strategies", self.strategies)):
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name}")
@@ -99,8 +97,7 @@ def default_config() -> ExperimentConfig:
         strategies=("fedgs", "fedavg"),
         batch_size=4,
         local_epochs=2,
-        hidden_channels=4,
-        optimizer=OptimizerConfig(kind="adamw", learning_rate=0.003),
+        optimizer=OptimizerConfig(learning_rate=0.003),
         difficulty=DifficultyConfig(log_base=30.0, threshold=13.0, regime="whole_mask"),
         client_specs=specs,
     )
@@ -141,7 +138,6 @@ def _parsers(cls: type, names: tuple[str, ...] = ()) -> dict[str, Parser]:
 _FLAT = {
     "experiment": _parsers(ExperimentConfig, ("seeds", "rounds", "strategies", "out_dir")),
     "strategy": _parsers(ExperimentConfig, ("batch_size", "local_epochs")),
-    "model": _parsers(ExperimentConfig, ("hidden_channels",)),
 }
 _NESTED = {"optimizer": _parsers(OptimizerConfig), "difficulty": _parsers(DifficultyConfig)}
 _CLIENT_SCHEMA = _parsers(ClientDataSpec)  # [client n] and [test]

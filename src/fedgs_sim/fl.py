@@ -75,7 +75,7 @@ class ClientState:
     params: np.ndarray  # (K, P)
     cumulative_gradient: np.ndarray  # (K, P)
     optimizer: OptimizerConfig
-    moments: Moments | None  # AdamW's (m, v), each (K, P); None under SGD
+    moments: Moments  # AdamW's (m, v), each (K, P)
     batches: list[list[np.ndarray]]  # each client's sample indices per local step
     etas: list[np.ndarray]  # each client's eta per local step
 
@@ -92,7 +92,7 @@ class ClientState:
         batches: list[list[np.ndarray]],
         etas: Sequence[Sequence[float]],
     ) -> "ClientState":
-        """One client per plan at the global snapshot: zero cumulative gradients, and zero moments under AdamW."""
+        """One client per plan at the global snapshot: zero cumulative gradients and zero moments."""
         etas = [np.asarray(client, dtype=np.float64) for client in etas]
         counts = [len(b) for b in batches]
         if [e.shape for e in etas] != [(n,) for n in counts] or not all(np.isfinite(e).all() for e in etas):
@@ -100,7 +100,7 @@ class ClientState:
         if not all(len(batch) for client in batches for batch in client):
             raise ValueError("batch must be non-empty")
         params = np.tile(np.asarray(global_params, dtype=np.float64), (len(batches), 1))
-        moments = None if optimizer_cfg.kind == "sgd" else (np.zeros_like(params), np.zeros_like(params))
+        moments = (np.zeros_like(params), np.zeros_like(params))
         return cls(params, np.zeros_like(params), optimizer_cfg, moments, batches, etas)
 
 
@@ -173,7 +173,7 @@ def local_iteration(state: ClientState, datasets: Sequence[ClientData], step: in
             raise DivergenceError(
                 f"client {clients[exc.row]}: local parameters overflow {exc.dtype} in the kernel at local step {step}"
             ) from exc
-    moments = None if state.moments is None else tuple(moment[rows] for moment in state.moments)
+    moments = (state.moments[0][rows], state.moments[1][rows])
     new_params, moments = optimizer_step(state.optimizer, step, params, grad, moments)
     for what, vectors in (("gradient", grad), ("local parameters", new_params)):
         if not np.isfinite(vectors).all():
@@ -183,8 +183,7 @@ def local_iteration(state: ClientState, datasets: Sequence[ClientData], step: in
     decrement = params - new_params
     state.cumulative_gradient[rows] += np.array([state.etas[k][step - 1] for k in active])[:, None] * decrement
     state.params[rows] = new_params
-    if moments is not None:
-        state.moments[0][rows], state.moments[1][rows] = moments
+    state.moments[0][rows], state.moments[1][rows] = moments
     return state
 
 

@@ -25,7 +25,7 @@ from .data import Federation, build_federation
 from .fl import DivergenceError, run_round, sample_deltas
 from .masks import DifficultyConfig, raw_difficulty
 from .metrics import evaluate, sample_groups
-from .model import ArchDescriptor, KernelOverflowError, init_params
+from .model import KernelOverflowError, init_params
 from .rng import SHUFFLE_STREAM, substream
 
 CSV_VERSION_LINE = "# fedgs-sim v1"
@@ -58,12 +58,21 @@ class CurvePoint:
 def _run_one(
     cfg: ExperimentConfig, seed: int, strategy_kind: str, federation: Federation, groups: Sequence[str]
 ) -> list[ResultRow]:
-    """One strategy's rounds on a seed's federation; `groups` tags its test set (sample_groups)."""
-    arch = ArchDescriptor(hidden_channels=cfg.hidden_channels)
-    params = init_params(arch, seed)
+    """One strategy's rounds on a seed's federation; `groups` tags its test set (sample_groups).
+
+    Refuses a fedgs run that could not act: one whose every delta is 0 would run as fedavg, and one with
+    no small test sample would leave dice_s blank in every row.
+    """
+    params = init_params(seed)
     strategy = cfg.strategy(strategy_kind)
     # Masks never change during a run: score each sample's difficulty once.
     client_deltas = [sample_deltas(dataset, strategy) for dataset in federation.clients]
+    if strategy_kind == "fedgs":
+        at = f"seed {seed}: at threshold {cfg.difficulty.threshold}"
+        if not any(deltas.any() for deltas in client_deltas):
+            raise ValueError(f"{at}, every training delta is 0, so fedgs would run as fedavg")
+        if "small" not in groups:
+            raise ValueError(f"{at}, no test sample is small, so dice_s would be blank in every row")
     rows = []
     for round_index in range(cfg.rounds):
         streams = [

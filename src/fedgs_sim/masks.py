@@ -18,12 +18,7 @@ import numpy as np
 
 from .shifts import images_per_call, shift_stack
 
-StructuringElement = Literal["square3", "cross3"]
 Regime = Literal["whole_mask", "blob_split"]
-
-
-# Each element's members among the nine 3x3 shifts, s = 3*di + dj.
-_ELEMENTS = {"square3": slice(None), "cross3": [1, 3, 4, 5, 7]}
 
 
 @dataclass(frozen=True)
@@ -33,16 +28,14 @@ class DifficultyConfig:
     log_base: base of the squared logarithm applied to the inverse area (> 1).
     threshold: inverse-area value at or above which a mask counts as small (>= 1).
     regime: "whole_mask" compares the whole-mask inverse area against the
-        threshold; "blob_split" erodes, separates blobs, and classifies on the
-        smallest one (for small lesions attached to large ones).
+        threshold; "blob_split" erodes once by the 3x3 square, separates
+        8-connected blobs, and classifies on the smallest one, dilated back
+        (for small lesions attached to large ones).
     """
 
     log_base: float = 100.0
     threshold: float = 150.0
     regime: Regime = "blob_split"
-    erosion_iterations: int = 1
-    structuring_element: StructuringElement = "square3"
-    connectivity: int = 8
 
     def __post_init__(self) -> None:
         if not self.log_base > 1.0:
@@ -54,12 +47,6 @@ class DifficultyConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.regime not in ("whole_mask", "blob_split"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.erosion_iterations < 0:
-            raise ValueError("erosion_iterations must be >= 0")
-        if self.structuring_element not in _ELEMENTS:
-            raise ValueError(f"unknown structuring element {self.structuring_element!r}")
-        if self.connectivity not in (4, 8):
-            raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity}")
 
 
 @dataclass(frozen=True)
@@ -98,20 +85,16 @@ def _whole_mask_areas(stack: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, stack[0].size / np.maximum(counts, 1), np.nan)
 
 
-def _morph(arr: np.ndarray, element: StructuringElement, iterations: int, reduce: Callable) -> np.ndarray:
-    """A new array: `iterations` rounds of `reduce` (min: erode, max: dilate) over a valid mask or stack's shifts.
+def _morph(arr: np.ndarray, reduce: Callable) -> np.ndarray:
+    """A new array: `reduce` (min: erode, max: dilate) over the 3x3 square, the nine shifts of a valid mask or stack.
 
-    The element and the iteration count are a DifficultyConfig's, checked there.
+    The shifts are zero outside each image: erosion eats into the border, dilation adds nothing there.
     """
-    out = arr.reshape(-1, *arr.shape[-2:])
-    for _ in range(iterations):
-        # zero outside each image: erosion eats into the border, dilation adds nothing there
-        out = reduce(shift_stack(out)[_ELEMENTS[element]], axis=0).reshape(out.shape)
-    return out.reshape(arr.shape) if iterations else arr.copy()
+    return reduce(shift_stack(arr.reshape(-1, *arr.shape[-2:])), axis=0).reshape(arr.shape)
 
 
-def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
-    """Run-based two-scan labeling of a valid (N, H, W) stack (He, Chao & Suzuki, IEEE TIP 17(5), 2008).
+def _label(stack: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
+    """Run-based two-scan 8-connected labeling of a valid (N, H, W) stack (He, Chao & Suzuki, IEEE TIP 17(5), 2008).
 
     Returns `paint`, each component's area and each component's image;
     paint(table) is the (N, H, W) stack of table[label], label 0 being the
@@ -120,7 +103,7 @@ def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray],
     a contiguous range of labels. A run is a maximal horizontal stretch of
     foreground in one row. Runs are found in raster order and joined by
     union-find with the runs of the row above whose columns overlap theirs
-    (widened by one for 8-connectivity).
+    or touch them diagonally.
     Every set is rooted at its first run, i.e. at its first pixel in raster
     order, so numbering the roots in order numbers each image's components
     as scipy.ndimage.label does.
@@ -132,10 +115,9 @@ def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray],
     flat = padded.reshape(-1)
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     starts, ends = changes[0::2], changes[1::2]  # flat positions; ends are one past a run
-    # the runs of the row above that touch run r are the contiguous range first[r]:stop[r]
-    reach = connectivity == 8
-    first = np.searchsorted(ends, starts - (stride + reach), side="right").tolist()
-    stop = np.searchsorted(starts, ends - (stride - reach), side="left").tolist()
+    # the runs of the row above that touch run r, diagonals included, are the contiguous range first[r]:stop[r]
+    first = np.searchsorted(ends, starts - (stride + 1), side="right").tolist()
+    stop = np.searchsorted(starts, ends - (stride - 1), side="left").tolist()
     parent = list(range(len(first)))
     for run in range(len(parent)):
         for touched in range(first[run], stop[run]):
@@ -164,38 +146,37 @@ def _label(stack: np.ndarray, connectivity: int) -> tuple[Callable[[np.ndarray],
     return paint, areas, images
 
 
-def _smallest_lesion_areas(stack: np.ndarray, cfg: DifficultyConfig) -> np.ndarray:
+def _smallest_lesion_areas(stack: np.ndarray) -> np.ndarray:
     """Inverse area of each mask's smallest distinct lesion, for a valid (N, H, W) stack; NaN where a mask is empty.
 
-    Erosion detaches lesions joined by thin bridges; the smallest eroded
-    component, the first in raster order among equal areas, is dilated back
-    once per erosion iteration with the same element and intersected with
-    the mask. A mask that erosion empties is scored on its un-eroded
+    One erosion by the 3x3 square detaches lesions joined by thin bridges;
+    the smallest 8-connected eroded component, the first in raster order
+    among equal areas, is dilated back by the same square and intersected
+    with the mask. A mask that erosion empties is scored on its un-eroded
     components, so that tiny lesions are not dropped.
 
     The stack is scored images_per_call(H, W) masks at a time, a kernel
     call's worth: one erosion, one labelling and one reconstruction per chunk.
     """
     n, height, width = stack.shape
-    element, iterations = cfg.structuring_element, cfg.erosion_iterations
     estimated = np.full(n, np.nan)
     per_chunk = images_per_call(height, width)
     for begin in range(0, n, per_chunk):
         arr = stack[begin : begin + per_chunk]
-        base = _morph(arr, element, iterations, np.min)
+        base = _morph(arr, np.min)
         fallback = ~base.any(axis=(1, 2))  # erosion emptied the mask (or it was empty)
         base[fallback] = arr[fallback]
-        paint, areas, images = _label(base, cfg.connectivity)
+        paint, areas, images = _label(base)
         # each image's smallest component, the lowest label among equal areas: first of a stable sort by (image, area)
         order = np.lexsort((areas, images))
         smallest = order[np.flatnonzero(np.diff(images[order], prepend=-1))]
         estimated[begin + images[smallest]] = areas[smallest]
-        rebuild = smallest[~fallback[images[smallest]]] if iterations else smallest[:0]
+        rebuild = smallest[~fallback[images[smallest]]]
         if len(rebuild):
             # dilate each smallest eroded component back and keep what lies in the mask
             chosen = np.zeros(len(areas) + 1, dtype=np.uint8)
             chosen[rebuild + 1] = 1
-            reconstructed = _morph(paint(chosen), element, iterations, np.max)
+            reconstructed = _morph(paint(chosen), np.max)
             reconstructed &= arr
             counts = np.count_nonzero(reconstructed.view(bool), axis=(1, 2))
             estimated[begin + images[rebuild]] = counts[images[rebuild]]
@@ -228,7 +209,7 @@ def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyRes
     """
     arr = validate_mask(masks)
     stack = arr.reshape(-1, *arr.shape[-2:])
-    inverse_area = _whole_mask_areas(stack) if cfg.regime == "whole_mask" else _smallest_lesion_areas(stack, cfg)
+    inverse_area = _whole_mask_areas(stack) if cfg.regime == "whole_mask" else _smallest_lesion_areas(stack)
     is_small = inverse_area >= cfg.threshold  # False where empty: NaN compares False
     gated = zip(inverse_area.tolist(), is_small.tolist())
     delta = np.array([raw_difficulty(a, cfg.log_base) if small else 0.0 for a, small in gated])

@@ -1,23 +1,22 @@
 """Tiny differentiable per-pixel segmentation model.
 
-Two 3x3 convolutions with same-padding (ReLU between, sigmoid head), trained
-with smoothed Dice loss. Parameters live in a single flat float64 vector so the
-federated layer can treat models as plain vectors. The backward pass is written
-out by hand and checked against finite differences in the test suite. forward
-and backward take one image or an (N, H, W) stack; backward returns the mean
-of the samples' gradients, and also takes (K, P) parameter rows, one per
-client, to train K clients' batches in one call. Both compute in float32 on a
-float32 stack (the client data's dtype) and in float64 on any other; the
+Two 3x3 convolutions with same-padding, 1 -> HIDDEN_CHANNELS = 4 -> 1 channels
+(ReLU between, sigmoid head), trained with AdamW on smoothed Dice loss. Its
+PARAM_COUNT = 77 parameters live in a single flat float64 vector so the
+federated layer can treat models as plain vectors. The backward pass is
+written out by hand and checked against finite differences in the test suite.
+forward and backward take one image or an (N, H, W) stack; backward returns
+the mean of the samples' gradients, and also takes (K, P) parameter rows, one
+per client, to train K clients' batches in one call. Both compute in float32
+on a float32 stack (the client data's dtype) and in float64 on any other; the
 parameters and the gradient stay float64 either way, as master weights do in
 mixed-precision training.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -36,61 +35,33 @@ class KernelOverflowError(ValueError):
         super().__init__(f"parameter row {row} overflows {self.dtype} in the kernel: its logits are not finite")
 
 
-@dataclass(frozen=True)
-class ArchDescriptor:
-    """Shape of the model: 1 -> hidden_channels -> 1 channels, 3x3 kernels."""
-
-    hidden_channels: int = 4
-
-    def __post_init__(self) -> None:
-        if self.hidden_channels < 1:
-            raise ValueError("hidden_channels must be >= 1")
-
-    @property
-    def param_count(self) -> int:
-        c = self.hidden_channels
-        return (9 * c + c) + (9 * c + 1)
-
-    def unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split a flat vector into views (k1 (C,3,3), b1 (C,), k2 (C,3,3), b2 ()).
-
-        (K, P) parameter rows split the same way, with a leading K axis on
-        each part.
-        """
-        c = self.hidden_channels
-        if params.ndim not in (1, 2) or params.shape[-1] != self.param_count:
-            raise ValueError(f"expected {self.param_count} parameters per row, got shape {params.shape}")
-        lead = params.shape[:-1]
-        k1 = params[..., : 9 * c].reshape(*lead, c, 3, 3)
-        b1 = params[..., 9 * c : 10 * c]
-        k2 = params[..., 10 * c : 19 * c].reshape(*lead, c, 3, 3)
-        b2 = params[..., 19 * c]
-        return k1, b1, k2, b2
+HIDDEN_CHANNELS = 4
+PARAM_COUNT = 19 * HIDDEN_CHANNELS + 1  # 77: conv1's 9C kernel entries and C biases, conv2's 9C and one bias
 
 
-def infer_arch(params: np.ndarray) -> ArchDescriptor:
-    """Recover the architecture from a parameter vector's length (19*C + 1 entries).
+def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a flat vector into views (k1 (C,3,3), b1 (C,), k2 (C,3,3), b2 ()), C = HIDDEN_CHANNELS.
 
-    For (K, P) parameter rows, the length of a row.
+    (K, P) parameter rows split the same way, with a leading K axis on each part.
     """
-    return _arch_of_length(params.shape[-1])
+    c = HIDDEN_CHANNELS
+    if params.ndim not in (1, 2) or params.shape[-1] != PARAM_COUNT:
+        raise ValueError(f"expected {PARAM_COUNT} parameters per row, got shape {params.shape}")
+    lead = params.shape[:-1]
+    k1 = params[..., : 9 * c].reshape(*lead, c, 3, 3)
+    b1 = params[..., 9 * c : 10 * c]
+    k2 = params[..., 10 * c : 19 * c].reshape(*lead, c, 3, 3)
+    b2 = params[..., 19 * c]
+    return k1, b1, k2, b2
 
 
-@functools.lru_cache(maxsize=16)
-def _arch_of_length(n: int) -> ArchDescriptor:
-    c = (n - 1) // 19
-    if c < 1 or 19 * c + 1 != n:
-        raise ValueError(f"no architecture has {n} parameters")
-    return ArchDescriptor(hidden_channels=c)
-
-
-def init_params(arch: ArchDescriptor, seed: int) -> np.ndarray:
+def init_params(seed: int) -> np.ndarray:
     """Deterministic init: kernels uniform in +-1/sqrt(fan_in), biases zero."""
     rng = substream(seed, INIT_STREAM)
-    c = arch.hidden_channels
+    c = HIDDEN_CHANNELS
     bound1 = 1.0 / np.sqrt(9.0)
     bound2 = 1.0 / np.sqrt(9.0 * c)
-    params = np.zeros(arch.param_count, dtype=np.float64)
+    params = np.zeros(PARAM_COUNT, dtype=np.float64)
     params[: 9 * c] = rng.uniform(-bound1, bound1, size=9 * c)
     params[10 * c : 19 * c] = rng.uniform(-bound2, bound2, size=9 * c)
     return params
@@ -108,7 +79,7 @@ def _as_stack(images: np.ndarray) -> np.ndarray:
 
 
 @shifts.per_shape
-def _call_views(x_role: str, n: int, height: int, width: int, groups: int, c: int, dtype: np.dtype) -> tuple:
+def _call_views(x_role: str, n: int, height: int, width: int, groups: int, dtype: np.dtype) -> tuple:
     """The work memory's views for kernel calls of one shape; backward lists what each role holds.
 
     x's shifts in `x_role`, the "nine" planes, "hidden" as (K, C, N/K*H*W), the interior of "out",
@@ -119,7 +90,8 @@ def _call_views(x_role: str, n: int, height: int, width: int, groups: int, c: in
     starts = [di * width + dj for di in range(3) for dj in range(3)][::-1]  # plane s lands at shift 8 - s
     landing = tuple((out.buffer[start : start + size], plane) for start, plane in zip(starts, nine.flat))
     x_planes = shifts.nine_planes(x_role, n, height, width, dtype, groups)
-    return x_planes, nine, shifts.WORKSPACE.array("hidden", groups, c, size // groups, dtype=dtype), out.interior, landing
+    hidden = shifts.WORKSPACE.array("hidden", groups, HIDDEN_CHANNELS, size // groups, dtype=dtype)
+    return x_planes, nine, hidden, out.interior, landing
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -188,17 +160,16 @@ def forward(params: np.ndarray, images: np.ndarray, threshold: float | None = No
     the kernel raise KernelOverflowError: a diverged model would otherwise
     score as all background, since NaN never clears a threshold.
     """
-    arch = infer_arch(params)
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite values")
     x = _as_stack(images)
     out = np.empty(x.shape, dtype=x.dtype if threshold is None else bool)
     per_call = shifts.images_per_call(*x.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = arch.unpack(params[None].astype(x.dtype, copy=False))
+        parts = unpack(params[None].astype(x.dtype, copy=False))
         for start in range(0, len(x), per_call):
             pred, chunk = out[start : start + per_call], x[start : start + per_call]
-            z2 = _forward_stack(parts, chunk, _call_views("nine", *chunk.shape, 1, arch.hidden_channels, x.dtype))
+            z2 = _forward_stack(parts, chunk, _call_views("nine", *chunk.shape, 1, x.dtype))
             _check_logits(z2, params[None])
             if threshold is None:
                 _sigmoid(z2, out=pred)
@@ -237,10 +208,9 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
                 into g2, from which g2's flipped shifts are cut
       "hidden"  z1, overwritten by a1 = relu(z1), then by dz1
       "out"     the guarded flat accumulator of z2, then prob * m
-    A call reuses the views of them kept for its shape (N, H, W, K, C, dtype).
+    A call reuses the views of them kept for its shape (N, H, W, K, dtype).
     prob and the gradient are arrays of their own.
     """
-    arch = infer_arch(params)
     x = _as_stack(images)
     rows = params.reshape(-1, params.shape[-1])
     groups = len(rows)
@@ -251,10 +221,10 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     if n % groups:
         raise ValueError(f"a stack of {n} images does not split into {groups} equal groups")
     valid = validate_mask(masks)
-    c = arch.hidden_channels
-    x_planes, nine, a1, _, _ = views = _call_views("x nine", n, height, width, groups, c, x.dtype)
+    c = HIDDEN_CHANNELS
+    x_planes, nine, a1, _, _ = views = _call_views("x nine", n, height, width, groups, x.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = arch.unpack(rows.astype(x.dtype, copy=False))
+        parts = unpack(rows.astype(x.dtype, copy=False))
         z2 = _forward_stack(parts, x, views)
         _check_logits(z2, rows)
         prob = _sigmoid(z2)
@@ -285,7 +255,7 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
         dz1 = np.matmul(k2.reshape(groups, c, 9), g2_shifts, out=a1)  # a1 is not read again
         dz1 *= active
 
-        grad = np.empty((groups, arch.param_count))
+        grad = np.empty((groups, PARAM_COUNT))
         grad[:, : 9 * c] = (dz1 @ x_planes.per_group.transpose(0, 2, 1)).reshape(groups, -1)
         grad[:, 9 * c : 10 * c] = dz1.sum(axis=2)
         grad[:, 10 * c : 19 * c] = gk2.reshape(groups, -1)
@@ -296,9 +266,8 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Hyperparameters only; AdamW's moments are rows of the round's fl.ClientState."""
+    """AdamW's hyperparameters only; its moments are rows of the round's fl.ClientState."""
 
-    kind: Literal["sgd", "adamw"] = "adamw"
     learning_rate: float = 0.0001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -306,8 +275,6 @@ class OptimizerConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sgd", "adamw"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
@@ -323,18 +290,15 @@ Moments = tuple[np.ndarray, np.ndarray]
 
 
 def optimizer_step(
-    cfg: OptimizerConfig, step: int, params: np.ndarray, grad: np.ndarray, moments: Moments | None
-) -> tuple[np.ndarray, Moments | None]:
-    """Local step `step` (from 1) of the optimizer; returns (new params, new moments), in new arrays.
+    cfg: OptimizerConfig, step: int, params: np.ndarray, grad: np.ndarray, moments: Moments
+) -> tuple[np.ndarray, Moments]:
+    """AdamW's local step `step` (from 1); returns (new params, new moments), in new arrays.
 
-    SGD: params - lr * grad, with no moments. AdamW: the moments (m, v), of
-    the parameters' shape, (P,) or (K, P), updated and bias-corrected at
-    `step`, with decoupled weight decay applied directly to the parameters.
+    The moments (m, v), of the parameters' shape, (P,) or (K, P), are updated and
+    bias-corrected at `step`; decoupled weight decay applies directly to the parameters.
     """
     if params.shape != grad.shape:
         raise ValueError(f"params shape {params.shape} != grad shape {grad.shape}")
-    if cfg.kind == "sgd":
-        return params - cfg.learning_rate * grad, None
     if moments is None:
         raise ValueError("adamw needs its moments (m, v)")
     if step < 1:

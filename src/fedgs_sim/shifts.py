@@ -54,7 +54,7 @@ WORKSPACE = Workspace()
 
 # Pixels per call that the model's kernel and blob_split's morphology fill
 # their stacks up to: four 64x64 images. The kernel's work memory holds 24
-# planes per stacked image at the default 4 hidden channels (two nine-plane
+# planes per stacked image at the model's 4 hidden channels (two nine-plane
 # shift stacks, the hidden layer and two guarded planes), and no pad cells,
 # so a call of this size keeps at most 3.148 MB of it on a float64 stack and
 # 1.574 MB on a float32 one. Morphology keeps 10 bytes of uint8 work memory

@@ -30,11 +30,10 @@ from fedgs_sim import fl
 from fedgs_sim.data import build_federation
 from fedgs_sim.harness import ResultRow
 from fedgs_sim.masks import DifficultyConfig
-from fedgs_sim.model import ArchDescriptor, init_params
+from fedgs_sim.model import init_params
 from fedgs_sim.rng import DATA_STREAM, SHUFFLE_STREAM, substream
 
 SQUARE3_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-CROSS3_OFFSETS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
 FOUR_NEIGHBORS = [(-1, 0), (1, 0), (0, -1), (0, 1)]
 EIGHT_NEIGHBORS = [o for o in SQUARE3_OFFSETS if o != (0, 0)]
 
@@ -45,30 +44,24 @@ def rasterize_disk(height: int, width: int, cy: int, cx: int, radius: float) -> 
     return (rows * rows + cols * cols <= radius * radius).astype(np.uint8)
 
 
-def shift_erode(mask: np.ndarray, offsets=SQUARE3_OFFSETS, iterations: int = 1) -> np.ndarray:
-    """Erosion by definition: a pixel survives iff every offset lands on foreground."""
-    out = mask.astype(bool)
+def shift_erode(mask: np.ndarray) -> np.ndarray:
+    """Erosion by the 3x3 square, by definition: a pixel survives iff every offset lands on foreground."""
     height, width = mask.shape
-    for _ in range(iterations):
-        padded = np.pad(out, 1, constant_values=False)
-        survives = np.ones((height, width), dtype=bool)
-        for di, dj in offsets:
-            survives &= padded[1 + di : 1 + di + height, 1 + dj : 1 + dj + width]
-        out = survives
-    return out.astype(np.uint8)
+    padded = np.pad(mask.astype(bool), 1, constant_values=False)
+    survives = np.ones((height, width), dtype=bool)
+    for di, dj in SQUARE3_OFFSETS:
+        survives &= padded[1 + di : 1 + di + height, 1 + dj : 1 + dj + width]
+    return survives.astype(np.uint8)
 
 
-def shift_dilate(mask: np.ndarray, offsets=SQUARE3_OFFSETS, iterations: int = 1) -> np.ndarray:
-    """Dilation by definition: any offset landing on foreground marks the pixel."""
-    out = mask.astype(bool)
+def shift_dilate(mask: np.ndarray) -> np.ndarray:
+    """Dilation by the 3x3 square, by definition: any offset landing on foreground marks the pixel."""
     height, width = mask.shape
-    for _ in range(iterations):
-        padded = np.pad(out, 1, constant_values=False)
-        hits = np.zeros((height, width), dtype=bool)
-        for di, dj in offsets:
-            hits |= padded[1 + di : 1 + di + height, 1 + dj : 1 + dj + width]
-        out = hits
-    return out.astype(np.uint8)
+    padded = np.pad(mask.astype(bool), 1, constant_values=False)
+    hits = np.zeros((height, width), dtype=bool)
+    for di, dj in SQUARE3_OFFSETS:
+        hits |= padded[1 + di : 1 + di + height, 1 + dj : 1 + dj + width]
+    return hits.astype(np.uint8)
 
 
 def flood_fill_components(mask: np.ndarray, neighbors=EIGHT_NEIGHBORS) -> list[set[tuple[int, int]]]:
@@ -94,9 +87,9 @@ def flood_fill_components(mask: np.ndarray, neighbors=EIGHT_NEIGHBORS) -> list[s
     return components
 
 
-def smallest_lesion_estimate(mask: np.ndarray, offsets=SQUARE3_OFFSETS, iterations: int = 1) -> int:
-    """Reference pipeline: erode, pick the smallest component, reconstruct, count."""
-    eroded = shift_erode(mask, offsets, iterations) if iterations else mask.copy()
+def smallest_lesion_estimate(mask: np.ndarray) -> int:
+    """Reference pipeline: erode, pick the smallest 8-connected component, reconstruct, count."""
+    eroded = shift_erode(mask)
     if eroded.sum() == 0:
         return min(len(c) for c in flood_fill_components(mask))
     components = flood_fill_components(eroded)
@@ -104,9 +97,7 @@ def smallest_lesion_estimate(mask: np.ndarray, offsets=SQUARE3_OFFSETS, iteratio
     comp_mask = np.zeros_like(mask)
     for i, j in smallest:
         comp_mask[i, j] = 1
-    if iterations == 0:
-        return int(comp_mask.sum())
-    reconstructed = shift_dilate(comp_mask, offsets, iterations)
+    reconstructed = shift_dilate(comp_mask)
     return int((reconstructed.astype(bool) & mask.astype(bool)).sum())
 
 
@@ -121,13 +112,8 @@ def _reference_validate(mask: np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def _reference_morph(arr: np.ndarray, element: str, iterations: int, reduce) -> np.ndarray:
-    offsets = {"square3": SQUARE3_OFFSETS, "cross3": CROSS3_OFFSETS}[element]
-    return (shift_erode if reduce is np.min else shift_dilate)(arr, offsets, iterations)
-
-
-def _reference_label(arr: np.ndarray, connectivity: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The earlier one-mask run-based labeling: (labels, [(label, area), ...])."""
+def _reference_label(arr: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The earlier one-mask run-based 8-connected labeling: (labels, [(label, area), ...])."""
     height, width = arr.shape
     stride = width + 2  # one zero column on each side keeps every run inside its row
     padded = np.zeros((height, stride), dtype=np.uint8)
@@ -135,10 +121,9 @@ def _reference_label(arr: np.ndarray, connectivity: int) -> tuple[np.ndarray, li
     flat = padded.reshape(-1)
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     starts, ends = changes[0::2], changes[1::2]  # flat positions; ends are one past a run
-    # the runs of the row above that touch run r are the contiguous range first[r]:stop[r]
-    reach = connectivity == 8
-    first = np.searchsorted(ends, starts - (stride + reach), side="right").tolist()
-    stop = np.searchsorted(starts, ends - (stride - reach), side="left").tolist()
+    # the runs of the row above that touch run r, diagonals included, are the contiguous range first[r]:stop[r]
+    first = np.searchsorted(ends, starts - (stride + 1), side="right").tolist()
+    stop = np.searchsorted(starts, ends - (stride - 1), side="left").tolist()
     parent = list(range(len(first)))
     for run in range(len(parent)):
         for touched in range(first[run], stop[run]):
@@ -177,18 +162,18 @@ def reference_smallest_lesion_inverse_area(mask: np.ndarray, cfg: DifficultyConf
     if arr.sum() == 0:
         return None
 
-    eroded = _reference_morph(arr, cfg.structuring_element, cfg.erosion_iterations, np.min)
+    eroded = shift_erode(arr)
     use_fallback = eroded.sum() == 0
     base = arr if use_fallback else eroded
 
-    labels, component_areas = _reference_label(base, cfg.connectivity)
+    labels, component_areas = _reference_label(base)
     smallest_label, smallest_area = min(component_areas, key=lambda la: la[1])
 
-    if use_fallback or cfg.erosion_iterations == 0:
+    if use_fallback:
         estimated_area = smallest_area
     else:
         component = (labels == smallest_label).astype(np.uint8)
-        reconstructed = _reference_morph(component, cfg.structuring_element, cfg.erosion_iterations, np.max)
+        reconstructed = shift_dilate(component)
         estimated_area = int((reconstructed & arr).sum())
     return arr.size / estimated_area
 
@@ -385,7 +370,7 @@ def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
 
     Each client starts from the global parameters with zero moments and, per
     epoch, takes its batches of at most B samples from rngs[k].permutation.
-    Per batch: the reference gradient, SGD or AdamW written out, the
+    Per batch: the reference gradient, AdamW written out, the
     decrement (before - after), and eta = 1 + (2/N) * (sum of the batch's
     per-mask reference_difficulty deltas, left to right) under fedgs, 1
     under fedavg. FedGS
@@ -407,16 +392,13 @@ def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
             for start in range(0, len(order), size):
                 batch = order[start : start + size]
                 grad = reference_backward(params, dataset.images[batch], dataset.masks[batch])
-                if opt.kind == "sgd":
-                    new_params = params - opt.learning_rate * grad
-                else:
-                    t += 1
-                    m = opt.beta1 * m + (1.0 - opt.beta1) * grad
-                    v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-                    m_hat = m / (1.0 - opt.beta1**t)
-                    v_hat = v / (1.0 - opt.beta2**t)
-                    update = m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * params
-                    new_params = params - opt.learning_rate * update
+                t += 1
+                m = opt.beta1 * m + (1.0 - opt.beta1) * grad
+                v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+                m_hat = m / (1.0 - opt.beta1**t)
+                v_hat = v / (1.0 - opt.beta2**t)
+                update = m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * params
+                new_params = params - opt.learning_rate * update
                 eta = 1.0
                 if strategy.kind == "fedgs":
                     total = 0.0
@@ -478,7 +460,7 @@ def reference_experiment(cfg) -> list[ResultRow]:
             tags.append("empty" if inverse_area is None else "small" if is_small else "large")
         for kind in cfg.strategies:
             strategy = cfg.strategy(kind)
-            params = init_params(ArchDescriptor(cfg.hidden_channels), seed)
+            params = init_params(seed)
             for round_index in range(cfg.rounds):
                 streams = [substream(seed, SHUFFLE_STREAM, round_index, c) for c in range(len(federation.clients))]
                 params, steps_total, mean_eta, max_eta = reference_round(

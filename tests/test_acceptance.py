@@ -19,7 +19,7 @@ from fedgs_sim.fl import StrategyConfig, run_client_round, run_round, sample_del
 from fedgs_sim.harness import emit_difficulty_curve, fedgs_overhead, run_experiment
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
-from fedgs_sim.model import ArchDescriptor, OptimizerConfig, backward, forward, init_params
+from fedgs_sim.model import OptimizerConfig, backward, forward, init_params
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 from oracles import TrajectoryRecorder, rasterize_disk, reference_dice_loss
 from test_model import smooth_fixtures
@@ -60,7 +60,7 @@ def desk_spec(**kwargs) -> ClientDataSpec:
 # tau=7 exactly separates the desk_spec regimes (small samples have inverse
 # area >= 256/26, large ones <= 256/49)
 DESK_DIFFICULTY = DifficultyConfig(log_base=50.0, threshold=7.0, regime="whole_mask")
-ADAMW = OptimizerConfig(kind="adamw", learning_rate=0.003)
+ADAMW = OptimizerConfig(learning_rate=0.003)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def test_criterion_1_fedavg_reduction_equivalence():
     start = time.perf_counter()
     specs = [desk_spec(small_fraction=0.0, seed_offset=o) for o in (1, 2, 3)]
     datasets = [generate_client_dataset(s, 77) for s in specs]
-    params = init_params(ArchDescriptor(), 77)
+    params = init_params(77)
     fedgs = StrategyConfig(kind="fedgs", batch_size=4, local_epochs=1, difficulty=DESK_DIFFICULTY)
     deltas = [sample_deltas(dataset, fedgs) for dataset in datasets]
     fedgs_global = params
@@ -114,7 +114,7 @@ def test_criterion_2_local_trajectory_invariance(monkeypatch):
     for seed in (1, 2, 3):
         specs = [desk_spec(small_fraction=0.5, seed_offset=o) for o in (1, 2)]
         datasets = [generate_client_dataset(s, seed) for s in specs]
-        global_params = init_params(ArchDescriptor(), seed)
+        global_params = init_params(seed)
         for round_index in range(3):
             for client_index, dataset in enumerate(datasets):
                 trajectories = {}
@@ -160,11 +160,10 @@ def test_criterion_3_gradient_oracle():
     """Analytic backward vs central differences: rel err < 1e-4 off-saturation."""
     start = time.perf_counter()
     rng = np.random.default_rng(123)
-    arch = ArchDescriptor()
     h = 1e-5
     worst = 0.0
     checked = 0
-    for params, image, mask in smooth_fixtures(rng, arch, count=5, h=h):
+    for params, image, mask in smooth_fixtures(rng, count=5, h=h):
         grad = backward(params, image, mask)
         for i in rng.choice(params.size, size=10, replace=False):
             plus, minus = params.copy(), params.copy()
@@ -367,11 +366,11 @@ def test_criterion_9_metric_properties():
     groups = sample_groups(samples, cfg)
     assert len(groups) == len(samples) and set(groups) == {"empty", "small", "large"}
     assert groups[-2:] == ["empty", "empty"] and groups.count("empty") == 2
-    rep = evaluate(init_params(ArchDescriptor(), 1), samples, groups)
+    rep = evaluate(init_params(1), samples, groups)
     assert 0.0 <= rep.dice <= 1.0
     per_sample = []
     for image, mask in zip(samples.images[:-2], samples.masks[:-2]):
-        pred = (forward(init_params(ArchDescriptor(), 1), image) >= 0.5).astype(np.uint8)
+        pred = (forward(init_params(1), image) >= 0.5).astype(np.uint8)
         per_sample.append(dice_score(pred, mask))
     # the overall mean lies inside the per-sample hull (empties score 0 or 1)
     assert min(per_sample + [0.0]) <= rep.dice <= max(per_sample + [1.0])

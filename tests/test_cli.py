@@ -66,7 +66,6 @@ def test_gen_data_command(tmp_path):
 _BAD_SETTINGS = [
     ("experiment", "rounds = 0", "rounds must be >= 1"),
     ("strategy", "batch_size = 0", "batch_size must be >= 1"),
-    ("model", "hidden_channels = 0", "hidden_channels must be >= 1"),
     ("optimizer", "beta1 = 1.0", "beta1 must lie in [0, 1), got 1.0"),
     ("optimizer", "beta1 = nan", "beta1 must lie in [0, 1), got nan"),
     ("optimizer", "beta1 = 2.0", "beta1 must lie in [0, 1), got 2.0"),
@@ -115,6 +114,40 @@ def test_unreachable_fedgs_threshold_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+# default.ini's 32x32 training disks have inverse areas far below 500, and the
+# 20x20 test center's at most 400: within the parse-time bound, no mask is small
+UNREACHED_THRESHOLD = "[experiment]\nseeds = 1\nrounds = 1\n{}\n[difficulty]\nthreshold = 500\n\n[test]\nimage_size = 20 20\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (UNREACHED_THRESHOLD.format(""), "at threshold 500.0, every training delta is 0, so fedgs would run as fedavg"),
+        # the test center draws large disks only, which never reach 13 at 32x32
+        (
+            "[experiment]\nseeds = 1\nrounds = 1\n\n[test]\nsmall_fraction = 0.0\n",
+            "at threshold 13.0, no test sample is small, so dice_s would be blank in every row",
+        ),
+    ],
+    ids=["no_small_training_mask", "no_small_test_sample"],
+)
+def test_fedgs_that_cannot_act_exits_1_before_its_first_round(tmp_path, capsys, text, reason):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed 1: {reason}\n"
+    assert not (out / "results.csv").exists()
+
+
+def test_fedavg_alone_runs_where_fedgs_cannot_act(tmp_path, capsys):
+    cfg_path = tmp_path / "fedavg.ini"
+    cfg_path.write_text(UNREACHED_THRESHOLD.format("strategies = fedavg\n"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 2 + 1
+
+
 def test_unknown_key_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nlr_decay = 1\n")
@@ -143,7 +176,7 @@ def test_diverged_run_exits_1_with_context(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "tiny.ini"
     cfg_path.write_text(TINY_CONFIG)
     real_init = harness.init_params
-    monkeypatch.setattr(harness, "init_params", lambda arch, seed: real_init(arch, seed) * np.nan)
+    monkeypatch.setattr(harness, "init_params", lambda seed: real_init(seed) * np.nan)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "seed 1, strategy fedgs, round 0: client 0: non-finite gradient" in err

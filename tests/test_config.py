@@ -53,15 +53,26 @@ def test_rounds_zero_is_validation_error(tmp_path):
 
 
 def test_unknown_key_is_parse_error_naming_the_key(tmp_path):
-    path = write(tmp_path, "[optimizer]\nlr_decay = 0.9\n")
-    with pytest.raises(ValueError, match="lr_decay"):
-        parse_config(path)
+    # kind, erosion_iterations, structuring_element and connectivity name no
+    # field: a config that sets one fails instead of ignoring it
+    for section, key in [
+        ("optimizer", "lr_decay"),
+        ("optimizer", "kind"),
+        ("difficulty", "erosion_iterations"),
+        ("difficulty", "structuring_element"),
+        ("difficulty", "connectivity"),
+    ]:
+        path = write(tmp_path, f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ValueError, match=rf"^unknown key '{key}' in section \[{section}\]$"):
+            parse_config(path)
 
 
 def test_unknown_section_is_parse_error(tmp_path):
-    path = write(tmp_path, "[scheduler]\nkind = cosine\n")
-    with pytest.raises(ValueError, match="scheduler"):
-        parse_config(path)
+    # the model's width is a constant, so [model] names no fields either
+    for section, setting in [("scheduler", "kind = cosine"), ("model", "hidden_channels = 4")]:
+        path = write(tmp_path, f"[{section}]\n{setting}\n")
+        with pytest.raises(ValueError, match=rf"^unknown section \[{section}\]$"):
+            parse_config(path)
 
 
 @pytest.mark.parametrize(
@@ -175,13 +186,11 @@ def test_difficulty_values_flow_through(tmp_path):
 log_base = 1000.0
 threshold = 1000.0
 regime = blob_split
-connectivity = 4
 """
     cfg = parse_config(write(tmp_path, text))
     assert cfg.difficulty.log_base == 1000.0
     assert cfg.difficulty.threshold == 1000.0
     assert cfg.difficulty.regime == "blob_split"
-    assert cfg.difficulty.connectivity == 4
 
 
 def test_render_is_inverse_of_parse(tmp_path):
@@ -206,7 +215,6 @@ def test_direct_construction_validates():
             strategies=base.strategies,
             batch_size=base.batch_size,
             local_epochs=base.local_epochs,
-            hidden_channels=base.hidden_channels,
             optimizer=base.optimizer,
             difficulty=base.difficulty,
             client_specs=base.client_specs,
@@ -219,7 +227,6 @@ def test_direct_construction_validates():
         ("[experiment]\nseeds = 1 1\n", "duplicate seeds"),
         ("[experiment]\nseeds = 3, 1, 3\n", "duplicate seeds"),
         ("[experiment]\nstrategies = fedgs fedgs\n", "duplicate strategies"),
-        ("[model]\nhidden_channels = 0\n", "hidden_channels"),
         ("[strategy]\nbatch_size = 0\n", "batch_size"),
         ("[strategy]\nlocal_epochs = 0\n", "local_epochs"),
     ],
@@ -293,7 +300,7 @@ def _parsed_value(cfg, section, key):
         ("optimizer", "learning_rate", "1", 1.0),
         ("optimizer", "eps", "1e-08", 1e-08),
         ("optimizer", "beta1", "high", ValueError),
-        ("difficulty", "erosion_iterations", "2", 2),
+        ("difficulty", "log_base", "30", 30.0),
         ("difficulty", "regime", "blob_split", "blob_split"),
         ("client 1", "image_size", "20 24", (20, 24)),
         ("client 1", "image_size", "32,32", ValueError),
@@ -359,9 +366,7 @@ def _experiment_configs(draw):
         strategies=strategies,
         batch_size=draw(st.integers(1, 64)),
         local_epochs=draw(st.integers(1, 10)),
-        hidden_channels=draw(st.integers(1, 16)),
         optimizer=OptimizerConfig(
-            kind=draw(st.sampled_from(["sgd", "adamw"])),
             learning_rate=draw(_positive),
             beta1=draw(_unit_interval),
             beta2=draw(_unit_interval),
@@ -372,9 +377,6 @@ def _experiment_configs(draw):
             log_base=draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
             threshold=draw(st.floats(min_value=1.0, max_value=reachable)),
             regime=draw(st.sampled_from(["whole_mask", "blob_split"])),
-            erosion_iterations=draw(st.integers(0, 5)),
-            structuring_element=draw(st.sampled_from(["square3", "cross3"])),
-            connectivity=draw(st.sampled_from([4, 8])),
         ),
         client_specs=client_specs,
         out_dir=draw(st.text(alphabet="abcxyz0123456789_-./", min_size=1, max_size=20)),

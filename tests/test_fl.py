@@ -20,11 +20,10 @@ from fedgs_sim.fl import (
     sample_deltas,
 )
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
-from fedgs_sim.model import OptimizerConfig, backward, init_params, optimizer_step, ArchDescriptor
+from fedgs_sim.model import OptimizerConfig, backward, init_params, optimizer_step
 from fedgs_sim.rng import SHUFFLE_STREAM, substream
 
-SGD = OptimizerConfig(kind="sgd", learning_rate=0.01)
-ADAMW = OptimizerConfig(kind="adamw", learning_rate=0.001)
+ADAMW = OptimizerConfig(learning_rate=0.001)
 
 # 32x32 grids: tau=13 separates small samples (inverse area >= ~17) from
 # large ones (<= ~9.1) exactly, given the radius regimes below
@@ -52,7 +51,7 @@ def no_kernel_call(*args):
     raise AssertionError("backward ran")
 
 
-def plan_state(params, n_clients, optimizer_cfg=SGD):
+def plan_state(params, n_clients, optimizer_cfg=ADAMW):
     """A cohort of n_clients whose plan is one batch of samples 0-3 each, with eta 1."""
     return ClientState.start(params, optimizer_cfg, [[np.arange(4)]] * n_clients, [[1.0]] * n_clients)
 
@@ -69,7 +68,7 @@ def solo_step(params, dataset, idx, strategy):
     """
     deltas = sample_deltas(dataset, strategy)
     eta = 1.0 if deltas is None else batch_scaling_factor(deltas[idx])
-    state = local_iteration(ClientState.start(params, SGD, [[idx]], [[eta]]), [dataset], 1)
+    state = local_iteration(ClientState.start(params, ADAMW, [[idx]], [[eta]]), [dataset], 1)
     return SimpleNamespace(
         params=state.params[0],
         cumulative_gradient=state.cumulative_gradient[0],
@@ -80,7 +79,7 @@ def solo_step(params, dataset, idx, strategy):
 
 class TestLocalIteration:
     def test_fedavg_accumulates_exact_decrement(self):
-        params = init_params(ArchDescriptor(), 3)
+        params = init_params(3)
         batch = make_dataset(n=4)
         state = solo_step(params, batch, np.arange(4), StrategyConfig(kind="fedavg", batch_size=4))
         assert np.array_equal(state.cumulative_gradient, params - state.params)
@@ -88,7 +87,7 @@ class TestLocalIteration:
         assert np.array_equal(state.etas, [1.0])
 
     def test_fedgs_scales_only_the_cumulative_gradient(self):
-        params = init_params(ArchDescriptor(), 4)
+        params = init_params(4)
         batch = make_dataset(n=4, small_fraction=1.0)
         fedgs = solo_step(
             params,
@@ -106,7 +105,7 @@ class TestLocalIteration:
     def test_eta_linearity_in_the_decrement(self):
         # replacing eta=1 by eta>1 changes the accumulated entry by exactly
         # (eta - 1) * decrement
-        params = init_params(ArchDescriptor(), 5)
+        params = init_params(5)
         batch = make_dataset(n=4, small_fraction=1.0)
         fedgs = solo_step(
             params, batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
@@ -122,7 +121,7 @@ class TestLocalIteration:
         )
 
     def test_large_only_batch_has_eta_one(self):
-        params = init_params(ArchDescriptor(), 6)
+        params = init_params(6)
         batch = make_dataset(n=4, small_fraction=0.0)
         state = solo_step(
             params, batch, np.arange(4), StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
@@ -135,7 +134,7 @@ class TestLocalIteration:
         monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
         batch = make_dataset(n=4)
         idx = np.arange(4)
-        state = ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx]], [[1.0], [1.0, 1.0]])
+        state = ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx]], [[1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match=f"^no client has a local step {step}$"):
             local_iteration(state, [batch] * 2, step)
 
@@ -150,23 +149,23 @@ class TestClientState:
         # client 0 plans one batch and client 1 two
         idx = np.arange(4)
         with pytest.raises(ValueError, match="need one finite eta per batch"):
-            ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx]], etas)
+            ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx]], etas)
 
     @pytest.mark.parametrize("bad", [None, np.nan, np.inf])
     def test_start_rejects_an_eta_that_is_not_a_finite_float(self, bad):
         # None would become a NaN eta and poison the client's cumulative gradient
         idx = np.arange(4)
         with pytest.raises(ValueError, match="need one finite eta per batch"):
-            ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx]], [[1.0], [1.0, bad]])
+            ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx]], [[1.0], [1.0, bad]])
 
     def test_start_rejects_an_empty_batch(self):
         idx = np.arange(4)
         with pytest.raises(ValueError, match="batch must be non-empty"):
-            ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx[:0]]], [[1.0], [1.0, 1.0]])
+            ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx[:0]]], [[1.0], [1.0, 1.0]])
 
     def test_holds_the_plan_with_etas_as_float64_arrays(self):
         idx = np.arange(4)
-        state = ClientState.start(init_params(ArchDescriptor(), 0), SGD, [[idx], [idx, idx[:2]]], [[1.0], [1.5, 1.0]])
+        state = ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx[:2]]], [[1.0], [1.5, 1.0]])
         assert state.steps.tolist() == [1, 2]
         assert [len(batch) for batch in state.batches[1]] == [4, 2]
         assert all(etas.dtype == np.float64 for etas in state.etas)
@@ -176,13 +175,13 @@ class TestClientState:
 class TestRunClientRound:
     def test_step_count(self):
         # 10 samples, batches of 4 -> 3 batches per epoch, 5 epochs -> 15
-        params = init_params(ArchDescriptor(), 1)
+        params = init_params(1)
         dataset = make_dataset(n=10)
         result = run_client_round(
             params,
             [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=5),
-            SGD,
+            ADAMW,
             [substream(0, SHUFFLE_STREAM, 0, 0)],
             [None],
         )
@@ -190,7 +189,7 @@ class TestRunClientRound:
         assert len(result.batches[0]) == len(result.etas[0]) == 15
 
     def test_deterministic_given_stream(self):
-        params = init_params(ArchDescriptor(), 2)
+        params = init_params(2)
         dataset = make_dataset(n=10)
         strategy = StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2)
         a = run_client_round(params, [dataset], strategy, ADAMW, [substream(5, SHUFFLE_STREAM, 0, 0)], [None])
@@ -198,46 +197,47 @@ class TestRunClientRound:
         assert np.array_equal(a.cumulative_gradient[0], b.cumulative_gradient[0])
         assert np.array_equal(a.params[0], b.params[0])
 
-    def test_single_sample_single_epoch_sgd(self):
-        # one step: cumulative gradient is exactly lr * mean-gradient
-        params = init_params(ArchDescriptor(), 7)
+    def test_single_sample_single_epoch_telescopes(self):
+        # one step under eta 1: the cumulative gradient is exactly global - final,
+        # and final is AdamW's first step on the sample's gradient
+        params = init_params(7)
         dataset = make_dataset(n=1)
         result = run_client_round(
             params,
             [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=1),
-            SGD,
+            ADAMW,
             [substream(0, SHUFFLE_STREAM, 0, 0)],
             [None],
         )
+        assert np.array_equal(result.cumulative_gradient[0], params - result.params[0])
         grad = backward(params, dataset.images[0], dataset.masks[0])
-        # the round-trip through params - (params - lr*g) rounds at ulp(params)
-        assert np.allclose(result.cumulative_gradient[0], SGD.learning_rate * grad, rtol=0, atol=1e-15)
+        expected, _ = optimizer_step(ADAMW, 1, params, grad, (np.zeros_like(params), np.zeros_like(params)))
+        assert np.array_equal(result.params[0], expected)
 
     def test_telescoping_identity_with_eta_one(self):
-        # sum of decrements collapses to (global - final), any optimizer
-        params = init_params(ArchDescriptor(), 8)
+        # sum of decrements collapses to (global - final)
+        params = init_params(8)
         dataset = make_dataset(n=10)
-        for opt in (SGD, ADAMW):
-            result = run_client_round(
-                params,
-                [dataset],
-                StrategyConfig(kind="fedavg", batch_size=4, local_epochs=3),
-                opt,
-                [substream(1, SHUFFLE_STREAM, 0, 0)],
-                [None],
-            )
-            assert np.allclose(result.cumulative_gradient[0], params - result.params[0], rtol=0, atol=1e-13)
+        result = run_client_round(
+            params,
+            [dataset],
+            StrategyConfig(kind="fedavg", batch_size=4, local_epochs=3),
+            ADAMW,
+            [substream(1, SHUFFLE_STREAM, 0, 0)],
+            [None],
+        )
+        assert np.allclose(result.cumulative_gradient[0], params - result.params[0], rtol=0, atol=1e-13)
 
     def test_trajectory_recording(self, monkeypatch):
         recorder = TrajectoryRecorder(monkeypatch)
-        params = init_params(ArchDescriptor(), 9)
+        params = init_params(9)
         dataset = make_dataset(n=8)
         result = run_client_round(
             params,
             [dataset],
             StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2),
-            SGD,
+            ADAMW,
             [substream(2, SHUFFLE_STREAM, 0, 0)],
             [None],
         )
@@ -247,7 +247,7 @@ class TestRunClientRound:
 
     def test_etas_read_each_batch_deltas_in_shuffled_order(self):
         # 7 samples, batches of 3: the last batch of each epoch holds one sample
-        params = init_params(ArchDescriptor(), 10)
+        params = init_params(10)
         dataset = make_dataset(n=7, small_fraction=0.5, offset=4)
         assert any(dataset.is_small)
         strategy = StrategyConfig(kind="fedgs", batch_size=3, local_epochs=2, difficulty=DIFFICULTY)
@@ -268,14 +268,14 @@ class TestRunClientRound:
         assert result.etas[0].tolist() == expected
 
     def test_rejects_deltas_of_another_length(self):
-        params = init_params(ArchDescriptor(), 0)
+        params = init_params(0)
         dataset = make_dataset(n=4)
         strategy = StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
         message = r"client 0: fedgs needs a 1-D array of 4 deltas, got ndarray of shape \(3,\)"
         with pytest.raises(ValueError, match=message):
-            run_client_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [np.zeros(3)])
+            run_client_round(params, [dataset], strategy, ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], [np.zeros(3)])
         with pytest.raises(ValueError, match="one delta list per client"):
-            run_round(params, [dataset], strategy, SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], client_deltas=[])
+            run_round(params, [dataset], strategy, ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], client_deltas=[])
 
     @pytest.mark.parametrize(
         "strategy, deltas, message",
@@ -287,13 +287,13 @@ class TestRunClientRound:
     )
     def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas, message):
         monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
-        params = init_params(ArchDescriptor(), 0)
+        params = init_params(0)
         dataset = make_dataset(n=4)
         # alone, and as client 1 of a cohort whose client 0 is well formed
         for cohort in ([deltas], [sample_deltas(dataset, strategy), deltas]):
             streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(len(cohort))]
             with pytest.raises(ValueError, match=f"client {len(cohort) - 1}: {message}"):
-                run_client_round(params, [dataset] * len(cohort), strategy, SGD, streams, cohort)
+                run_client_round(params, [dataset] * len(cohort), strategy, ADAMW, streams, cohort)
 
     @pytest.mark.parametrize("deltas", [[0.0] * 4, np.zeros((4, 1))], ids=["list", "column"])
     def test_rejects_deltas_that_are_not_a_1d_array_before_any_kernel_call(self, monkeypatch, deltas):
@@ -304,7 +304,7 @@ class TestRunClientRound:
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(2)]
         with pytest.raises(ValueError, match="client 1: fedgs needs a 1-D array of 4 deltas"):
             run_client_round(
-                init_params(ArchDescriptor(), 0), [dataset] * 2, strategy, SGD, streams, [np.zeros(4), deltas]
+                init_params(0), [dataset] * 2, strategy, ADAMW, streams, [np.zeros(4), deltas]
             )
 
     @pytest.mark.parametrize("bad", [1.0, -0.1, np.nan])
@@ -312,9 +312,9 @@ class TestRunClientRound:
         monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
         strategy = StrategyConfig(kind="fedgs", batch_size=2, difficulty=DIFFICULTY)
         deltas = np.array([0.0, 0.5, bad, 0.0])
-        params, stream = init_params(ArchDescriptor(), 0), substream(0, SHUFFLE_STREAM, 0, 0)
+        params, stream = init_params(0), substream(0, SHUFFLE_STREAM, 0, 0)
         with pytest.raises(ValueError, match="outside"):
-            run_client_round(params, [make_dataset(n=4)], strategy, SGD, [stream], [deltas])
+            run_client_round(params, [make_dataset(n=4)], strategy, ADAMW, [stream], [deltas])
 
     def test_scheduled_batches_hold_one_to_batch_size_samples(self, monkeypatch):
         # the step takes its batches from the plan as given: the schedule is what bounds them
@@ -329,7 +329,7 @@ class TestRunClientRound:
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
         for batch_size in (1, 2, 3, 4):
             strategy = StrategyConfig(kind="fedavg", batch_size=batch_size, local_epochs=2)
-            state = run_client_round(init_params(ArchDescriptor(), 0), datasets, strategy, SGD, streams, [None] * 4)
+            state = run_client_round(init_params(0), datasets, strategy, ADAMW, streams, [None] * 4)
             sizes = [[len(batch) for batch in batches] for batches in state.batches]
             assert all(1 <= size <= batch_size for client in sizes for size in client)
             # the kernel saw exactly the planned samples
@@ -352,7 +352,7 @@ class TestLockstep:
     def solo_and_cohort(monkeypatch, datasets, strategy, optimizer_cfg, seed):
         """The cohort's round state, after asserting it bitwise equal to each client's solo run."""
         recorder = TrajectoryRecorder(monkeypatch)
-        params = init_params(ArchDescriptor(), seed)
+        params = init_params(seed)
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(datasets))]
         cohort = run_client_round(params, datasets, strategy, optimizer_cfg, streams(), deltas_of(datasets, strategy))
         trajectories = recorder.take()
@@ -396,11 +396,6 @@ class TestLockstep:
         cohort_calls = [(shape[0], n) for shape, n in calls[: sum(map(len, per_step))]]
         assert cohort_calls == [call for step in per_step for call in step]
 
-    def test_sgd_cohort_matches_solo_runs(self, monkeypatch):
-        datasets = [make_dataset(n=n, offset=c + 1) for c, n in enumerate((5, 8))]
-        strategy = StrategyConfig(kind="fedavg", batch_size=4, local_epochs=2)
-        self.solo_and_cohort(monkeypatch, datasets, strategy, SGD, seed=6)
-
     def test_divergence_names_the_diverging_client(self, monkeypatch):
         def poisoned_step(cfg, step, params, grad, moments):
             params = params.copy()
@@ -412,14 +407,14 @@ class TestLockstep:
         streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(3)]
         with pytest.raises(DivergenceError, match=r"^client 1: non-finite local parameters at local step 1$"):
             run_client_round(
-                init_params(ArchDescriptor(), 0), datasets, StrategyConfig(kind="fedavg"), SGD, streams, [None] * 3
+                init_params(0), datasets, StrategyConfig(kind="fedavg"), ADAMW, streams, [None] * 3
             )
 
     def test_adamw_corrects_each_client_at_its_lockstep_step(self):
         # client 0 plans two batches and client 1 one: step 1 is AdamW's step
         # 1 for both, so equal starts and batches give equal rows, and step 2
         # moves client 0 alone, bias-corrected at step 2
-        params = init_params(ArchDescriptor(), 0)
+        params = init_params(0)
         batch = make_dataset(n=4)
         idx = np.arange(4)
         state = ClientState.start(params, ADAMW, [[idx, idx], [idx]], [[1.0, 1.0], [1.0]])
@@ -515,7 +510,7 @@ class TestAggregation:
 
 class TestRunRound:
     def test_single_client_both_strategies_take_its_params(self):
-        params = init_params(ArchDescriptor(), 11)
+        params = init_params(11)
         dataset = make_dataset(n=8)
         for kind in ("fedgs", "fedavg"):
             strategy = StrategyConfig(
@@ -523,15 +518,15 @@ class TestRunRound:
             )
             stream = substream(3, SHUFFLE_STREAM, 0, 0)
             deltas = deltas_of([dataset], strategy)
-            new_global, stats = run_round(params, [dataset], strategy, SGD, [stream], deltas)
-            reference = run_client_round(params, [dataset], strategy, SGD, [substream(3, SHUFFLE_STREAM, 0, 0)], deltas)
+            new_global, stats = run_round(params, [dataset], strategy, ADAMW, [stream], deltas)
+            reference = run_client_round(params, [dataset], strategy, ADAMW, [substream(3, SHUFFLE_STREAM, 0, 0)], deltas)
             atol = 0.0 if kind == "fedavg" else 1e-15
             assert np.allclose(new_global, reference.params[0], rtol=0, atol=atol)
             assert stats.steps_total == reference.steps[0]
 
     def test_fedgs_equals_fedavg_on_all_large_data(self):
         # eta is identically 1, dataset sizes match: the strategies coincide
-        params = init_params(ArchDescriptor(), 12)
+        params = init_params(12)
         datasets = [make_dataset(n=8, offset=o) for o in (1, 2, 3)]
         fedgs = StrategyConfig(kind="fedgs", batch_size=4, local_epochs=1, difficulty=DIFFICULTY)
         fedgs_global = params
@@ -553,9 +548,9 @@ class TestRunRound:
     def test_zero_learning_progress_is_a_fixed_point(self):
         # lr=0 freezes every client, so all decrements vanish and the global
         # parameters pass through both aggregation paths unchanged
-        params = init_params(ArchDescriptor(), 13)
+        params = init_params(13)
         dataset = make_dataset(n=4)
-        frozen = OptimizerConfig(kind="sgd", learning_rate=1e-300)
+        frozen = OptimizerConfig(learning_rate=1e-300)
         for kind in ("fedgs", "fedavg"):
             strategy = StrategyConfig(
                 kind=kind, batch_size=4, local_epochs=1, difficulty=DIFFICULTY if kind == "fedgs" else None
@@ -565,7 +560,7 @@ class TestRunRound:
             assert np.allclose(new_global, params, rtol=0, atol=1e-15)
 
     def test_nan_global_params_raise_naming_the_client(self):
-        params = init_params(ArchDescriptor(), 14)
+        params = init_params(14)
         params[5] = np.nan
         datasets = [make_dataset(n=4, offset=o) for o in (1, 2)]
         with pytest.raises(DivergenceError, match=r"client 0: non-finite gradient at local step 1"):
@@ -573,7 +568,7 @@ class TestRunRound:
                 params,
                 datasets,
                 StrategyConfig(kind="fedavg", batch_size=4),
-                SGD,
+                ADAMW,
                 [substream(0, SHUFFLE_STREAM, 0, c) for c in range(2)],
                 [None] * 2,
             )
@@ -582,14 +577,14 @@ class TestRunRound:
         # client images are float32, and 1e39 has no float32 value: it casts
         # to inf, and the kernel's logits are not finite
         message = "local parameters overflow float32 in the kernel at local step 1"
-        params = init_params(ArchDescriptor(), 17)
+        params = init_params(17)
         params[0] = 1e39
         with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
             run_round(
-                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
             )
         # in a cohort
-        state = plan_state(init_params(ArchDescriptor(), 17), 3)
+        state = plan_state(init_params(17), 3)
         state.params[1, 4] = -1e39
         batch = make_dataset(n=4)
         with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
@@ -598,12 +593,12 @@ class TestRunRound:
     def test_parameters_that_overflow_inside_the_kernel_raise_naming_the_client(self):
         # far inside float32's range, but the float32 kernel's logits overflow
         message = "local parameters overflow float32 in the kernel at local step 1"
-        params = init_params(ArchDescriptor(), 17) * 1e20
+        params = init_params(17) * 1e20
         with pytest.raises(DivergenceError, match=rf"^client 0: {message}$"):
             run_round(
-                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
             )
-        state = plan_state(init_params(ArchDescriptor(), 17), 3)
+        state = plan_state(init_params(17), 3)
         state.params[1] *= 1e20
         batch = make_dataset(n=4)
         with pytest.raises(DivergenceError, match=rf"^client 1: {message}$"):
@@ -614,18 +609,18 @@ class TestRunRound:
             return params * np.nan, moments
 
         monkeypatch.setattr("fedgs_sim.fl.optimizer_step", poisoned_step)
-        params = init_params(ArchDescriptor(), 15)
+        params = init_params(15)
         with pytest.raises(DivergenceError, match=r"client 0: non-finite local parameters at local step 1"):
             run_round(
-                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
             )
 
     def test_non_finite_aggregate_raises(self, monkeypatch):
         monkeypatch.setattr("fedgs_sim.fl.aggregate_fedavg", lambda client_params, weights: client_params[0] * np.inf)
-        params = init_params(ArchDescriptor(), 16)
+        params = init_params(16)
         with pytest.raises(DivergenceError, match="non-finite aggregate"):
             run_round(
-                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), SGD, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
+                params, [make_dataset(n=4)], StrategyConfig(kind="fedavg"), ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], [None]
             )
 
     @settings(max_examples=20, deadline=None)
@@ -640,7 +635,7 @@ class TestRunRound:
     def test_unit_eta_fedgs_is_the_step_weighted_mean(self, sizes, batch_size, epochs, seed):
         # FedGS weighs clients by local steps, FedAvg by samples; with eta = 1
         # they agree only when steps are proportional to sample counts
-        params = init_params(ArchDescriptor(), seed)
+        params = init_params(seed)
         datasets = [make_dataset(n=n, offset=c + 1, seed=seed) for c, n in enumerate(sizes)]
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(sizes))]
         fedgs = StrategyConfig(kind="fedgs", batch_size=batch_size, local_epochs=epochs, difficulty=DIFFICULTY)
@@ -659,9 +654,9 @@ class TestRunRound:
             assert np.abs(fedgs_global - fedavg_global).max() < 1e-12
 
     def test_requires_matching_stream_count(self):
-        params = init_params(ArchDescriptor(), 0)
+        params = init_params(0)
         with pytest.raises(ValueError):
-            run_round(params, [make_dataset()], StrategyConfig(kind="fedavg"), SGD, [], [None])
+            run_round(params, [make_dataset()], StrategyConfig(kind="fedavg"), ADAMW, [], [None])
 
 
 class TestReferenceRound:
@@ -676,7 +671,7 @@ class TestReferenceRound:
         epochs=st.integers(1, 2),
         kind=st.sampled_from(["fedgs", "fedavg"]),
         regime=st.sampled_from(["whole_mask", "blob_split"]),
-        optimizer_cfg=st.sampled_from([SGD, OptimizerConfig(kind="adamw", learning_rate=0.01)]),
+        optimizer_cfg=st.sampled_from([ADAMW, OptimizerConfig(learning_rate=0.01)]),
         seed=st.integers(0, 1000),
     )
     def test_run_round_is_the_reference_round_bitwise(
@@ -698,7 +693,7 @@ class TestReferenceRound:
         ]
         difficulty = DifficultyConfig(log_base=100.0, threshold=13.0, regime=regime) if kind == "fedgs" else None
         strategy = StrategyConfig(kind=kind, batch_size=batch_size, local_epochs=epochs, difficulty=difficulty)
-        params = init_params(ArchDescriptor(), seed)
+        params = init_params(seed)
         streams = lambda: [substream(seed, SHUFFLE_STREAM, 0, c) for c in range(len(clients))]
         new_global, stats = run_round(params, datasets, strategy, optimizer_cfg, streams(), deltas_of(datasets, strategy))
         expected, steps_total, mean_eta, max_eta = reference_round(params, datasets, strategy, optimizer_cfg, streams())
@@ -710,7 +705,7 @@ def test_local_trajectory_invariance_microcase(monkeypatch):
     # identical inputs and streams: every per-iteration parameter vector is
     # bitwise equal between the two accumulation modes
     recorder = TrajectoryRecorder(monkeypatch)
-    params = init_params(ArchDescriptor(), 21)
+    params = init_params(21)
     dataset = make_dataset(n=10, small_fraction=0.5, offset=4)
     strategy = StrategyConfig(kind="fedgs", batch_size=4, local_epochs=2, difficulty=DIFFICULTY)
     fedgs = run_client_round(
@@ -735,10 +730,8 @@ def test_local_trajectory_invariance_microcase(monkeypatch):
 
 
 def test_client_state_starts_with_zero_moments_only_under_adamw():
-    params = init_params(ArchDescriptor(), 0)
-    sgd = plan_state(params, 3, SGD)
-    assert sgd.optimizer is SGD and sgd.moments is None
-    adamw = plan_state(params, 3, ADAMW)
+    params = init_params(0)
+    adamw = plan_state(params, 3)
     m, v = adamw.moments
     assert adamw.optimizer is ADAMW
     assert m.shape == v.shape == (3, params.size) and not m.any() and not v.any()

@@ -26,7 +26,6 @@ batch_size = 4
 local_epochs = 1
 
 [optimizer]
-kind = adamw
 learning_rate = 0.01
 
 [difficulty]
@@ -85,9 +84,9 @@ class TestRunExperiment:
         write_results_csv(run_experiment(tiny_cfg), b_path)
         assert strip_wall_ms(a_path.read_text()) == strip_wall_ms(b_path.read_text())
 
-    @pytest.mark.parametrize("regime", ["whole_mask", "blob_split"])
-    @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
-    def test_rows_are_the_reference_experiment(self, tiny_cfg, regime, optimizer):
+    # the ids keep the AdamW rows' names from when the optimizer was a parameter
+    @pytest.mark.parametrize("regime", ["whole_mask", "blob_split"], ids=lambda regime: f"adamw-{regime}")
+    def test_rows_are_the_reference_experiment(self, tiny_cfg, regime):
         # every column but wall_ms, from tests/oracles.py's per-client round,
         # per-image forward, Dice by definition and per-mask difficulty; 8 and
         # 5 samples in batches of 3 give unequal step counts and short batches
@@ -99,7 +98,6 @@ class TestRunExperiment:
             batch_size=3,
             local_epochs=2,
             difficulty=dataclasses.replace(tiny_cfg.difficulty, regime=regime),
-            optimizer=dataclasses.replace(tiny_cfg.optimizer, kind=optimizer),
             client_specs=(first, dataclasses.replace(second, n_samples=5), test),
         )
         rows = [dataclasses.replace(row, wall_ms=0.0) for row in run_experiment(cfg)]

@@ -17,10 +17,8 @@ from fedgs_sim.masks import (
     validate_mask,
 )
 from oracles import (
-    CROSS3_OFFSETS,
     EIGHT_NEIGHBORS,
     FOUR_NEIGHBORS,
-    SQUARE3_OFFSETS,
     flood_fill_components,
     rasterize_disk,
     reference_difficulty,
@@ -69,9 +67,6 @@ difficulty_configs = st.builds(
     log_base=st.floats(1.5, 1000.0),
     threshold=st.floats(1.0, 200.0),
     regime=st.sampled_from(["whole_mask", "blob_split"]),
-    erosion_iterations=st.integers(0, 2),
-    structuring_element=st.sampled_from(["square3", "cross3"]),
-    connectivity=st.sampled_from([4, 8]),
 )
 
 
@@ -99,9 +94,9 @@ def blob_cfg(**kwargs) -> DifficultyConfig:
 WHOLE = DifficultyConfig(log_base=100.0, threshold=150.0, regime="whole_mask")
 
 
-def labeling(mask, connectivity):
+def labeling(mask):
     """(labels, component_areas) of a mask or stack by masks._label: labels 1..n, 0 the background."""
-    paint, areas, _ = masks._label(mask.reshape(-1, *mask.shape[-2:]), connectivity)
+    paint, areas, _ = masks._label(mask.reshape(-1, *mask.shape[-2:]))
     labels = paint(np.arange(len(areas) + 1, dtype=np.int32)).reshape(mask.shape)
     return labels, list(enumerate(map(int, areas), start=1))
 
@@ -124,49 +119,36 @@ class TestErosion:
     def test_isolated_pixel_vanishes(self):
         mask = np.zeros((7, 7), dtype=np.uint8)
         mask[3, 3] = 1
-        assert masks._morph(mask, "square3", 1, np.min).sum() == 0
+        assert masks._morph(mask, np.min).sum() == 0
 
     def test_three_wide_strip_becomes_one_wide(self):
         mask = np.zeros((9, 9), dtype=np.uint8)
         mask[1:8, 3:6] = 1
-        out = masks._morph(mask, "square3", 1, np.min)
+        out = masks._morph(mask, np.min)
         expected = np.zeros_like(mask)
         expected[2:7, 4] = 1
         assert np.array_equal(out, expected)
 
-    def test_zero_iterations_is_identity(self):
-        mask = (np.random.default_rng(3).random((10, 10)) > 0.5).astype(np.uint8)
-        assert np.array_equal(masks._morph(mask, "square3", 0, np.min), mask)
-
-    @given(small_masks, st.sampled_from(["square3", "cross3"]))
-    def test_anti_extensive(self, mask, element):
-        out = masks._morph(mask, element, 1, np.min)
+    @given(small_masks)
+    def test_anti_extensive(self, mask):
+        out = masks._morph(mask, np.min)
         assert ((out == 1) <= (mask == 1)).all()
-
-    @given(small_masks, st.sampled_from(["square3", "cross3"]))
-    def test_composition_equals_two_iterations(self, mask, element):
-        twice = masks._morph(masks._morph(mask, element, 1, np.min), element, 1, np.min)
-        assert np.array_equal(twice, masks._morph(mask, element, 2, np.min))
 
     @given(small_masks)
     def test_matches_definition_square3(self, mask):
-        assert np.array_equal(masks._morph(mask, "square3", 1, np.min), shift_erode(mask, SQUARE3_OFFSETS))
+        assert np.array_equal(masks._morph(mask, np.min), shift_erode(mask))
 
-    @given(small_masks)
-    def test_matches_definition_cross3(self, mask):
-        assert np.array_equal(masks._morph(mask, "cross3", 1, np.min), shift_erode(mask, CROSS3_OFFSETS))
-
-    @pytest.mark.parametrize("element, offsets", [("square3", SQUARE3_OFFSETS), ("cross3", CROSS3_OFFSETS)])
-    def test_one_pixel_wide_masks_match_definition(self, element, offsets):
-        # every 1xN and Nx1 mask up to N = 6, 1x1 included, where each shift
-        # that leaves the row or column must read background
-        for n in range(1, 7):
+    # the id keeps the square3 case's name from when the element was a parameter
+    @pytest.mark.parametrize("longest", [6], ids=["square3-offsets0"])
+    def test_one_pixel_wide_masks_match_definition(self, longest):
+        # every 1xN and Nx1 mask up to N = longest, 1x1 included, where each
+        # shift that leaves the row or column must read background
+        for n in range(1, longest + 1):
             for cells in itertools.product((0, 1), repeat=n):
                 row = np.array([cells], dtype=np.uint8)
                 for mask in (row, row.T):
-                    for iterations in range(4):
-                        assert np.array_equal(masks._morph(mask, element, iterations, np.min), shift_erode(mask, offsets, iterations))
-                        assert np.array_equal(masks._morph(mask, element, iterations, np.max), shift_dilate(mask, offsets, iterations))
+                    assert np.array_equal(masks._morph(mask, np.min), shift_erode(mask))
+                    assert np.array_equal(masks._morph(mask, np.max), shift_dilate(mask))
 
 
 class TestLabelComponents:
@@ -174,25 +156,26 @@ class TestLabelComponents:
         mask = np.zeros((12, 12), dtype=np.uint8)
         mask[1:2, 1:6] = 1
         mask[8:9, 2:7] = 1
-        _, component_areas = labeling(mask, 8)
+        _, component_areas = labeling(mask)
         assert len(component_areas) == 2
         assert sorted(area for _, area in component_areas) == [5, 5]
 
     def test_empty_mask(self):
-        labels, component_areas = labeling(np.zeros((5, 5), dtype=np.uint8), 8)
+        labels, component_areas = labeling(np.zeros((5, 5), dtype=np.uint8))
         assert len(component_areas) == 0
         assert labels.sum() == 0
 
     def test_diagonal_touch_depends_on_connectivity(self):
+        # one 8-connected component, as _label counts, but two 4-connected ones
         mask = np.zeros((6, 6), dtype=np.uint8)
         mask[1:3, 1:3] = 1
         mask[3:5, 3:5] = 1
-        assert len(labeling(mask, 8)[1]) == 1
-        assert len(labeling(mask, 4)[1]) == 2
+        assert len(labeling(mask)[1]) == 1
+        assert len(flood_fill_components(mask, FOUR_NEIGHBORS)) == 2
 
-    @given(small_masks, st.sampled_from([4, 8]))
-    def test_areas_partition_foreground(self, mask, connectivity):
-        labels, component_areas = labeling(mask, connectivity)
+    @given(small_masks)
+    def test_areas_partition_foreground(self, mask):
+        labels, component_areas = labeling(mask)
         assert sum(area for _, area in component_areas) == int(mask.sum())
         # every foreground pixel is labeled, background never is
         assert ((labels > 0) == (mask == 1)).all()
@@ -202,12 +185,12 @@ class TestLabelComponents:
             assert area >= 1
             assert int((labels == label).sum()) == area
 
-    @given(small_masks, st.sampled_from([4, 8]))
-    def test_matches_flood_fill(self, mask, connectivity):
+    @given(small_masks)
+    def test_matches_flood_fill(self, mask):
         # the oracle seeds its fills in raster order, so its k-th component
         # is the k-th by first pixel: labels must match it exactly
-        labels, component_areas = labeling(mask, connectivity)
-        reference = flood_fill_components(mask, FOUR_NEIGHBORS if connectivity == 4 else EIGHT_NEIGHBORS)
+        labels, component_areas = labeling(mask)
+        reference = flood_fill_components(mask, EIGHT_NEIGHBORS)
         expected = np.zeros(mask.shape, dtype=int)
         for label, component in enumerate(reference, start=1):
             for pixel in component:
@@ -216,13 +199,13 @@ class TestLabelComponents:
         assert component_areas == [(label, len(c)) for label, c in enumerate(reference, start=1)]
 
     @settings(max_examples=50, deadline=None)
-    @given(mask_stacks(), st.sampled_from([4, 8]))
-    def test_stack_numbers_each_image_after_the_one_before(self, stack, connectivity):
-        stack_labels, stack_areas = labeling(stack, connectivity)
+    @given(mask_stacks())
+    def test_stack_numbers_each_image_after_the_one_before(self, stack):
+        stack_labels, stack_areas = labeling(stack)
         assert stack_labels.shape == stack.shape
         offset = 0
         for mask, labels in zip(stack, stack_labels):
-            alone_labels, alone_areas = labeling(mask, connectivity)
+            alone_labels, alone_areas = labeling(mask)
             assert np.array_equal(labels, np.where(alone_labels > 0, alone_labels + offset, 0))
             assert stack_areas[offset : offset + len(alone_areas)] == [(label + offset, area) for label, area in alone_areas]
             offset += len(alone_areas)
@@ -237,7 +220,7 @@ class TestLabelComponents:
         mask[1, 5:8] = 1
         mask[2, 0:3] = 1
         mask[4, 6] = 1
-        labels, _ = labeling(mask, 8)
+        labels, _ = labeling(mask)
         assert labels[0, 5] == labels[0, 7] == labels[1, 6] == 1
         assert labels[2, 0] == 2
         assert labels[4, 6] == 3
@@ -266,13 +249,6 @@ class TestSmallestLesion:
         mask[7, 7] = 1
         assert difficulty_factor(mask, blob_cfg()).inverse_area == 100.0
 
-    def test_zero_iterations_uses_smallest_raw_component(self):
-        mask = np.zeros((10, 10), dtype=np.uint8)
-        mask[1:4, 1:4] = 1
-        mask[7, 7] = 1
-        cfg = blob_cfg(erosion_iterations=0)
-        assert difficulty_factor(mask, cfg).inverse_area == 100.0
-
     @pytest.mark.parametrize("diagonal_first", [True, False])
     def test_area_tie_goes_to_the_first_component_in_raster_order(self, diagonal_first):
         # two lesions that erode to two pixels each: a 3x4 bar (eroded 1x2,
@@ -283,19 +259,17 @@ class TestSmallestLesion:
         diagonal, bar = (1, 9) if diagonal_first else (9, 1)
         mask[diagonal : diagonal + 3, 2:5] = mask[diagonal + 1 : diagonal + 4, 3:6] = 1
         mask[bar : bar + 3, 8:12] = 1
-        _, eroded_areas = labeling(masks._morph(mask, "square3", 1, np.min), 8)
+        _, eroded_areas = labeling(masks._morph(mask, np.min))
         assert [area for _, area in eroded_areas] == [2, 2]
         expected = 256 / (14 if diagonal_first else 12)
         assert difficulty_factor(mask, blob_cfg()).inverse_area == expected
         assert mask.size / smallest_lesion_estimate(mask) == expected
 
-    @given(small_masks, st.integers(0, 2))
-    def test_matches_reference_pipeline(self, mask, iterations):
+    @given(small_masks)
+    def test_matches_reference_pipeline(self, mask):
         if mask.sum() == 0:
             return
-        cfg = blob_cfg(erosion_iterations=iterations)
-        expected = mask.size / smallest_lesion_estimate(mask, SQUARE3_OFFSETS, iterations)
-        assert difficulty_factor(mask, cfg).inverse_area == expected
+        assert difficulty_factor(mask, blob_cfg()).inverse_area == mask.size / smallest_lesion_estimate(mask)
 
 
 class TestDifficultyFactor:
@@ -365,13 +339,7 @@ class TestDifficultyFactor:
         with pytest.raises(ValueError):
             DifficultyConfig(threshold=0.5)
         with pytest.raises(ValueError):
-            DifficultyConfig(connectivity=6)
-        with pytest.raises(ValueError):
             DifficultyConfig(regime="diagonal")
-        with pytest.raises(ValueError, match="diamond"):
-            DifficultyConfig(structuring_element="diamond")
-        with pytest.raises(ValueError, match="erosion_iterations"):
-            DifficultyConfig(erosion_iterations=-1)
         with pytest.raises(ValueError, match="^log_base must be finite, got inf$"):
             DifficultyConfig(log_base=math.inf)
         with pytest.raises(ValueError, match="^threshold must be finite, got inf$"):
@@ -389,9 +357,9 @@ class TestStackPath:
             patch.setattr(shifts, "KERNEL_PIXELS", per_chunk * stack[0].size)
             assert_matches_reference(stack, cfg)
 
-    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 100])
-    @pytest.mark.parametrize("iterations", [0, 1, 2])
-    def test_ties_borders_fallbacks_and_empties(self, per_chunk, iterations):
+    # the ids keep the one-erosion case's names from when the erosion count was a parameter
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 100], ids=lambda n: f"1-{n}")
+    def test_ties_borders_fallbacks_and_empties(self, per_chunk):
         cases = []
         for diagonal_first in (True, False):  # equal eroded areas, rebuilt to 14 and 12 pixels
             mask = np.zeros((16, 16), dtype=np.uint8)
@@ -412,20 +380,16 @@ class TestStackPath:
         stack = np.stack(cases + cases[::-1])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shifts, "KERNEL_PIXELS", per_chunk * 256)
-            for element in ("square3", "cross3"):
-                for connectivity in (4, 8):
-                    cfg = blob_cfg(threshold=5.0, erosion_iterations=iterations, structuring_element=element, connectivity=connectivity)
-                    assert_matches_reference(stack, cfg)
+            assert_matches_reference(stack, blob_cfg(threshold=5.0))
 
     @settings(max_examples=60, deadline=None)
-    @given(mask_stacks(), st.sampled_from(["square3", "cross3"]), st.integers(0, 2))
-    def test_morphology_of_a_stack_is_per_mask(self, stack, element, iterations):
-        offsets = SQUARE3_OFFSETS if element == "square3" else CROSS3_OFFSETS
-        eroded, dilated = (masks._morph(stack, element, iterations, reduce) for reduce in (np.min, np.max))
+    @given(mask_stacks())
+    def test_morphology_of_a_stack_is_per_mask(self, stack):
+        eroded, dilated = (masks._morph(stack, reduce) for reduce in (np.min, np.max))
         assert eroded.dtype == dilated.dtype == np.uint8 and eroded.shape == dilated.shape == stack.shape
         for mask, e, d in zip(stack, eroded, dilated):
-            assert np.array_equal(e, shift_erode(mask, offsets, iterations))
-            assert np.array_equal(d, shift_dilate(mask, offsets, iterations))
+            assert np.array_equal(e, shift_erode(mask))
+            assert np.array_equal(d, shift_dilate(mask))
 
     def test_blob_eval_test_set_work_memory_within_kernel_figure(self, monkeypatch):
         # 240 64x64 masks, the blob_eval workload's test center, scored in
@@ -514,7 +478,7 @@ class TestBlobVsWholeMask:
         # component, so the whole-mask inverse area is dominated by the large
         # lesion, while erosion severs the bridge and exposes the small one
         mask = build_attached_pair()
-        assert len(labeling(mask, 8)[1]) == 1
+        assert len(labeling(mask)[1]) == 1
         assert not difficulty_factor(mask, WHOLE).is_small
         assert difficulty_factor(mask, blob_cfg()).is_small
 
@@ -530,5 +494,5 @@ def build_attached_pair(height=256, width=256) -> np.ndarray:
 @settings(max_examples=30)
 @given(small_masks)
 def test_dilate_is_extensive(mask):
-    out = masks._morph(mask, "square3", 1, np.max)
+    out = masks._morph(mask, np.max)
     assert ((mask == 1) <= (out == 1)).all()

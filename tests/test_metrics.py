@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from fedgs_sim.data import ClientData
 from fedgs_sim.masks import DifficultyConfig, validate_mask
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
-from fedgs_sim.model import ArchDescriptor, KernelOverflowError, forward, init_params
+from fedgs_sim.model import PARAM_COUNT, KernelOverflowError, forward, init_params
 
 DIFFICULTY = DifficultyConfig(log_base=100.0, threshold=13.0, regime="whole_mask")
 
@@ -27,8 +27,7 @@ def passthrough_params() -> np.ndarray:
     Only the center taps are set: hidden activation is relu(10x - 5), output
     logit 10*relu - 25, i.e. +-25 depending on the input pixel.
     """
-    arch = ArchDescriptor(hidden_channels=4)
-    params = np.zeros(arch.param_count)
+    params = np.zeros(PARAM_COUNT)
     params[4] = 10.0  # k1[0, 1, 1]
     params[36] = -5.0  # b1[0]
     params[44] = 10.0  # k2[0, 1, 1]
@@ -166,7 +165,7 @@ class TestEvaluate:
 
     def test_model_that_overflows_float32_raises_instead_of_scoring_background(self):
         samples = self.samples_for(disk_mask(2.5), disk_mask(9.0))
-        params = init_params(ArchDescriptor(), 0) * 1e20
+        params = init_params(0) * 1e20
         with pytest.raises(KernelOverflowError, match="overflows float32 in the kernel"):
             evaluate(params, samples, sample_groups(samples, DIFFICULTY))
 
