@@ -94,11 +94,6 @@ class ClientState:
     ) -> "ClientState":
         """One client per plan at the global snapshot: zero cumulative gradients and zero moments."""
         etas = [np.asarray(client, dtype=np.float64) for client in etas]
-        counts = [len(b) for b in batches]
-        if [e.shape for e in etas] != [(n,) for n in counts] or not all(np.isfinite(e).all() for e in etas):
-            raise ValueError(f"need one finite eta per batch of {counts}, got {[e.tolist() for e in etas]}")
-        if not all(len(batch) for client in batches for batch in client):
-            raise ValueError("batch must be non-empty")
         params = np.tile(np.asarray(global_params, dtype=np.float64), (len(batches), 1))
         moments = (np.zeros_like(params), np.zeros_like(params))
         return cls(params, np.zeros_like(params), optimizer_cfg, moments, batches, etas)
@@ -149,14 +144,12 @@ def local_iteration(state: ClientState, datasets: Sequence[ClientData], step: in
     optimizer step updates every training client's parameter and moment
     rows, AdamW's bias correction at `step`. The decrement added to client
     k's cumulative gradient is scaled by state.etas[k][step - 1], its batch's
-    planned eta; the step itself never sees the strategy. A step that no
-    client has raises ValueError. A parameter vector that overflows the
-    kernel's dtype, a non-finite gradient or a non-finite updated parameter
-    vector raises DivergenceError naming the client and the step.
+    planned eta; the step itself never sees the strategy. A parameter vector
+    that overflows the kernel's dtype, a non-finite gradient or a non-finite
+    updated parameter vector raises DivergenceError naming the client and
+    the step.
     """
     active = [k for k, batches in enumerate(state.batches) if len(batches) >= step]
-    if step < 1 or not active:
-        raise ValueError(f"no client has a local step {step}")
     picks = {k: state.batches[k][step - 1] for k in active}
     # every client trains on most steps: a slice then indexes the cohort's rows as views
     rows = slice(None) if len(active) == len(state.params) else np.asarray(active)
@@ -201,30 +194,16 @@ def run_client_round(
     cumulative gradient zeroed, optimizer moments reinitialized. Client k
     shuffles each epoch from rngs[k], which must not depend on the strategy
     so that fedgs/fedavg trajectories stay comparable. Before any kernel
-    call the round checks client_deltas and plans each client's batches of
-    at most batch_size samples with their etas: batch_scaling_factor of the
-    batch's deltas, in the epoch's shuffled order, under fedgs and 1 under
-    fedavg. client_deltas[k] is sample_deltas(datasets[k], strategy): a 1-D
-    array of one delta per sample under fedgs and None under fedavg. Local
+    call the round plans each client's batches of at most batch_size
+    samples with their etas: batch_scaling_factor of the batch's deltas, in
+    the epoch's shuffled order, under fedgs and 1 under fedavg.
+    client_deltas[k] is sample_deltas(datasets[k], strategy): a 1-D array of
+    one delta per sample under fedgs and None under fedavg. Local
     step i advances every client that still has an i-th batch, so clients
     of unequal sizes drop out as their batches run out. Returns the cohort's
     state at round end; row k is bitwise what client k computes alone.
     """
-    if not datasets:
-        raise ValueError("need at least one client")
-    if len(rngs) != len(datasets):
-        raise ValueError("need one rng stream per client")
-    if len(client_deltas) != len(datasets):
-        raise ValueError("need one delta list per client")
     fedgs = strategy.kind == "fedgs"
-    for k, (dataset, deltas) in enumerate(zip(datasets, client_deltas)):
-        if (deltas is None) == fedgs:
-            need = "an array" if fedgs else "None"
-            raise ValueError(f"client {k}: {strategy.kind} needs {need} for its deltas, got {type(deltas).__name__}")
-        if fedgs and not (isinstance(deltas, np.ndarray) and deltas.shape == (len(dataset),)):
-            got = f"{type(deltas).__name__} of shape {np.shape(deltas)}"
-            raise ValueError(f"client {k}: fedgs needs a 1-D array of {len(dataset)} deltas, got {got}")
-
     # each client's batches over its epochs and their etas; a short batch's N is its length
     size = strategy.batch_size
     batches, etas = [], []
@@ -239,43 +218,29 @@ def run_client_round(
     return state
 
 
-def _weighted_mean(rows: np.ndarray, weights: np.ndarray, name: str) -> np.ndarray:
-    """Sum over k of (weights[k] / sum(weights)) * rows[k], for a (K, P) array and K valid weights.
+def _weighted_mean(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over k of (weights[k] / sum(weights)) * rows[k], for a (K, P) array and K positive weights.
 
     numpy's reduction over axis 0 adds the weighted rows one at a time, in
     order, so the result is bitwise that of adding them to zeros in a loop.
     """
-    rows = np.asarray(rows, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if not len(rows):
-        raise ValueError("no client rows to aggregate")
-    if rows.ndim != 2 or w.shape != (len(rows),):
-        raise ValueError(f"{name} of shape {w.shape} for client rows of shape {rows.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError(f"non-finite {name} {w.tolist()}")
-    if (w < 0).any():
-        raise ValueError(f"negative {name} {w.tolist()}")
-    total = w.sum()
-    if not total > 0:
-        raise ValueError(f"{name} sum to {total}, not a positive total")
-    return ((w / total)[:, None] * rows).sum(axis=0)
+    return ((w / w.sum())[:, None] * np.asarray(rows, dtype=np.float64)).sum(axis=0)
 
 
 def aggregate_fedgs(cumulative_gradients: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Average the (K, P) cumulative gradients weighted by each client's (K,) iteration count."""
-    return _weighted_mean(cumulative_gradients, steps, "steps")
+    return _weighted_mean(cumulative_gradients, steps)
 
 
 def apply_global_update(global_params: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     """New global parameters: current minus the aggregated pseudo-gradient."""
-    if global_params.shape != aggregate.shape:
-        raise ValueError(f"global shape {global_params.shape} != aggregate shape {aggregate.shape}")
     return global_params - aggregate
 
 
 def aggregate_fedavg(client_params: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted mean of the (K, P) final parameter vectors (weights = client sample counts)."""
-    return _weighted_mean(client_params, weights, "weights")
+    return _weighted_mean(client_params, weights)
 
 
 def run_round(

@@ -56,23 +56,20 @@ class CurvePoint:
 
 
 def _run_one(
-    cfg: ExperimentConfig, seed: int, strategy_kind: str, federation: Federation, groups: Sequence[str]
+    cfg: ExperimentConfig,
+    seed: int,
+    strategy_kind: str,
+    federation: Federation,
+    groups: Sequence[str],
+    client_deltas: Sequence[np.ndarray | None],
 ) -> list[ResultRow]:
-    """One strategy's rounds on a seed's federation; `groups` tags its test set (sample_groups).
+    """One strategy's rounds on a seed's federation.
 
-    Refuses a fedgs run that could not act: one whose every delta is 0 would run as fedavg, and one with
-    no small test sample would leave dice_s blank in every row.
+    `groups` tags its test set (sample_groups), and `client_deltas` holds each client's sample_deltas
+    under this strategy.
     """
     params = init_params(seed)
     strategy = cfg.strategy(strategy_kind)
-    # Masks never change during a run: score each sample's difficulty once.
-    client_deltas = [sample_deltas(dataset, strategy) for dataset in federation.clients]
-    if strategy_kind == "fedgs":
-        at = f"seed {seed}: at threshold {cfg.difficulty.threshold}"
-        if not any(deltas.any() for deltas in client_deltas):
-            raise ValueError(f"{at}, every training delta is 0, so fedgs would run as fedavg")
-        if "small" not in groups:
-            raise ValueError(f"{at}, no test sample is small, so dice_s would be blank in every row")
     rows = []
     for round_index in range(cfg.rounds):
         streams = [
@@ -106,15 +103,28 @@ def _run_one(
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every (seed, strategy) pair; deterministic up to the wall_ms column.
 
-    A seed's federation and test-set tags are built once and shared by its
-    strategies, which never change them.
+    A seed's federation, test-set tags and each strategy's deltas are built
+    once, before any of its runs, and never change. A seed whose fedgs run
+    could not act is refused before its first run: one whose every delta is
+    0 would run as fedavg, and one with no small test sample would leave
+    dice_s blank in every row.
     """
     rows = []
     for seed in cfg.seeds:
         federation = build_federation(list(cfg.client_specs), seed)
         groups = sample_groups(federation.test_set, cfg.difficulty)
+        deltas = {
+            kind: [sample_deltas(dataset, cfg.strategy(kind)) for dataset in federation.clients]
+            for kind in cfg.strategies
+        }
+        if "fedgs" in deltas:
+            at = f"seed {seed}: at threshold {cfg.difficulty.threshold}"
+            if not any(client.any() for client in deltas["fedgs"]):
+                raise ValueError(f"{at}, every training delta is 0, so fedgs would run as fedavg")
+            if "small" not in groups:
+                raise ValueError(f"{at}, no test sample is small, so dice_s would be blank in every row")
         for strategy in cfg.strategies:
-            rows.extend(_run_one(cfg, seed, strategy, federation, groups))
+            rows.extend(_run_one(cfg, seed, strategy, federation, groups, deltas[strategy]))
     rows.sort(key=lambda r: (r.seed, r.strategy, r.round))
     return rows
 

@@ -217,15 +217,10 @@ def difficulty_factor(masks: np.ndarray, cfg: DifficultyConfig) -> DifficultyRes
 
 
 def batch_scaling_factor(deltas: Sequence[float]) -> float:
-    """Scaling factor eta = 1 + (2/N) * sum(deltas) for a batch of N = len(deltas) samples.
+    """Scaling factor eta = 1 + (2/N) * sum(deltas) for a batch of N = len(deltas) >= 1 deltas in [0, 1).
 
     The sum (rather than a mean) makes eta sensitive to HOW MANY samples in the
     batch are small: three small-lesion samples score markedly higher than one.
     eta is 1 exactly when no sample in the batch is small, and < 3 always.
     """
-    if not len(deltas):
-        raise ValueError("batch must be non-empty")
-    for d in deltas:
-        if not 0.0 <= d < 1.0:
-            raise ValueError(f"difficulty factor {d} outside [0, 1)")
     return 1.0 + (2.0 / len(deltas)) * float(sum(deltas))

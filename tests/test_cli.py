@@ -123,21 +123,29 @@ UNREACHED_THRESHOLD = "[experiment]\nseeds = 1\nrounds = 1\n{}\n[difficulty]\nth
     "text, reason",
     [
         (UNREACHED_THRESHOLD.format(""), "at threshold 500.0, every training delta is 0, so fedgs would run as fedavg"),
+        # fedavg comes first: its rounds must not run before fedgs is refused
+        (
+            UNREACHED_THRESHOLD.format("strategies = fedavg fedgs\n"),
+            "at threshold 500.0, every training delta is 0, so fedgs would run as fedavg",
+        ),
         # the test center draws large disks only, which never reach 13 at 32x32
         (
             "[experiment]\nseeds = 1\nrounds = 1\n\n[test]\nsmall_fraction = 0.0\n",
             "at threshold 13.0, no test sample is small, so dice_s would be blank in every row",
         ),
     ],
-    ids=["no_small_training_mask", "no_small_test_sample"],
+    ids=["no_small_training_mask", "no_small_training_mask_fedavg_first", "no_small_test_sample"],
 )
-def test_fedgs_that_cannot_act_exits_1_before_its_first_round(tmp_path, capsys, text, reason):
+def test_fedgs_that_cannot_act_exits_1_before_its_first_round(tmp_path, capsys, monkeypatch, text, reason):
+    rounds, original = [], harness.run_round
+    monkeypatch.setattr(harness, "run_round", lambda *args: rounds.append(args) or original(*args))
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: seed 1: {reason}\n"
     assert not (out / "results.csv").exists()
+    assert rounds == []  # no strategy ran a round
 
 
 def test_fedavg_alone_runs_where_fedgs_cannot_act(tmp_path, capsys):

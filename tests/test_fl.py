@@ -47,10 +47,6 @@ def make_dataset(n=8, small_fraction=0.0, offset=1, seed=0):
     return generate_client_dataset(small_spec(n_samples=n, small_fraction=small_fraction, seed_offset=offset), seed)
 
 
-def no_kernel_call(*args):
-    raise AssertionError("backward ran")
-
-
 def plan_state(params, n_clients, optimizer_cfg=ADAMW):
     """A cohort of n_clients whose plan is one batch of samples 0-3 each, with eta 1."""
     return ClientState.start(params, optimizer_cfg, [[np.arange(4)]] * n_clients, [[1.0]] * n_clients)
@@ -128,41 +124,9 @@ class TestLocalIteration:
         )
         assert np.array_equal(state.etas, [1.0])
 
-    @pytest.mark.parametrize("step", [0, -1, 3])
-    def test_rejects_a_step_no_client_has_before_any_kernel_call(self, monkeypatch, step):
-        # the longest plan has 2 steps, counted from 1
-        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
-        batch = make_dataset(n=4)
-        idx = np.arange(4)
-        state = ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx]], [[1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match=f"^no client has a local step {step}$"):
-            local_iteration(state, [batch] * 2, step)
 
 
 class TestClientState:
-    @pytest.mark.parametrize(
-        "etas",
-        [[[1.0]], [[1.0], [1.0], [1.0]], [[1.0], [1.0]], [[1.0], [1.0, 1.0, 1.0]], [[1.0], [[1.0, 1.0]]], [[1.0], 1.0]],
-        ids=["too-few-clients", "too-many-clients", "too-few-etas", "too-many-etas", "column", "scalar"],
-    )
-    def test_start_rejects_etas_that_do_not_match_the_batches(self, etas):
-        # client 0 plans one batch and client 1 two
-        idx = np.arange(4)
-        with pytest.raises(ValueError, match="need one finite eta per batch"):
-            ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx]], etas)
-
-    @pytest.mark.parametrize("bad", [None, np.nan, np.inf])
-    def test_start_rejects_an_eta_that_is_not_a_finite_float(self, bad):
-        # None would become a NaN eta and poison the client's cumulative gradient
-        idx = np.arange(4)
-        with pytest.raises(ValueError, match="need one finite eta per batch"):
-            ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx]], [[1.0], [1.0, bad]])
-
-    def test_start_rejects_an_empty_batch(self):
-        idx = np.arange(4)
-        with pytest.raises(ValueError, match="batch must be non-empty"):
-            ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx[:0]]], [[1.0], [1.0, 1.0]])
-
     def test_holds_the_plan_with_etas_as_float64_arrays(self):
         idx = np.arange(4)
         state = ClientState.start(init_params(0), ADAMW, [[idx], [idx, idx[:2]]], [[1.0], [1.5, 1.0]])
@@ -266,55 +230,6 @@ class TestRunClientRound:
         assert len(expected) == 6 and any(eta > 1.0 for eta in expected)
         assert result.etas[0].dtype == np.float64
         assert result.etas[0].tolist() == expected
-
-    def test_rejects_deltas_of_another_length(self):
-        params = init_params(0)
-        dataset = make_dataset(n=4)
-        strategy = StrategyConfig(kind="fedgs", batch_size=4, difficulty=DIFFICULTY)
-        message = r"client 0: fedgs needs a 1-D array of 4 deltas, got ndarray of shape \(3,\)"
-        with pytest.raises(ValueError, match=message):
-            run_client_round(params, [dataset], strategy, ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], [np.zeros(3)])
-        with pytest.raises(ValueError, match="one delta list per client"):
-            run_round(params, [dataset], strategy, ADAMW, [substream(0, SHUFFLE_STREAM, 0, 0)], client_deltas=[])
-
-    @pytest.mark.parametrize(
-        "strategy, deltas, message",
-        [
-            (StrategyConfig(kind="fedgs", difficulty=DIFFICULTY), None, "fedgs needs an array"),
-            (StrategyConfig(kind="fedavg"), np.ones(4), "fedavg needs None"),
-        ],
-        ids=["fedgs-none", "fedavg-array"],
-    )
-    def test_rejects_deltas_of_the_other_strategy_before_any_kernel_call(self, monkeypatch, strategy, deltas, message):
-        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
-        params = init_params(0)
-        dataset = make_dataset(n=4)
-        # alone, and as client 1 of a cohort whose client 0 is well formed
-        for cohort in ([deltas], [sample_deltas(dataset, strategy), deltas]):
-            streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(len(cohort))]
-            with pytest.raises(ValueError, match=f"client {len(cohort) - 1}: {message}"):
-                run_client_round(params, [dataset] * len(cohort), strategy, ADAMW, streams, cohort)
-
-    @pytest.mark.parametrize("deltas", [[0.0] * 4, np.zeros((4, 1))], ids=["list", "column"])
-    def test_rejects_deltas_that_are_not_a_1d_array_before_any_kernel_call(self, monkeypatch, deltas):
-        # both have one entry per sample, but a batch cannot index them as one delta per sample
-        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
-        strategy = StrategyConfig(kind="fedgs", difficulty=DIFFICULTY)
-        dataset = make_dataset(n=4)
-        streams = [substream(0, SHUFFLE_STREAM, 0, c) for c in range(2)]
-        with pytest.raises(ValueError, match="client 1: fedgs needs a 1-D array of 4 deltas"):
-            run_client_round(
-                init_params(0), [dataset] * 2, strategy, ADAMW, streams, [np.zeros(4), deltas]
-            )
-
-    @pytest.mark.parametrize("bad", [1.0, -0.1, np.nan])
-    def test_rejects_a_delta_outside_the_unit_interval_before_any_kernel_call(self, monkeypatch, bad):
-        monkeypatch.setattr("fedgs_sim.fl.backward", no_kernel_call)
-        strategy = StrategyConfig(kind="fedgs", batch_size=2, difficulty=DIFFICULTY)
-        deltas = np.array([0.0, 0.5, bad, 0.0])
-        params, stream = init_params(0), substream(0, SHUFFLE_STREAM, 0, 0)
-        with pytest.raises(ValueError, match="outside"):
-            run_client_round(params, [make_dataset(n=4)], strategy, ADAMW, [stream], [deltas])
 
     def test_scheduled_batches_hold_one_to_batch_size_samples(self, monkeypatch):
         # the step takes its batches from the plan as given: the schedule is what bounds them
@@ -448,34 +363,6 @@ class TestAggregation:
         # identical unit gradients must aggregate to the unit vector
         assert np.allclose(aggregate_fedgs(np.ones((6, 3)), steps), 1.0)
 
-    def test_errors(self):
-        with pytest.raises(ValueError, match="^no client rows to aggregate$"):
-            aggregate_fedgs(np.zeros((0, 2)), np.zeros(0, dtype=int))
-
-    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
-    def test_weight_count_must_match_the_rows(self, aggregate):
-        # a (1,) weight array would otherwise broadcast across all three rows
-        with pytest.raises(ValueError, match=r"shape \(1,\) for client rows of shape \(3, 2\)"):
-            aggregate(np.ones((3, 2)), np.array([1]))
-        with pytest.raises(ValueError, match=r"shape \(3,\) for client rows of shape \(2, 2\)"):
-            aggregate(np.ones((2, 2)), np.array([1, 1, 1]))
-
-    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_weight_is_rejected(self, aggregate, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            aggregate(np.ones((2, 2)), np.array([bad, 1.0]))
-
-    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
-    def test_zero_total_weight_is_rejected(self, aggregate):
-        with pytest.raises(ValueError, match="sum to 0.0"):
-            aggregate(np.ones((3, 2)), np.zeros(3, dtype=int))
-
-    @pytest.mark.parametrize("aggregate", [aggregate_fedgs, aggregate_fedavg])
-    def test_negative_weight_is_rejected(self, aggregate):
-        with pytest.raises(ValueError, match="negative"):
-            aggregate(np.ones((2, 2)), np.array([-1.0, 2.0]))
-
     @settings(max_examples=200, deadline=None)
     @given(
         weights=st.lists(st.integers(1, 500), min_size=1, max_size=80),
@@ -494,18 +381,12 @@ class TestAggregation:
         assert np.allclose(apply_global_update(np.array([1.0, 1.0]), np.array([0.1, -0.2])), [0.9, 1.2])
         unchanged = apply_global_update(np.array([3.0, 4.0]), np.zeros(2))
         assert np.array_equal(unchanged, [3.0, 4.0])
-        with pytest.raises(ValueError, match=r"^global shape \(2,\) != aggregate shape \(3,\)$"):
-            apply_global_update(np.zeros(2), np.zeros(3))
 
     def test_fedavg_mean(self):
         identical = np.array([[1.0, 2.0], [1.0, 2.0]])
         assert np.allclose(aggregate_fedavg(identical, np.array([3.0, 9.0])), [1.0, 2.0])
         assert np.allclose(aggregate_fedavg(np.array([[0.0, 0.0], [2.0, 2.0]]), np.array([1.0, 1.0])), [1.0, 1.0])
         assert np.allclose(aggregate_fedavg(np.array([[0.0], [4.0]]), np.array([1.0, 3.0])), [3.0])
-        with pytest.raises(ValueError, match="^no client rows to aggregate$"):
-            aggregate_fedavg(np.zeros((0, 2)), np.zeros(0))
-        with pytest.raises(ValueError):
-            aggregate_fedavg(np.zeros((1, 1)), np.array([0.0]))
 
 
 class TestRunRound:
@@ -653,10 +534,6 @@ class TestRunRound:
         if all(s * sizes[0] == steps[0] * n for s, n in zip(steps, sizes)):
             assert np.abs(fedgs_global - fedavg_global).max() < 1e-12
 
-    def test_requires_matching_stream_count(self):
-        params = init_params(0)
-        with pytest.raises(ValueError):
-            run_round(params, [make_dataset()], StrategyConfig(kind="fedavg"), ADAMW, [], [None])
 
 
 class TestReferenceRound:

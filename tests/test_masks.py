@@ -452,18 +452,6 @@ class TestBatchScaling:
     def test_three_small_samples_score_much_higher(self):
         assert batch_scaling_factor([0.8, 0.8, 0.8, 0.0]) == pytest.approx(2.2)
 
-    def test_empty_batch(self):
-        with pytest.raises(ValueError, match="^batch must be non-empty$"):
-            batch_scaling_factor([])
-        with pytest.raises(ValueError, match="^batch must be non-empty$"):
-            batch_scaling_factor(np.zeros(0))
-
-    def test_delta_out_of_range(self):
-        with pytest.raises(ValueError, match=r"^difficulty factor 1.0 outside \[0, 1\)$"):
-            batch_scaling_factor([1.0])
-        with pytest.raises(ValueError, match=r"^difficulty factor -0.1 outside \[0, 1\)$"):
-            batch_scaling_factor([-0.1])
-
     @given(st.lists(st.floats(0.0, 0.999999), min_size=1, max_size=8))
     def test_bounds(self, deltas):
         eta = batch_scaling_factor(deltas)
