@@ -17,13 +17,15 @@ the model's kernel computes in.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .rng import DATA_STREAM, substream
+from .rng import DATA_STREAM, reseed, stream_seeds
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class ClientDataSpec:
             raise ValueError(f"bad noise_std {self.noise_std}: must be finite and >= 0")
         if not math.isfinite(self.lesion_intensity):
             raise ValueError(f"bad lesion_intensity {self.lesion_intensity}: must be finite")
-        if self.seed_offset < 0:
-            raise ValueError("seed_offset must be >= 0")
+        if not 0 <= self.seed_offset < 2**32:
+            raise ValueError(f"seed_offset must lie in [0, 2**32), got {self.seed_offset}")
         height, width = self.image_size
         max_radius = self.large_radius_range[1]  # the regimes are disjoint: no small radius is larger
         if 2 * math.ceil(max_radius) + 1 > min(height, width):  # a disk's center stays ceil(r) from each edge
@@ -116,23 +118,49 @@ class Federation:
     test_set: ClientData
 
 
-def _stamp_disk(mask: np.ndarray, cy: int, cx: int, radius: float) -> None:
-    """Set the pixels within `radius` of (cy, cx), working only in the disk's bounding box."""
-    reach = math.floor(radius)
-    top, left = max(cy - reach, 0), max(cx - reach, 0)
-    rows = np.arange(top, min(cy + reach + 1, mask.shape[0]))[:, None] - cy
-    cols = np.arange(left, min(cx + reach + 1, mask.shape[1]))[None, :] - cx
-    mask[top : top + rows.shape[0], left : left + cols.shape[1]][rows * rows + cols * cols <= radius * radius] = 1
+@functools.cache
+def _disk_table(reach: int, width: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Every offset within `reach` rows and columns of a centre, nearest first.
+
+    Returns their squared distances and, in the same order, their offsets in
+    a row-major frame `width` pixels wide. The offsets are read-only, since
+    every caller shares them.
+    """
+    dy, dx = np.mgrid[-reach : reach + 1, -reach : reach + 1].reshape(2, -1)
+    d2 = dy * dy + dx * dx
+    order = np.argsort(d2, kind="stable")
+    offsets = (dy * width + dx)[order]
+    offsets.flags.writeable = False
+    return tuple(d2[order].tolist()), offsets
 
 
-def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> ClientData:
-    """Generate the client's samples; bit-identical across runs for the same inputs."""
+def _stamp_disk(mask: np.ndarray, cy: int, cx: int, radius: float, reach: int) -> None:
+    """Set the pixels of the C-contiguous (H, W) `mask` within `radius` of (cy, cx).
+
+    The disk must lie inside the frame, as the generator's margins keep it,
+    and `radius` below reach + 1.
+    """
+    d2, offsets = _disk_table(reach, mask.shape[1])
+    mask.reshape(-1)[offsets[: bisect_right(d2, radius * radius)] + (cy * mask.shape[1] + cx)] = 1
+
+
+def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int, seeds: np.ndarray | None = None) -> ClientData:
+    """Generate the client's samples; bit-identical across runs for the same inputs.
+
+    `seeds` holds stream_seeds(experiment_seed, DATA_STREAM, spec.seed_offset,
+    i) for each sample i, as build_federation computes them for every client
+    at once; without it the client seeds its own samples.
+    """
     height, width = spec.image_size
+    if seeds is None:
+        seeds = stream_seeds(experiment_seed, DATA_STREAM, spec.seed_offset, np.arange(spec.n_samples))
+    reach = math.floor(spec.large_radius_range[1])  # the regimes are disjoint: no small radius is larger
     images = np.empty((spec.n_samples, height, width), dtype=np.float32)
     masks = np.zeros((spec.n_samples, height, width), dtype=np.uint8)
     is_small = np.empty(spec.n_samples, dtype=bool)
-    for index in range(spec.n_samples):
-        rng = substream(experiment_seed, DATA_STREAM, spec.seed_offset, index)
+    rng = np.random.default_rng(0)  # reseeded before each sample's first draw
+    for index, row in enumerate(seeds.tolist()):
+        reseed(rng, row)
         is_small[index] = rng.random() < spec.small_fraction
         r_lo, r_hi = spec.small_radius_range if is_small[index] else spec.large_radius_range
         n_lesions = int(rng.integers(spec.lesions_per_image[0], spec.lesions_per_image[1] + 1))
@@ -143,7 +171,7 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int) -> Clien
             margin = math.ceil(radius)
             cy = int(rng.integers(margin, height - margin))
             cx = int(rng.integers(margin, width - margin))
-            _stamp_disk(mask, cy, cx, radius)
+            _stamp_disk(mask, cy, cx, radius, reach)
 
         image = rng.normal(0.0, spec.noise_std, size=(height, width))
         np.add(image, spec.lesion_intensity, out=image, where=mask.view(bool))
@@ -155,11 +183,23 @@ def build_federation(specs: list[ClientDataSpec], experiment_seed: int) -> Feder
     """Generate all clients; the LAST spec becomes the held-out test center.
 
     Each client's stream is keyed by its own seed_offset, so reordering the
-    training specs never changes what any single client sees.
+    training specs never changes what any single client sees. The seeds of
+    every sample of every client come from one stream_seeds pass.
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 specs: training clients plus a test center")
-    datasets = [generate_client_dataset(spec, experiment_seed) for spec in specs]
+    sizes = [spec.n_samples for spec in specs]
+    starts = np.cumsum([0] + sizes)
+    seeds = stream_seeds(
+        experiment_seed,
+        DATA_STREAM,
+        np.repeat([spec.seed_offset for spec in specs], sizes),
+        np.arange(starts[-1]) - np.repeat(starts[:-1], sizes),
+    )
+    datasets = [
+        generate_client_dataset(spec, experiment_seed, seeds[start:stop])
+        for spec, start, stop in zip(specs, starts, starts[1:])
+    ]
     return Federation(clients=datasets[:-1], test_set=datasets[-1])
 
 

@@ -26,7 +26,7 @@ from .fl import DivergenceError, run_round, sample_deltas
 from .masks import DifficultyConfig, raw_difficulty
 from .metrics import evaluate, sample_groups
 from .model import KernelOverflowError, init_params
-from .rng import SHUFFLE_STREAM, substream
+from .rng import SHUFFLE_STREAM, reseed, stream_seeds
 
 CSV_VERSION_LINE = "# fedgs-sim v1"
 
@@ -70,12 +70,14 @@ def _run_one(
     """
     params = init_params(seed)
     strategy = cfg.strategy(strategy_kind)
+    n_clients = len(federation.clients)
+    round_keys, client_keys = np.indices((cfg.rounds, n_clients)).reshape(2, -1)
+    seeds = stream_seeds(seed, SHUFFLE_STREAM, round_keys, client_keys).reshape(cfg.rounds, n_clients, 4)
+    streams = [np.random.default_rng(0) for _ in range(n_clients)]  # reseeded before each round's draws
     rows = []
     for round_index in range(cfg.rounds):
-        streams = [
-            substream(seed, SHUFFLE_STREAM, round_index, client_index)
-            for client_index in range(len(federation.clients))
-        ]
+        for stream, row in zip(streams, seeds[round_index].tolist()):
+            reseed(stream, row)
         start = time.perf_counter()
         try:
             params, stats = run_round(params, federation.clients, strategy, cfg.optimizer, streams, client_deltas)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -139,14 +140,40 @@ class TestGeneration:
         assert images.tobytes() == replayed_images(spec, seed).astype(np.float32).tobytes()
 
     @given(
-        st.integers(1, 20), st.integers(1, 20), st.integers(-3, 22), st.integers(-3, 22), st.floats(0.0, 9.0), st.integers(0, 9)
+        st.floats(0.0, 9.0, exclude_min=True),
+        st.integers(0, 8),
+        st.integers(0, 8),
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.integers(0, 2),
+        st.integers(0, 9),
     )
-    def test_stamp_sets_the_disk_on_top_of_what_is_there(self, height, width, cy, cx, radius, seed):
-        # stamping works in the disk's bounding box only, clipped to the frame
+    def test_stamp_sets_the_disk_on_top_of_what_is_there(
+        self, radius, spare_rows, spare_cols, row_pick, col_pick, extra_reach, seed
+    ):
+        # a centre the generator can draw, ceil(radius) from every edge, and a table at least as wide as the disk
+        margin = math.ceil(radius)
+        height, width = 2 * margin + 1 + spare_rows, 2 * margin + 1 + spare_cols
+        cy, cx = margin + row_pick % (spare_rows + 1), margin + col_pick % (spare_cols + 1)
         mask = (np.random.default_rng(seed).random((height, width)) < 0.2).astype(np.uint8)
         expected = mask | rasterize_disk(height, width, cy, cx, radius)
-        _stamp_disk(mask, cy, cx, radius)
+        _stamp_disk(mask, cy, cx, radius, math.floor(radius) + extra_reach)
         assert mask.dtype == np.uint8 and np.array_equal(mask, expected)
+
+    def test_stamp_is_the_disk_at_every_radius_of_a_fine_grid(self):
+        # steps of 1/64 hit every integer radius r, where the pixels with d2 == r*r sit on the boundary;
+        # sqrt(d2) for every d2 a table holds puts each distance on it once more
+        reach = 9
+        radii = np.concatenate([np.arange(1, 64 * (reach + 1)) / 64, np.sqrt(np.arange(1, (reach + 1) ** 2))])
+        for radius in radii[radii < reach + 1].tolist():
+            margin = math.ceil(radius)
+            tight = (2 * margin + 1, 2 * margin + 1, margin, margin)
+            loose = (2 * margin + 4, 2 * margin + 7, margin + 3, margin)
+            for height, width, cy, cx in (tight, loose):
+                for table in (math.floor(radius), reach):
+                    mask = np.zeros((height, width), dtype=np.uint8)
+                    _stamp_disk(mask, cy, cx, radius, table)
+                    assert np.array_equal(mask, rasterize_disk(height, width, cy, cx, radius)), (radius, table)
 
     @pytest.mark.parametrize("key", [(DATA_STREAM, 3, 0), (DATA_STREAM, 0, 17), (0,)])
     def test_substream_is_the_default_rng_stream(self, key):
@@ -229,6 +256,30 @@ class TestFederation:
         train_clients = {c.seed_offset for c in federation.clients}
         test_clients = {federation.test_set.seed_offset}
         assert train_clients.isdisjoint(test_clients)
+
+    def test_clients_are_what_each_client_generates_alone(self):
+        # one seeding pass for the whole federation, cut into clients of unequal sizes, in a permuted order
+        specs = [
+            make_spec(n_samples=n, seed_offset=offset, small_fraction=0.5, image_size=size)
+            for n, offset, size in ((5, 9, (32, 32)), (1, 2, (20, 28)), (12, 0, (32, 32)), (3, 4, (24, 24)))
+        ]
+        federation = build_federation(specs, 811)
+        for spec, built in zip(specs, federation.clients + [federation.test_set]):
+            alone = generate_client_dataset(spec, 811)
+            assert built.seed_offset == alone.seed_offset
+            for name in ("images", "masks", "is_small"):
+                assert getattr(built, name).tobytes() == getattr(alone, name).tobytes(), (spec.seed_offset, name)
+            assert alone.images.tobytes() == replayed_images(spec, 811).astype(np.float32).tobytes()
+
+
+def test_build_federation_seeds_per_client_not_per_sample(stream_constructions):
+    counts, seen = stream_constructions, []
+    for n in (2, 9):
+        build_federation([make_spec(n_samples=n, seed_offset=i) for i in range(3)], 4)
+        seen.append(dict(counts))
+        counts.update(dict.fromkeys(counts, 0))
+    assert seen[0] == seen[1]
+    assert seen[0]["SeedSequence"] == 0
 
 
 def test_dump_writes_pairs_and_manifest(tmp_path):

@@ -104,6 +104,22 @@ class TestRunExperiment:
         assert rows == reference_experiment(cfg)
         assert any(row.max_eta > 1.0 for row in rows) and all(row.dice_s is not None for row in rows)
 
+    def test_shuffle_streams_are_seeded_once_per_run(self, tiny_cfg, stream_constructions):
+        # a SeedSequence per (round, client) would grow with rounds x clients; a run builds one, in init_params
+        import dataclasses
+
+        first, second, test = tiny_cfg.client_specs
+        third = dataclasses.replace(second, seed_offset=3)
+
+        def constructions(rounds, clients):
+            stream_constructions.update(dict.fromkeys(stream_constructions, 0))
+            run_experiment(dataclasses.replace(tiny_cfg, seeds=(1,), rounds=rounds, client_specs=clients + (test,)))
+            return dict(stream_constructions)
+
+        two_clients = constructions(1, (first, second))
+        assert constructions(4, (first, second)) == two_clients
+        assert constructions(4, (first, second, third))["SeedSequence"] == two_clients["SeedSequence"] == 2
+
     def test_fedavg_only_leaves_eta_at_sentinel_one(self, tiny_cfg, tmp_path):
         import dataclasses
 
