@@ -6,7 +6,9 @@ radius range) or a "large" one (all from the large range), drawn with the
 client's small_fraction. Because the ranges are disjoint, per-client
 small_fractions control how under-represented small lesions are across the
 federation, and a threshold placed between the two area regimes classifies
-samples exactly.
+samples exactly. Each sample holds LESIONS_PER_IMAGE = 1 or 2 disks, whose
+pixels are LESION_INTENSITY = 1.0 brighter than the noise, so noise_std alone
+sets the contrast.
 
 Generation is deterministic: sample i of client c uses the stream keyed by
 (experiment_seed, DATA_STREAM, c, i), with a fixed draw order (small-or-large
@@ -27,6 +29,9 @@ import numpy as np
 
 from .rng import DATA_STREAM, reseed, stream_seeds
 
+LESIONS_PER_IMAGE = (1, 2)  # inclusive range of a sample's disk count
+LESION_INTENSITY = 1.0  # added to the noise on lesion pixels
+
 
 @dataclass(frozen=True)
 class ClientDataSpec:
@@ -34,12 +39,10 @@ class ClientDataSpec:
 
     n_samples: int
     image_size: tuple[int, int] = (32, 32)
-    lesions_per_image: tuple[int, int] = (1, 2)
     small_fraction: float = 0.1
     small_radius_range: tuple[float, float] = (2.0, 3.0)
     large_radius_range: tuple[float, float] = (6.0, 9.0)
     noise_std: float = 0.3
-    lesion_intensity: float = 1.0
     seed_offset: int = 0
 
     def __post_init__(self) -> None:
@@ -47,9 +50,6 @@ class ClientDataSpec:
             raise ValueError("n_samples must be >= 1")
         if self.image_size[0] < 1 or self.image_size[1] < 1:
             raise ValueError("image_size must be positive")
-        lo, hi = self.lesions_per_image
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad lesions_per_image range {self.lesions_per_image}")
         if not 0.0 <= self.small_fraction <= 1.0:
             raise ValueError("small_fraction must lie in [0, 1]")
         for name, (r_lo, r_hi) in (
@@ -62,8 +62,6 @@ class ClientDataSpec:
             raise ValueError("small and large radius regimes must be disjoint")
         if not 0.0 <= self.noise_std < math.inf:
             raise ValueError(f"bad noise_std {self.noise_std}: must be finite and >= 0")
-        if not math.isfinite(self.lesion_intensity):
-            raise ValueError(f"bad lesion_intensity {self.lesion_intensity}: must be finite")
         if not 0 <= self.seed_offset < 2**32:
             raise ValueError(f"seed_offset must lie in [0, 2**32), got {self.seed_offset}")
         height, width = self.image_size
@@ -163,7 +161,7 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int, seeds: n
         reseed(rng, row)
         is_small[index] = rng.random() < spec.small_fraction
         r_lo, r_hi = spec.small_radius_range if is_small[index] else spec.large_radius_range
-        n_lesions = int(rng.integers(spec.lesions_per_image[0], spec.lesions_per_image[1] + 1))
+        n_lesions = int(rng.integers(LESIONS_PER_IMAGE[0], LESIONS_PER_IMAGE[1] + 1))
 
         mask = masks[index]
         for _ in range(n_lesions):
@@ -174,7 +172,7 @@ def generate_client_dataset(spec: ClientDataSpec, experiment_seed: int, seeds: n
             _stamp_disk(mask, cy, cx, radius, reach)
 
         image = rng.normal(0.0, spec.noise_std, size=(height, width))
-        np.add(image, spec.lesion_intensity, out=image, where=mask.view(bool))
+        np.add(image, LESION_INTENSITY, out=image, where=mask.view(bool))
         images[index] = image
     return ClientData(images=images, masks=masks, is_small=is_small, seed_offset=spec.seed_offset)
 

@@ -3,8 +3,10 @@
 Two 3x3 convolutions with same-padding, 1 -> HIDDEN_CHANNELS = 4 -> 1 channels
 (ReLU between, sigmoid head), trained with AdamW on smoothed Dice loss. Its
 PARAM_COUNT = 77 parameters live in a single flat float64 vector so the
-federated layer can treat models as plain vectors. The backward pass is
-written out by hand and checked against finite differences in the test suite.
+federated layer can treat models as plain vectors. AdamW's hyperparameters
+other than the learning rate are fixed: BETA1, BETA2, ADAM_EPS and the
+decoupled WEIGHT_DECAY. The backward pass is written out by hand and checked
+against finite differences in the test suite.
 forward and backward take one image or an (N, H, W) stack; backward returns
 the mean of the samples' gradients, and also takes (K, P) parameter rows, one
 per client, to train K clients' batches in one call. Both compute in float32
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import shifts
 from .masks import validate_mask
-from .rng import INIT_STREAM, substream
+from .rng import INIT_STREAM, reseed, stream_seeds
 
 DICE_SMOOTHING = 1.0
 
@@ -53,8 +55,9 @@ def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def init_params(seed: int) -> np.ndarray:
-    """Deterministic init: kernels uniform in +-1/sqrt(fan_in), biases zero."""
-    rng = substream(seed, INIT_STREAM)
+    """Deterministic init from the (seed, INIT_STREAM) stream: kernels uniform in +-1/sqrt(fan_in), biases zero."""
+    rng = np.random.default_rng(0)
+    reseed(rng, stream_seeds(seed, INIT_STREAM)[0])
     c = HIDDEN_CHANNELS
     bound1 = 1.0 / np.sqrt(9.0)
     bound2 = 1.0 / np.sqrt(9.0 * c)
@@ -252,26 +255,21 @@ def backward(params: np.ndarray, images: np.ndarray, masks: np.ndarray) -> np.nd
     return grad.reshape(params.shape)
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """AdamW's hyperparameters only; its moments are rows of the round's fl.ClientState."""
+    """AdamW's one configurable hyperparameter; its moments are rows of the round's fl.ClientState."""
 
     learning_rate: float = 0.0001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 <= beta < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if not 0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 Moments = tuple[np.ndarray, np.ndarray]
@@ -285,9 +283,9 @@ def optimizer_step(
     The moments (m, v), of the parameters' shape, (P,) or (K, P), are updated and
     bias-corrected at `step`; decoupled weight decay applies directly to the parameters.
     """
-    m = cfg.beta1 * moments[0] + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * moments[1] + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1**step)
-    v_hat = v / (1.0 - cfg.beta2**step)
-    update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * params
+    m = BETA1 * moments[0] + (1.0 - BETA1) * grad
+    v = BETA2 * moments[1] + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**step)
+    v_hat = v / (1.0 - BETA2**step)
+    update = m_hat / (np.sqrt(v_hat) + ADAM_EPS) + WEIGHT_DECAY * params
     return params - cfg.learning_rate * update, (m, v)

@@ -9,9 +9,9 @@ the same build and do not depend on the order in which they are created.
 Building a SeedSequence and a PCG64 costs about 15 µs per stream before the
 first draw. `stream_seeds` computes the seeds of a whole column of keys in
 one array pass instead, and `reseed` starts a reused Generator from one of
-them. Both follow numpy's SeedSequence hash (O'Neill's seed_seq) and PCG64
-seeding, whose output NEP 19 freezes; the tests pin them against numpy's own
-path, which `substream` keeps.
+them; every stream starts this way. Both follow numpy's SeedSequence hash
+(O'Neill's seed_seq) and PCG64 seeding, whose output NEP 19 freezes; the
+tests pin them against numpy's own path.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-
-
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by (seed, key): what default_rng builds from its SeedSequence."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key))))
 
 
 def _words(value: int) -> list[int]:

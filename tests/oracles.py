@@ -31,11 +31,20 @@ from fedgs_sim.data import build_federation
 from fedgs_sim.harness import ResultRow
 from fedgs_sim.masks import DifficultyConfig
 from fedgs_sim.model import init_params
-from fedgs_sim.rng import DATA_STREAM, SHUFFLE_STREAM, substream
+from fedgs_sim.rng import DATA_STREAM, SHUFFLE_STREAM
 
 SQUARE3_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 FOUR_NEIGHBORS = [(-1, 0), (1, 0), (0, -1), (0, 1)]
 EIGHT_NEIGHBORS = [o for o in SQUARE3_OFFSETS if o != (0, 0)]
+
+
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Generator for the stream identified by (seed, key), built by numpy's own SeedSequence and PCG64.
+
+    This is what default_rng builds from SeedSequence(seed, spawn_key=key), a
+    route to each stream independent of the package's stream_seeds and reseed.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key))))
 
 
 def rasterize_disk(height: int, width: int, cy: int, cx: int, radius: float) -> np.ndarray:
@@ -336,7 +345,8 @@ def replayed_images(spec, experiment_seed: int) -> np.ndarray:
 
     Per sample: the small-or-large coin, the lesion count, then radius,
     centre row and centre column per lesion, then the noise field, to which
-    the lesion intensity is added on the union of the disks.
+    the lesion intensity is added on the union of the disks. The recipe's
+    fixed 1-2 disks and intensity 1.0 are written here as literals.
     """
     height, width = spec.image_size
     images = np.empty((spec.n_samples, height, width))
@@ -345,14 +355,14 @@ def replayed_images(spec, experiment_seed: int) -> np.ndarray:
         small = rng.random() < spec.small_fraction
         r_lo, r_hi = spec.small_radius_range if small else spec.large_radius_range
         foreground = np.zeros((height, width), dtype=bool)
-        for _ in range(int(rng.integers(spec.lesions_per_image[0], spec.lesions_per_image[1] + 1))):
+        for _ in range(int(rng.integers(1, 3))):  # 1 or 2 disks
             radius = float(rng.uniform(r_lo, r_hi))
             margin = int(np.ceil(radius))
             cy = int(rng.integers(margin, height - margin))
             cx = int(rng.integers(margin, width - margin))
             foreground |= rasterize_disk(height, width, cy, cx, radius).astype(bool)
         images[index] = rng.normal(0.0, spec.noise_std, size=(height, width))
-        images[index][foreground] += spec.lesion_intensity
+        images[index][foreground] += 1.0
     return images
 
 
@@ -370,7 +380,8 @@ def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
 
     Each client starts from the global parameters with zero moments and, per
     epoch, takes its batches of at most B samples from rngs[k].permutation.
-    Per batch: the reference gradient, AdamW written out, the
+    Per batch: the reference gradient, AdamW written out with its fixed
+    beta1 0.9, beta2 0.999, eps 1e-8 and weight decay 0.01, the
     decrement (before - after), and eta = 1 + (2/N) * (sum of the batch's
     per-mask reference_difficulty deltas, left to right) under fedgs, 1
     under fedavg. FedGS
@@ -393,11 +404,11 @@ def reference_round(global_params, datasets, strategy, optimizer_cfg, rngs):
                 batch = order[start : start + size]
                 grad = reference_backward(params, dataset.images[batch], dataset.masks[batch])
                 t += 1
-                m = opt.beta1 * m + (1.0 - opt.beta1) * grad
-                v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-                m_hat = m / (1.0 - opt.beta1**t)
-                v_hat = v / (1.0 - opt.beta2**t)
-                update = m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * params
+                m = 0.9 * m + (1.0 - 0.9) * grad
+                v = 0.999 * v + (1.0 - 0.999) * grad * grad
+                m_hat = m / (1.0 - 0.9**t)
+                v_hat = v / (1.0 - 0.999**t)
+                update = m_hat / (np.sqrt(v_hat) + 1e-8) + 0.01 * params
                 new_params = params - opt.learning_rate * update
                 eta = 1.0
                 if strategy.kind == "fedgs":

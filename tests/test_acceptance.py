@@ -20,8 +20,8 @@ from fedgs_sim.harness import emit_difficulty_curve, fedgs_overhead, run_experim
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from fedgs_sim.metrics import dice_score, evaluate, sample_groups
 from fedgs_sim.model import OptimizerConfig, backward, forward, init_params
-from fedgs_sim.rng import SHUFFLE_STREAM, substream
-from oracles import TrajectoryRecorder, rasterize_disk, reference_dice_loss
+from fedgs_sim.rng import SHUFFLE_STREAM
+from oracles import TrajectoryRecorder, rasterize_disk, reference_dice_loss, substream
 from test_model import smooth_fixtures
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +47,6 @@ def desk_spec(**kwargs) -> ClientDataSpec:
     defaults = dict(
         n_samples=16,
         image_size=(16, 16),
-        lesions_per_image=(1, 2),
         small_radius_range=(1.5, 2.0),
         large_radius_range=(4.0, 5.0),
         noise_std=0.4,

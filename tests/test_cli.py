@@ -66,22 +66,12 @@ def test_gen_data_command(tmp_path):
 _BAD_SETTINGS = [
     ("experiment", "rounds = 0", "rounds must be >= 1"),
     ("strategy", "batch_size = 0", "batch_size must be >= 1"),
-    ("optimizer", "beta1 = 1.0", "beta1 must lie in [0, 1), got 1.0"),
-    ("optimizer", "beta1 = nan", "beta1 must lie in [0, 1), got nan"),
-    ("optimizer", "beta1 = 2.0", "beta1 must lie in [0, 1), got 2.0"),
-    ("optimizer", "beta2 = -0.1", "beta2 must lie in [0, 1), got -0.1"),
-    ("optimizer", "weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
-    ("optimizer", "weight_decay = -0.01", "weight_decay must be finite and >= 0, got -0.01"),
     ("optimizer", "learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
-    ("optimizer", "eps = -1.0", "eps must be finite and > 0, got -1.0"),
-    ("optimizer", "eps = inf", "eps must be finite and > 0, got inf"),
     ("difficulty", "log_base = inf", "log_base must be finite, got inf"),
     ("client 1", "large_radius_range = 6.0 inf", "bad large_radius_range (6.0, inf)"),
     ("client 1", "small_radius_range = nan 3.0", "bad small_radius_range (nan, 3.0)"),
     ("client 1", "noise_std = nan", "bad noise_std nan: must be finite and >= 0"),
     ("client 1", "noise_std = inf", "bad noise_std inf: must be finite and >= 0"),
-    ("client 1", "lesion_intensity = inf", "bad lesion_intensity inf: must be finite"),
-    ("test", "lesion_intensity = nan", "bad lesion_intensity nan: must be finite"),
     ("client 1", "image_size = 16 16", "disk radius 9.0 cannot fit fully inside a 16x16 image"),
 ]
 
@@ -99,6 +89,30 @@ def test_validation_error_exits_1(tmp_path, capsys, section, setting, error):
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == error
     assert not out.exists()  # rejected at parse time, before the output directory is made
+
+
+@pytest.mark.parametrize(
+    "section, setting",
+    [
+        ("optimizer", "beta1 = 0.9"),
+        ("optimizer", "beta2 = 0.999"),
+        ("optimizer", "eps = 1e-08"),
+        ("optimizer", "weight_decay = 0.01"),
+        ("client 1", "lesions_per_image = 1 2"),
+        ("test", "lesion_intensity = 1.0"),
+    ],
+    ids=lambda value: value.split(" = ")[0],
+)
+def test_a_fixed_hyperparameter_set_in_an_old_config_exits_1(tmp_path, capsys, section, setting):
+    # AdamW's betas, eps and decay and the lesion count and intensity are constants: an old
+    # print-defaults config that still sets one, even to its fixed value, fails instead of ignoring it
+    old = tmp_path / "old.ini"
+    old.write_text(f"[{section}]\n{setting}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(old), "--out", str(out)]) == 1
+    key = setting.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: unknown key '{key}' in section [{section}]\n"
+    assert not out.exists()
 
 
 def test_unreachable_fedgs_threshold_exits_1(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import TrajectoryRecorder, reference_round, weighted_rows
+from oracles import TrajectoryRecorder, reference_round, substream, weighted_rows
 
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
 from fedgs_sim.fl import (
@@ -21,7 +21,7 @@ from fedgs_sim.fl import (
 )
 from fedgs_sim.masks import DifficultyConfig, batch_scaling_factor, difficulty_factor
 from fedgs_sim.model import OptimizerConfig, backward, init_params, optimizer_step
-from fedgs_sim.rng import SHUFFLE_STREAM, substream
+from fedgs_sim.rng import SHUFFLE_STREAM
 
 ADAMW = OptimizerConfig(learning_rate=0.001)
 
@@ -34,7 +34,6 @@ def small_spec(**kwargs) -> ClientDataSpec:
     defaults = dict(
         n_samples=8,
         image_size=(32, 32),
-        lesions_per_image=(1, 2),
         small_radius_range=(2.0, 3.0),
         large_radius_range=(6.0, 9.0),
         seed_offset=1,

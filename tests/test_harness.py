@@ -105,7 +105,8 @@ class TestRunExperiment:
         assert any(row.max_eta > 1.0 for row in rows) and all(row.dice_s is not None for row in rows)
 
     def test_shuffle_streams_are_seeded_once_per_run(self, tiny_cfg, stream_constructions):
-        # a SeedSequence per (round, client) would grow with rounds x clients; a run builds one, in init_params
+        # a SeedSequence per (round, client) would grow with rounds x clients; a run builds none, since
+        # init_params, like the data and the shuffles, reseeds a Generator from stream_seeds
         import dataclasses
 
         first, second, test = tiny_cfg.client_specs
@@ -118,7 +119,7 @@ class TestRunExperiment:
 
         two_clients = constructions(1, (first, second))
         assert constructions(4, (first, second)) == two_clients
-        assert constructions(4, (first, second, third))["SeedSequence"] == two_clients["SeedSequence"] == 2
+        assert constructions(4, (first, second, third))["SeedSequence"] == two_clients["SeedSequence"] == 0
 
     def test_fedavg_only_leaves_eta_at_sentinel_one(self, tiny_cfg, tmp_path):
         import dataclasses

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import conv_logits, reference_backward, reference_dice_loss, reference_forward
+from oracles import conv_logits, reference_backward, reference_dice_loss, reference_forward, substream
 
 from fedgs_sim import fl, model, shifts
 from fedgs_sim.data import ClientDataSpec, generate_client_dataset
@@ -21,6 +22,7 @@ from fedgs_sim.model import (
     optimizer_step,
     unpack,
 )
+from fedgs_sim.rng import INIT_STREAM
 
 
 def logit(p):
@@ -61,6 +63,15 @@ class TestInit:
     def test_biases_start_at_zero(self):
         _, b1, _, b2 = unpack(init_params(5))
         assert (b1 == 0).all() and b2 == 0.0
+
+    # seeds of 2**32 and more take several SeedSequence words
+    @pytest.mark.parametrize("seeds", [range(200), [2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3]], ids=["one", "several"])
+    def test_kernels_are_the_uniform_draws_of_numpys_init_stream(self, seeds):
+        for seed in seeds:
+            rng = substream(seed, INIT_STREAM)
+            expected = np.concatenate([rng.uniform(-1 / 3, 1 / 3, size=36), rng.uniform(-1 / 6, 1 / 6, size=36)])
+            k1, _, k2, _ = unpack(init_params(seed))
+            assert np.concatenate([k1.ravel(), k2.ravel()]).tobytes() == expected.tobytes(), seed
 
 
 
@@ -632,36 +643,39 @@ def zero_moments(n):
 
 
 class TestOptimizer:
-    def test_adamw_zero_grad_no_decay_is_fixed_point(self):
-        cfg = OptimizerConfig(learning_rate=0.1, weight_decay=0.0)
+    def test_adamw_zero_grad_only_decays_params(self):
+        cfg = OptimizerConfig(learning_rate=0.1)
         params = np.array([1.0, -2.0, 3.0])
         new_params, (m, v) = optimizer_step(cfg, 1, params, np.zeros(3), zero_moments(3))
-        assert np.array_equal(new_params, params)
+        assert new_params.tobytes() == (params - 0.1 * (0.01 * params)).tobytes()
         assert not m.any() and not v.any()
 
     def test_adamw_zero_grad_decays_existing_moments(self):
-        cfg = OptimizerConfig(learning_rate=0.1, weight_decay=0.0)
+        cfg = OptimizerConfig(learning_rate=0.1)
         m, v = np.array([0.5, 0.1, -0.2]), np.array([0.3, 0.2, 0.1])
         new_params, (new_m, new_v) = optimizer_step(cfg, 3, np.zeros(3), np.zeros(3), (m, v))
         assert np.allclose(new_m, 0.9 * m)
         assert np.allclose(new_v, 0.999 * v)
         # bias-corrected at step 3; the given moments are left as they were
         m_hat, v_hat = new_m / (1.0 - 0.9**3), new_v / (1.0 - 0.999**3)
-        assert np.allclose(new_params, -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps), rtol=0, atol=1e-15)
+        assert np.allclose(new_params, -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8), rtol=0, atol=1e-15)
         assert m.tolist() == [0.5, 0.1, -0.2] and v.tolist() == [0.3, 0.2, 0.1]
 
     def test_adamw_first_step_is_sign_like(self):
-        cfg = OptimizerConfig(learning_rate=0.01, weight_decay=0.0)
+        cfg = OptimizerConfig(learning_rate=0.01)
         grad = np.array([0.5, -2.0, 1e-9, 0.0])
         params = np.zeros(4)
         new_params, _ = optimizer_step(cfg, 1, params, grad, zero_moments(4))
-        expected = -cfg.learning_rate * grad / (np.abs(grad) + cfg.eps)
+        expected = -cfg.learning_rate * grad / (np.abs(grad) + 1e-8)
         assert np.allclose(new_params, expected, rtol=0, atol=1e-15)
 
     def test_decoupled_weight_decay_shrinks_params(self):
-        cfg = OptimizerConfig(learning_rate=0.1, weight_decay=0.5)
-        new_params, _ = optimizer_step(cfg, 1, np.array([2.0]), np.zeros(1), zero_moments(1))
-        assert new_params == pytest.approx([2.0 - 0.1 * 0.5 * 2.0])
+        # the decay of 0.01 is decoupled: no bias correction scales it, at any step
+        params = np.array([2.0, -0.5, 1e-3])
+        for learning_rate, step in itertools.product((0.1, 0.003), (1, 2, 50)):
+            cfg = OptimizerConfig(learning_rate=learning_rate)
+            new_params, _ = optimizer_step(cfg, step, params, np.zeros(3), zero_moments(3))
+            assert new_params.tobytes() == (params - learning_rate * (0.01 * params)).tobytes()
 
 
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedgs_sim.rng import DATA_STREAM, reseed, stream_seeds, substream
+from oracles import substream
+
+from fedgs_sim.rng import DATA_STREAM, reseed, stream_seeds
 
 
 @st.composite
